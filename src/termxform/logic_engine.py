@@ -34,6 +34,7 @@ from .term_core import (
     deref,
     fresh_var,
     is_list,
+    list_items,
     list_parts,
     mk_list,
     render_term,
@@ -821,6 +822,28 @@ def _bi_canon(solver: Solver, args) -> Iterator[None]:
     keyed.sort(key=lambda pair: pair[0])  # stable: equal ids keep order
     if solver.unify(args[1], mk_list([item for _, item in keyed])):
         yield
+
+
+@_builtin("attribute", 4)
+def _bi_attribute(solver: Solver, args) -> Iterator[None]:
+    """attribute(Atts, Id, Value, Rest): one well-formed entry of Atts per solution.
+
+    Entries are tried in list order; malformed entries and non-proper lists
+    yield nothing. Rest is built only once Id and Value have unified.
+    """
+    items = list_items(args[0])
+    for index, item in enumerate(items or ()):
+        attr = split_attr(item)
+        if attr is None:
+            continue
+        mark = len(solver.trail)
+        if (
+            solver.unify(args[1], Atom(attr[0]))
+            and solver.unify(args[2], Atom(attr[1]))
+            and solver.unify(args[3], mk_list(items[:index] + items[index + 1 :]))
+        ):
+            yield
+        solver.undo_to(mark)
 
 
 @_builtin("upcase", 2)

@@ -1,9 +1,10 @@
 """Rule-driven document traversal and whole-file transformation.
 
 Traversal walks a document in pre-order.  Processing instructions and
-comments contribute nothing; a node matched by a ``template/2`` clause
-contributes that clause's result list (the textually first matching clause
-commits); an unmatched element recurses into its children, concatenating
+comments contribute nothing; a node for which the solver finds
+``template(Node, Result)`` contributes the first solution's ``Result`` list
+(clauses are tried in text order, and a cut in a template body commits to
+its clause); an unmatched element recurses into its children, concatenating
 their results; unmatched text contributes nothing by default (or itself
 with the ``copy`` policy).
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .logic_engine import Clause, Program, Solver, SolverOptions
+from .logic_engine import Program, Solver, SolverOptions
 from .rule_language import parse_program
 from .term_core import (
     Atom,
@@ -108,16 +109,17 @@ def _traverse(node: Term, solver: Solver, opts: TraversalOptions) -> list[Term]:
         return []
     if node.name in ("pi", "comment") and len(node.args) == 1:
         return []
-    matched = _match_template(node, solver)
-    if matched is not None:
-        clause, result = matched
-        items = list_items(result)
-        if items is None:
-            raise TemplateError(
-                "template %s produced %s, which is not a result list"
-                % (render_term(clause.head), render_term(result))
-            )
-        return items
+    if solver.program.defines("template", 2):
+        out = fresh_var("Result")
+        for _ in solver.solve(Compound("template", (node, out))):
+            result = copy_term(out)  # one copy: shared variables stay shared
+            items = list_items(result)
+            if items is None:
+                raise TemplateError(
+                    "the template for %s produced %s, which is not a result list"
+                    % (render_term(node), render_term(result))
+                )
+            return items
     if node.name == "element" and len(node.args) == 3:
         children = list_items(deref(node.args[2])) or []
         return _traverse_items(children, solver, opts)
@@ -134,25 +136,6 @@ def _traverse_items(nodes: list[Term], solver: Solver, opts: TraversalOptions) -
             continue
         results.extend(_traverse(entry, solver, opts))
     return results
-
-
-def _match_template(node: Term, solver: Solver) -> Optional[tuple[Clause, Term]]:
-    """The first template clause with a solution for *node*, plus its result."""
-    clauses = solver.program.get("template", 2) or []
-    for clause in clauses:
-        mapping: dict[int, Term] = {}
-        head = copy_term(clause.head, mapping)
-        body = copy_term(clause.body, mapping)
-        out = fresh_var("Result")
-        probe = Compound("template", (node, out))
-        mark = len(solver.trail)
-        if solver.unify(head, probe):
-            for _ in solver.solve(body):
-                result = copy_term(out)
-                solver.undo_to(mark)
-                return clause, result
-        solver.undo_to(mark)
-    return None
 
 
 # ---------------------------------------------------------------------------

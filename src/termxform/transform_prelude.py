@@ -85,19 +85,13 @@ transform(X ^ Name,Y):-
 
 :-op(100,yfx,'@').
 transform(element(_,AttList,_) @ Att,X):-
-  append(_,[A|_],AttList),
-  atom_codes(Att,AttCodes),
-  atom_codes(A,ACodes),
-  append(Pre,[61,34|X2],ACodes),
-  append(X3,[34],X2),
-  Pre=AttCodes, !, atom_codes(X,X3).
+  atom(Att), attribute(AttList,Att,V,_), !,
+  (X=V; number(X), V is string(X)).
 transform(X @ Att, Y):-
   transform(X,X2),
   transform(X2 @ Att, Y).
 
 :-op(100,fy,atts).
-transform(atts element(_,L,_),_):-
-  not(list(L)), !, fail.
 transform(atts element(_,L,_),_):-
   findall(X,selectattribute(X,L),[]),
   !, fail.
@@ -239,17 +233,9 @@ remove(element(N,As,L),Node,
        element(N,As,L2)):-
   delete(Node,L,L2).
 
-removeAttribute(E,Att,element(N,As2,L)):-
-  E=element(N,As,L),
-  transform(E @ Att,Val),
-  atom_codes(Att,AttCodes),
-  atom_codes(Val,ValCodes),
-  append(AttCodes,[61,34|ValCodes],Res2),
-  append(Res2,[34],Res),
-  atom_codes(Selected,Res),
-  append(Pre,[Selected|Post],As),
-  !,
-  append(Pre,Post,As2).
+removeAttribute(element(N,As,L),Att,
+                element(N,As2,L)):-
+  atom(Att), attribute(As,Att,_,As2), !.
 
 insertBefore(_,_,RecentNode,_):-
   (var(RecentNode);
@@ -317,15 +303,8 @@ levels0(L,[H|T],Y,Res0,Res):-
 nth0(s(zero),[X|_],X).
 nth0(s(M),[_|L],X):-nth0(M,L,X).
 
-selectattribute(_,L):-
-  (var(L);number(L);
-   atom(L), not(list(L))),
-  !, fail.
 selectattribute(X,List):-
-  member(Y,List),
-  atom_codes(Y,YCodes2),
-  append(X2,[61,34|YCodes],YCodes2),
-  append(_,[34],YCodes), atom_codes(X,X2).
+  attribute(List,X,_,_).
 
 removeDuplicates(L1,_):-not(list(L1)),
   !, fail.
@@ -392,9 +371,7 @@ checkSerializables([H|T]):-
 
 checkAttributes([]):-!.
 checkAttributes([H|T]):-
-  atom_codes(H,HCodes),
-  append(_,[61,34|HCodes1],HCodes),
-  append(_,[34],HCodes1),
+  attribute([H],_,_,_),
   checkAttributes(T), !.
 checkAttributes(X):-
   write('Error in remaining attributes list: '),

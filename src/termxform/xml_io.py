@@ -21,6 +21,7 @@ from .term_core import (
     Atom,
     Compound,
     Term,
+    attr_atom,
     deref,
     is_valid_name,
     list_items,
@@ -221,7 +222,7 @@ def _parse_attributes(scanner: _Scanner) -> list[Atom]:
             raise scanner.error("'<' is not allowed in attribute values", at=start + raw.index("<"))
         value = _decode_text(scanner, raw, start)
         scanner.i = end + 1
-        attrs.append(Atom('%s="%s"' % (name, value)))
+        attrs.append(attr_atom(name, value))
 
 
 def _parse_element(scanner: _Scanner, keep_ws: bool) -> Term:
@@ -230,7 +231,7 @@ def _parse_element(scanner: _Scanner, keep_ws: bool) -> Term:
     attrs = _parse_attributes(scanner)
     if scanner.startswith("/>"):
         scanner.i += 2
-        return Compound("element", (Atom(name), _from_items(attrs), Atom("[]")))
+        return Compound("element", (Atom(name), mk_list(attrs), Atom("[]")))
     scanner.expect(">")
     children: list[Term] = []
     while True:
@@ -246,7 +247,7 @@ def _parse_element(scanner: _Scanner, keep_ws: bool) -> Term:
                 )
             scanner.skip_ws()
             scanner.expect(">")
-            return Compound("element", (Atom(name), _from_items(attrs), _from_items(children)))
+            return Compound("element", (Atom(name), mk_list(attrs), mk_list(children)))
         if scanner.startswith("<!--"):
             children.append(_parse_comment(scanner))
             continue
@@ -267,10 +268,6 @@ def _parse_element(scanner: _Scanner, keep_ws: bool) -> Term:
         if raw.strip() == "" and not keep_ws:
             continue
         children.append(mk_text(_decode_text(scanner, raw, start)))
-
-
-def _from_items(items: list) -> Term:
-    return mk_list(items)
 
 
 # ---------------------------------------------------------------------------

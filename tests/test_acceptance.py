@@ -36,6 +36,7 @@ from termxform.term_core import (
     mk_pi,
     mk_text,
     render_term,
+    split_attr,
     term_equal,
 )
 from termxform.transform_prelude import load_prelude, tree_to_relation, trees_equal
@@ -340,6 +341,21 @@ def all_elements(node):
     return found
 
 
+def attr_pairs(node):
+    return [split_attr(a) for a in list_items(deref(deref(node).args[1]))]
+
+
+def oracle_attribute(node, att):
+    """The value of the first entry named *att*, as ``split_attr`` reads it."""
+    values = [Atom(v) for n, v in attr_pairs(node) if n == att]
+    return values[:1]
+
+
+def oracle_ids(node, value):
+    """Names, in entry order, whose first value is *value*."""
+    return [Atom(n) for n, _ in attr_pairs(node) if oracle_attribute(node, n) == [value]]
+
+
 def nav_solutions(solver, expr):
     out = fresh_var("Out")
     return goal_solutions(solver, Compound("transform", (expr, out)), out)
@@ -367,6 +383,15 @@ def test_navigation_matches_brute_force():
                     )
                     expected = oracle_contents(element, functor, position)
                     assert renders(got) == renders(expected)
+            for att in ATT_NAMES:
+                got = nav_solutions(solver, Compound("@", (element, Atom(att))))
+                assert renders(got) == renders(oracle_attribute(element, att))
+            names = [Atom(n) for n, _ in attr_pairs(element)]
+            got = nav_solutions(solver, Compound("atts", (element,)))
+            assert renders(got) == ([render_term(mk_list(names))] if names else [])
+            for value in [Atom(v) for _, v in attr_pairs(element)] + [Atom("10")]:
+                got = nav_solutions(solver, Compound("id", (element, value)))
+                assert renders(got) == renders(oracle_ids(element, value))
 
 
 # ---------------------------------------------------------------------------

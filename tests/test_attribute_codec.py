@@ -1,0 +1,244 @@
+"""The prelude reads ``id="value"`` attribute entries only through ``attribute/4``.
+
+``attribute/4`` decodes entries with ``term_core.split_attr``, the decoder the
+XML layer uses.  The prelude used to scan each entry as a code list for the
+codes ``61,34`` (``="``) instead.  The first part of this file pins every
+behaviour that changed with the switch; the second compares the new
+predicates with the old rule text, kept below under ``old_`` names as the
+oracle, on random trees where both should agree (order and multiplicity).
+"""
+
+import io
+
+import pytest
+from hypothesis import given, settings
+
+from termxform.logic_engine import ResourceLimitError, Solver, SolverOptions
+from termxform.rule_language import parse_program, parse_query
+from termxform.term_core import (
+    Atom,
+    Compound,
+    copy_term,
+    deref,
+    fresh_var,
+    list_items,
+    mk_list,
+    render_term,
+    split_attr,
+)
+from termxform.transform_prelude import load_prelude
+from termxform.xml_io import ValidationError, check_serializable, parse_document
+from xmlgen import elements
+
+OLD_RULES = """
+old_at(element(_,AttList,_),Att,X):-
+  append(_,[A|_],AttList),
+  atom_codes(Att,AttCodes),
+  atom_codes(A,ACodes),
+  append(Pre,[61,34|X2],ACodes),
+  append(X3,[34],X2),
+  Pre=AttCodes, !, atom_codes(X,X3).
+
+old_selectattribute(_,L):-
+  (var(L);number(L);
+   atom(L), not(list(L))),
+  !, fail.
+old_selectattribute(X,List):-
+  member(Y,List),
+  atom_codes(Y,YCodes2),
+  append(X2,[61,34|YCodes],YCodes2),
+  append(_,[34],YCodes), atom_codes(X,X2).
+
+old_removeAttribute(E,Att,element(N,As2,L)):-
+  E=element(N,As,L),
+  old_at(E,Att,Val),
+  atom_codes(Att,AttCodes),
+  atom_codes(Val,ValCodes),
+  append(AttCodes,[61,34|ValCodes],Res2),
+  append(Res2,[34],Res),
+  atom_codes(Selected,Res),
+  append(Pre,[Selected|Post],As),
+  !,
+  append(Pre,Post,As2).
+
+old_checkAttributes([]):-!.
+old_checkAttributes([H|T]):-
+  atom_codes(H,HCodes),
+  append(_,[61,34|HCodes1],HCodes),
+  append(_,[34],HCodes1),
+  old_checkAttributes(T), !.
+old_checkAttributes(X):-
+  write('Error in remaining attributes list: '),
+  write(X), fail.
+"""
+
+PROGRAM = load_prelude(parse_program(OLD_RULES))
+
+
+def make_solver(depth_limit=100_000):
+    return Solver(PROGRAM, SolverOptions(diagnostics=io.StringIO(), depth_limit=depth_limit))
+
+
+def run(goal, var="X", depth_limit=100_000, **bindings):
+    """Rendered bindings of *var* per solution, and the diagnostics text.
+
+    Keyword arguments bind query variables to terms before solving.
+    """
+    solver = make_solver(depth_limit)
+    query = parse_query(goal, solver.program.operators)
+    for name, value in bindings.items():
+        assert solver.unify(query.variables[name], value)
+    found = [render_term(query.variables[var]) if var else "yes" for _ in solver.solve(query.goal)]
+    return found, solver.options.diagnostics.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Behaviour changes, one test each
+
+
+def test_equals_quote_inside_a_value_makes_no_extra_attribute():
+    doc = parse_document("<x href='a=\"b\"'/>")
+    assert run("transform(atts Doc, X)", Doc=doc)[0] == ["[href]"]
+    assert run("transform(Doc id 'b\"', X)", Doc=doc)[0] == []
+    assert run("transform(Doc id 'a=\"b\"', X)", Doc=doc)[0] == ["href"]
+    assert run("transform(Doc @ href, X)", Doc=doc)[0] == ["'a=\"b\"'"]
+    # The code-list scan split at every '="' and made up the name 'href="a'.
+    assert run("old_selectattribute(X, As)", As=doc.args[1])[0] == ["href", "'href=\"a'"]
+
+
+@pytest.mark.parametrize("entry", ['="x"', '1a="x"', 'a b="x"'])
+def test_check_attributes_rejects_what_split_attr_rejects(entry):
+    assert split_attr(Atom(entry)) is None
+    element = Compound("element", (Atom("a"), mk_list([Atom(entry)]), Atom("[]")))
+    with pytest.raises(ValidationError):
+        check_serializable(element)
+    for found, diagnostics in (
+        run("checkAttributes(As)", var=None, As=element.args[1]),
+        run("checkSerializable(E)", var=None, E=element),
+    ):
+        assert found == []
+        assert "Error in remaining attributes list" in diagnostics
+    # The code-list scan accepted any atom holding '="' and a final '"'.
+    assert run("old_checkAttributes(As)", var=None, As=element.args[1]) == (["yes"], "")
+
+
+def test_non_atom_entries_and_unbound_names_print_no_warning():
+    cases = [
+        ("transform(element(x,[f(a),'a=\"1\"'],[]) @ a, X)", ["'1'"]),
+        ("transform(element(x,['a=\"1\"'],[]) @ N, X)", []),
+        ("removeAttribute(element(x,['a=\"1\"'],[]), N, X)", []),
+        ("selectattribute(X, [f(a), 7, V, 'a=\"1\"'])", ["a"]),
+    ]
+    for goal, expected in cases:
+        assert run(goal) == (expected, ""), goal
+    found, diagnostics = run("checkAttributes([f(a)])", var=None)
+    assert found == []
+    assert diagnostics == "Error in remaining attributes list: [f(a)]"
+    # The code-list scan passed such entries and names to atom_codes/2.
+    assert run("old_at(element(x,[f(a),'a=\"1\"'],[]), a, X)") == (
+        ["'1'"],
+        "warning: atom_codes/2 needs a bound atom or a proper code list\n",
+    )
+
+
+def test_attribute_operators_on_a_partial_list_fail_at_once():
+    goals = [
+        "transform(atts element(x,['a=\"1\"'|T],[]), X)",
+        "transform(element(x,['a=\"1\"'|T],[]) @ a, X)",
+        "transform(element(x,['a=\"1\"'|T],[]) @ b, X)",
+        "selectattribute(X, ['a=\"1\"'|T])",
+        "removeAttribute(element(x,['a=\"1\"'|T],[]), a, X)",
+    ]
+    for goal in goals:
+        assert run(goal, depth_limit=50) == ([], ""), goal
+    # The code-list scan found entries in the proper prefix, then ran on
+    # into the open tail until the step limit.
+    solver = make_solver(depth_limit=50)
+    query = parse_query("old_selectattribute(X, ['a=\"1\"'|T])", solver.program.operators)
+    solutions = solver.solve(query.goal)
+    next(solutions)
+    assert render_term(query.variables["X"]) == "a"
+    with pytest.raises(ResourceLimitError):
+        next(solutions)
+
+
+def test_a_number_value_still_matches_its_decimal_text():
+    def holds(goal):
+        return run(goal, var=None)[0] == ["yes"]
+
+    assert holds("transform(element(x,['p=\"12\"'],[]) @ p, 12)")
+    assert holds("transform(element(x,['p=\"1.5\"'],[]) @ p, 1.5)")
+    assert holds("transform(element(x,['p=\"12\"'],[]) @ p, '12')")
+    assert not holds("transform(element(x,['p=\"12\"'],[]) @ p, 13)")
+    assert not holds("transform(element(x,['p=\"012\"'],[]) @ p, 12)")
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the old rule text
+
+
+def _elements_of(tree):
+    found, stack = [], [tree]
+    while stack:
+        node = deref(stack.pop())
+        if isinstance(node, Compound) and node.name == "element":
+            found.append(node)
+            stack.extend(reversed(list_items(node.args[2]) or []))
+    return found
+
+
+def _solutions(goal, out):
+    """Rendered copies of *out* per solution of *goal*, and the diagnostics."""
+    solver = make_solver()
+    found = [render_term(copy_term(out)) for _ in solver.solve(goal)]
+    return found, solver.options.diagnostics.getvalue()
+
+
+def _same(new_goal, old_goal, out):
+    assert _solutions(new_goal, out) == _solutions(old_goal, out), render_term(new_goal)
+
+
+@settings(max_examples=40, deadline=None)
+@given(elements(max_depth=2))
+def test_attribute_predicates_match_the_old_rules(tree):
+    absent = [Atom("z0"), Atom("")]
+    for element in _elements_of(tree)[:6]:
+        atts = element.args[1]
+        entries = [split_attr(a) for a in list_items(atts)]
+        names = [Atom(name) for name, _ in entries] + absent
+        values = []
+        for _, value in entries:
+            values.append(Atom(value))
+            if value.isdigit():
+                values.append(int(value))
+        for name in names:
+            x = fresh_var("X")
+            _same(
+                Compound("transform", (Compound("@", (element, name)), x)),
+                Compound("old_at", (element, name, x)),
+                x,
+            )
+            for value in values:
+                _same(
+                    Compound("transform", (Compound("@", (element, name)), value)),
+                    Compound("old_at", (element, name, value)),
+                    value,
+                )
+            r = fresh_var("R")
+            _same(
+                Compound("removeAttribute", (element, name, r)),
+                Compound("old_removeAttribute", (element, name, r)),
+                r,
+            )
+        x = fresh_var("X")
+        _same(
+            Compound("selectattribute", (x, atts)),
+            Compound("old_selectattribute", (x, atts)),
+            x,
+        )
+        for entries_list in (atts, Compound(".", (Atom("junk"), atts))):
+            _same(
+                Compound("checkAttributes", (entries_list,)),
+                Compound("old_checkAttributes", (entries_list,)),
+                entries_list,
+            )

@@ -325,6 +325,37 @@ def test_canon_sorts_attributes_by_identifier():
     assert result == [{"C": "['a=\"1\"','b=\"2\"','c=\"3\"']"}]
 
 
+def test_attribute_yields_well_formed_entries_in_order():
+    solver = make_solver("")
+    atts = "['k=\"1\"', junk, f(x), '1a=\"2\"', 'm=\"a=\"b\"\"', 'k=\"3\"']"
+    found = solutions(solver, "attribute(%s, I, V, R)" % atts)
+    assert [(s["I"], s["V"]) for s in found] == [
+        ("k", "'1'"),
+        ("m", "'a=\"b\"'"),
+        ("k", "'3'"),
+    ]
+    assert found[0]["R"] == "[junk,f(x),'1a=\"2\"','m=\"a=\"b\"\"','k=\"3\"']"
+    assert found[2]["R"] == "['k=\"1\"',junk,f(x),'1a=\"2\"','m=\"a=\"b\"\"']"
+
+
+def test_attribute_with_bound_id_and_value():
+    solver = make_solver("")
+    atts = "['k=\"1\"', 'm=\"2\"', 'k=\"3\"']"
+    assert solutions(solver, "attribute(%s, k, '3', R)" % atts) == [
+        {"R": "['k=\"1\"','m=\"2\"']"}
+    ]
+    assert solutions(solver, "attribute(%s, z, _, _)" % atts) == []
+    assert solutions(solver, "attribute(%s, k, 3, _)" % atts) == []  # atoms only
+
+
+def test_attribute_fails_quietly_on_non_proper_lists():
+    solver = make_solver("")
+    for atts in ("L", "['k=\"1\"'|T]", "foo", "7"):
+        assert solutions(solver, "attribute(%s, _, _, _)" % atts) == []
+    assert solver.steps <= 4
+    assert solver.options.diagnostics.getvalue() == ""
+
+
 def test_string_ordering_predicates():
     solver = make_solver("")
     # upper_first: case-insensitive, uppercase wins ties.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from termxform.logic_engine import ResourceLimitError
+from termxform.logic_engine import ResourceLimitError, Solver
 from termxform.rule_language import parse_program
 from termxform.template_engine import (
     TemplateError,
@@ -12,7 +12,16 @@ from termxform.template_engine import (
     traverse,
     traverse_elements,
 )
-from termxform.term_core import Atom, mk_comment, mk_element, mk_pi, mk_text, render_term
+from termxform.term_core import (
+    Atom,
+    Compound,
+    fresh_var,
+    mk_comment,
+    mk_element,
+    mk_pi,
+    mk_text,
+    render_term,
+)
 from termxform.transform_prelude import load_prelude
 from termxform.xml_io import parse_document
 
@@ -51,6 +60,28 @@ def test_template_with_failing_body_is_skipped():
     )
     doc = parse_document("<a><b/></a>")
     assert rendered(traverse(doc, program)) == ["text(yes)"]
+
+
+def test_cut_in_template_body_commits_to_its_clause():
+    rules = """
+        template(element(b, _, _), [text(no)]) :- !, fail.
+        template(element(b, _, _), [text(yes)]).
+        template(element(c, _, _), [text(c)]).
+        """
+    program = program_with(rules)
+    doc = parse_document("<a><b><c/></b></a>")
+    # b has no template match (the cut commits to the failing clause), so
+    # traversal recurses into its children, exactly as prelude traverse/2 does.
+    assert rendered(traverse(doc, program)) == ["text(c)"]
+    out = fresh_var("R")
+    solutions = [render_term(out) for _ in Solver(program).solve(Compound("traverse", (doc, out)))]
+    assert solutions == ["[text(c)]"]
+
+
+def test_template_result_variables_stay_shared():
+    program = program_with("template(element(b, _, _), [element(x, [], [X]), element(y, [], [X])]).")
+    first, second = traverse(parse_document("<a><b/></a>"), program)
+    assert first.args[2].args[0] is second.args[2].args[0]
 
 
 def test_template_body_can_use_navigation():

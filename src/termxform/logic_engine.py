@@ -6,7 +6,9 @@ are undone chronologically (a trail) on backtracking.  Control constructs are
 ``,`` ``;`` ``!`` ``not/1`` ``findall/3`` and ``call/N``; the cut commits to
 the choices made since the activation of the clause it occurs in.  A step
 counter turns runaway programs into a :class:`ResourceLimitError` instead of
-a hang.
+a hang.  A call tries only the clauses in its first-argument bucket (see
+:class:`Program`) and matches each one's compiled head in place, without
+copying the clause (see :class:`Clause`).
 
 Native predicates cover the term inspection, list, and arithmetic catalog
 (``append/3`` is fully nondeterministic, ``delete/3`` removes all unifying
@@ -66,18 +68,99 @@ class EvalError(Exception):
 
 
 class Clause:
-    """One stored rule: a head term and a body term (``true`` for facts)."""
+    """One stored rule: a head term and a body term (``true`` for facts).
 
-    __slots__ = ("head", "body")
+    The solver does not copy ``head`` and ``body`` on each call.  The first
+    time the clause is tried it is compiled (see :meth:`compile`) into
+    skeletons whose variables are numbered slots; a call then matches its
+    goal against the head skeleton and builds the body from the same slots.
+    """
+
+    __slots__ = ("head", "body", "code")
 
     def __init__(self, head: Term, body: Term = TRUE) -> None:
         self.head = head
         self.body = body
+        self.code: Optional[tuple[int, tuple, object]] = None
+
+    def compile(self) -> tuple[int, tuple, object]:
+        """(slot count, head argument skeletons, body skeleton), built once.
+
+        Variables become :class:`_Slot` s numbered by first occurrence,
+        compounds that hold variables become :class:`_Skel` s, and ground
+        subterms stay terms, shared by every call.
+        """
+        slots: dict[int, _Slot] = {}
+        head = deref(self.head)
+        args = head.args if isinstance(head, Compound) else ()
+        head_args = tuple(_skeleton(arg, slots) for arg in args)
+        body = _skeleton(self.body, slots)
+        self.code = (len(slots), head_args, body)
+        return self.code
 
     def __repr__(self) -> str:
         if isinstance(self.body, Atom) and self.body.name == "true":
             return "%s." % render_term(self.head)
         return "%s:-%s." % (render_term(self.head), render_term(self.body))
+
+
+class _Slot:
+    """A clause variable, numbered by its first occurrence in the clause."""
+
+    __slots__ = ("index", "name")
+
+    def __init__(self, index: int, name: str) -> None:
+        self.index = index
+        self.name = name
+
+
+class _Skel:
+    """A clause compound that holds variables; ground compounds stay terms."""
+
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple) -> None:
+        self.name = name
+        self.args = args
+
+
+def _skeleton(t: Term, slots: dict[int, _Slot]):
+    t = deref(t)
+    if isinstance(t, Var):
+        slot = slots.get(t.id)
+        if slot is None:
+            slot = slots[t.id] = _Slot(len(slots), t.name)
+        return slot
+    if isinstance(t, Compound):
+        args = tuple(_skeleton(arg, slots) for arg in t.args)
+        if any(type(arg) is _Slot or type(arg) is _Skel for arg in args):
+            return _Skel(t.name, args)
+        return Compound(t.name, args)
+    return t
+
+
+def _build(skel, env: list) -> Term:
+    """The term for a skeleton; unfilled slots get fresh variables."""
+    kind = type(skel)
+    if kind is _Slot:
+        term = env[skel.index]
+        if term is None:
+            term = env[skel.index] = fresh_var(skel.name)
+        return term
+    if kind is not _Skel:
+        return skel
+    args = []
+    for arg in skel.args:  # slots and ground arguments inline: no call each
+        kind = type(arg)
+        if kind is _Skel:
+            arg = _build(arg, env)
+        elif kind is _Slot:
+            slot = arg
+            arg = env[slot.index]
+            if arg is None:
+                arg = env[slot.index] = fresh_var(slot.name)
+        args.append(arg)
+    return Compound(skel.name, args)
 
 
 def _functor_key(t: Term) -> Optional[tuple[str, int]]:
@@ -89,29 +172,77 @@ def _functor_key(t: Term) -> Optional[tuple[str, int]]:
     return None
 
 
+def _index_key(t: Term) -> Optional[tuple]:
+    """First-argument key: the principal functor, or (type, value) for a number.
+
+    None for an unbound variable.  Numbers keep their type because ``unify``
+    keeps ``1`` and ``1.0`` apart.
+    """
+    t = deref(t)
+    if isinstance(t, (int, float)):
+        return (type(t), t)
+    return _functor_key(t)
+
+
 class Program:
     """Ordered clause store keyed by (functor, arity).
 
     Clause order is semantic: earlier clauses have priority. ``operators``
     carries the operator table the source was read with (opaque here).
+
+    Each predicate also keeps a first-argument index: one bucket per
+    first-argument key, holding the clauses with that key and the clauses
+    whose first argument is a variable, in text order.  ``add``, ``extend``
+    and ``copy`` keep it up to date, so it never needs rebuilding.
     """
 
     def __init__(self, operators: object = None) -> None:
         self.clauses: dict[tuple[str, int], list[Clause]] = {}
         self.order: list[tuple[str, int]] = []
         self.operators = operators
+        # predicate -> (bucket per first-argument key, variable-first clauses)
+        self.index: dict[tuple[str, int], tuple[dict[tuple, list[Clause]], list[Clause]]] = {}
 
     def add(self, head: Term, body: Term = TRUE) -> None:
         key = _functor_key(head)
         if key is None:
             raise ValueError("clause head must be an atom or compound: %s" % render_term(head))
+        self._store(key, Clause(head, body))
+
+    def _store(self, key: tuple[str, int], clause: Clause) -> None:
         if key not in self.clauses:
             self.clauses[key] = []
             self.order.append(key)
-        self.clauses[key].append(Clause(head, body))
+            self.index[key] = ({}, [])
+        self.clauses[key].append(clause)
+        buckets, unkeyed = self.index[key]
+        head = deref(clause.head)
+        first = _index_key(head.args[0]) if isinstance(head, Compound) else None
+        if first is None:
+            unkeyed.append(clause)
+            for bucket in buckets.values():
+                bucket.append(clause)
+        else:
+            if first not in buckets:
+                buckets[first] = list(unkeyed)
+            buckets[first].append(clause)
 
     def get(self, name: str, arity: int) -> Optional[list[Clause]]:
         return self.clauses.get((name, arity))
+
+    def candidates(self, name: str, arity: int, args: Sequence[Term]) -> Optional[list[Clause]]:
+        """The clauses a call with *args* may match, in text order (None: undefined).
+
+        A goal whose first argument is unbound gets every clause.
+        """
+        clauses = self.clauses.get((name, arity))
+        if clauses is None or not args:
+            return clauses
+        first = _index_key(args[0])
+        if first is None:
+            return clauses
+        buckets, unkeyed = self.index[(name, arity)]
+        return buckets.get(first, unkeyed)
 
     def defines(self, name: str, arity: int) -> bool:
         return (name, arity) in self.clauses
@@ -120,15 +251,16 @@ class Program:
         """Append *other*'s clauses after this program's (order preserved)."""
         for key in other.order:
             for clause in other.clauses[key]:
-                if key not in self.clauses:
-                    self.clauses[key] = []
-                    self.order.append(key)
-                self.clauses[key].append(clause)
+                self._store(key, clause)
 
     def copy(self) -> "Program":
         dup = Program(self.operators)
         dup.order = list(self.order)
         dup.clauses = {key: list(cls) for key, cls in self.clauses.items()}
+        dup.index = {
+            key: ({first: list(bucket) for first, bucket in buckets.items()}, list(unkeyed))
+            for key, (buckets, unkeyed) in self.index.items()
+        }
         return dup
 
 
@@ -337,23 +469,61 @@ class Solver:
                 yield from native(self, args)
                 return
 
-            clauses = self.program.get(name, arity)
+            clauses = self.program.candidates(name, arity, args)
             if clauses is None:
                 self.warn("unknown predicate %s/%d (goal fails)" % (name, arity))
                 return
             clause_barrier = [False]
             for clause in clauses:
+                slot_count, head_args, body = clause.code or clause.compile()
+                env: list = [None] * slot_count
                 clause_mark = len(self.trail)
-                mapping: dict[int, Var] = {}
-                head = copy_term(clause.head, mapping)
-                if self.unify(head, goal):
-                    body = copy_term(clause.body, mapping)
-                    yield from self._solve(body, clause_barrier)
+                for skel, arg in zip(head_args, args):
+                    if not self._match(skel, arg, env):
+                        break
+                else:
+                    yield from self._solve(_build(body, env), clause_barrier)
                 self.undo_to(clause_mark)
                 if clause_barrier[0]:
                     return
         finally:
             self.undo_to(mark)
+
+    def _match(self, skel, term: Term, env: list) -> bool:
+        """Match a goal subterm against a clause skeleton, filling *env*.
+
+        The first occurrence of a slot takes *term* as it is; a repeated slot
+        or a ground subterm is unified with it.  An unbound goal variable
+        facing a compound skeleton is bound to the term built from *env*.
+        Arguments are matched left to right, as the WAM does.  The recursion
+        follows the clause's skeleton, so its depth is bounded by the clause
+        text; deeper goal subterms are left to the iterative ``unify``.
+        """
+        kind = type(skel)
+        if kind is _Slot:
+            bound = env[skel.index]
+            if bound is None:
+                env[skel.index] = term
+                return True
+            return self.unify(bound, term)
+        if kind is _Skel:
+            term = deref(term)
+            if type(term) is Compound:
+                args, skel_args = term.args, skel.args
+                if term.name != skel.name or len(args) != len(skel_args):
+                    return False
+                for sub, arg in zip(skel_args, args):
+                    if not self._match(sub, arg, env):
+                        return False
+                return True
+            if type(term) is Var:
+                built = _build(skel, env)
+                if self.options.occurs_check and self._occurs(term, built):
+                    return False
+                self.bind(term, built)
+                return True
+            return False
+        return self.unify(skel, term)
 
     def _call_goal(self, target: Term, extra: Sequence[Term]) -> Optional[Term]:
         target = deref(target)
@@ -824,14 +994,17 @@ def _bi_canon(solver: Solver, args) -> Iterator[None]:
         yield
 
 
+@_builtin("attribute", 3)
 @_builtin("attribute", 4)
 def _bi_attribute(solver: Solver, args) -> Iterator[None]:
-    """attribute(Atts, Id, Value, Rest): one well-formed entry of Atts per solution.
+    """attribute(Atts, Id, Value[, Rest]): one well-formed entry of Atts per solution.
 
     Entries are tried in list order; malformed entries and non-proper lists
-    yield nothing. Rest is built only once Id and Value have unified.
+    yield nothing. Rest, given only with four arguments, is built only once
+    Id and Value have unified.
     """
     items = list_items(args[0])
+    with_rest = len(args) == 4
     for index, item in enumerate(items or ()):
         attr = split_attr(item)
         if attr is None:
@@ -840,7 +1013,7 @@ def _bi_attribute(solver: Solver, args) -> Iterator[None]:
         if (
             solver.unify(args[1], Atom(attr[0]))
             and solver.unify(args[2], Atom(attr[1]))
-            and solver.unify(args[3], mk_list(items[:index] + items[index + 1 :]))
+            and (not with_rest or solver.unify(args[3], mk_list(items[:index] + items[index + 1 :])))
         ):
             yield
         solver.undo_to(mark)

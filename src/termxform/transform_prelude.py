@@ -85,7 +85,7 @@ transform(X ^ Name,Y):-
 
 :-op(100,yfx,'@').
 transform(element(_,AttList,_) @ Att,X):-
-  atom(Att), attribute(AttList,Att,V,_), !,
+  atom(Att), attribute(AttList,Att,V), !,
   (X=V; number(X), V is string(X)).
 transform(X @ Att, Y):-
   transform(X,X2),
@@ -304,7 +304,7 @@ nth0(s(zero),[X|_],X).
 nth0(s(M),[_|L],X):-nth0(M,L,X).
 
 selectattribute(X,List):-
-  attribute(List,X,_,_).
+  attribute(List,X,_).
 
 removeDuplicates(L1,_):-not(list(L1)),
   !, fail.
@@ -371,8 +371,8 @@ checkSerializables([H|T]):-
 
 checkAttributes([]):-!.
 checkAttributes([H|T]):-
-  attribute([H],_,_,_),
-  checkAttributes(T), !.
+  attribute([H],_,_), !,
+  checkAttributes(T).
 checkAttributes(X):-
   write('Error in remaining attributes list: '),
   write(X), fail.

@@ -1,7 +1,7 @@
-"""The prelude reads ``id="value"`` attribute entries only through ``attribute/4``.
+"""The prelude reads ``id="value"`` attribute entries only through ``attribute/3,4``.
 
-``attribute/4`` decodes entries with ``term_core.split_attr``, the decoder the
-XML layer uses.  The prelude used to scan each entry as a code list for the
+``attribute/3`` and ``attribute/4`` decode entries with ``term_core.split_attr``,
+the decoder the XML layer uses.  The prelude used to scan each entry as a code list for the
 codes ``61,34`` (``="``) instead.  The first part of this file pins every
 behaviour that changed with the switch; the second compares the new
 predicates with the old rule text, kept below under ``old_`` names as the
@@ -19,7 +19,6 @@ from termxform.term_core import (
     Atom,
     Compound,
     copy_term,
-    deref,
     fresh_var,
     list_items,
     mk_list,
@@ -28,7 +27,7 @@ from termxform.term_core import (
 )
 from termxform.transform_prelude import load_prelude
 from termxform.xml_io import ValidationError, check_serializable, parse_document
-from xmlgen import elements
+from xmlgen import elements, elements_of
 
 OLD_RULES = """
 old_at(element(_,AttList,_),Att,X):-
@@ -141,6 +140,19 @@ def test_non_atom_entries_and_unbound_names_print_no_warning():
     )
 
 
+def test_check_attributes_reports_only_the_suffix_at_the_bad_entry():
+    found, diagnostics = run(
+        "checkSerializable(element(a,['a=\"1\"','b=\"2\"',junk],[text(x)]))", var=None
+    )
+    assert found == []
+    # The cut used to follow the recursive call, so every suffix that held
+    # the bad entry ([junk], [b="2",junk] and the whole list) was reported.
+    assert diagnostics == (
+        "Error in remaining attributes list: [junk]"
+        'Error: element(a,[a="1",b="2",junk],[text(x)]) was not expected here!'
+    )
+
+
 def test_attribute_operators_on_a_partial_list_fail_at_once():
     goals = [
         "transform(atts element(x,['a=\"1\"'|T],[]), X)",
@@ -177,16 +189,6 @@ def test_a_number_value_still_matches_its_decimal_text():
 # Differential test against the old rule text
 
 
-def _elements_of(tree):
-    found, stack = [], [tree]
-    while stack:
-        node = deref(stack.pop())
-        if isinstance(node, Compound) and node.name == "element":
-            found.append(node)
-            stack.extend(reversed(list_items(node.args[2]) or []))
-    return found
-
-
 def _solutions(goal, out):
     """Rendered copies of *out* per solution of *goal*, and the diagnostics."""
     solver = make_solver()
@@ -202,7 +204,7 @@ def _same(new_goal, old_goal, out):
 @given(elements(max_depth=2))
 def test_attribute_predicates_match_the_old_rules(tree):
     absent = [Atom("z0"), Atom("")]
-    for element in _elements_of(tree)[:6]:
+    for element in elements_of(tree)[:6]:
         atts = element.args[1]
         entries = [split_attr(a) for a in list_items(atts)]
         names = [Atom(name) for name, _ in entries] + absent
@@ -242,3 +244,20 @@ def test_attribute_predicates_match_the_old_rules(tree):
                 Compound("old_checkAttributes", (entries_list,)),
                 entries_list,
             )
+
+
+@settings(max_examples=40, deadline=None)
+@given(elements(max_depth=2))
+def test_attribute_3_yields_the_entries_of_attribute_4(tree):
+    for element in elements_of(tree)[:6]:
+        atts = element.args[1]
+        names = [fresh_var("I")] + [Atom(name) for name, _ in map(split_attr, list_items(atts))]
+        for entries_list in (atts, Compound(".", (Atom("junk"), atts))):
+            for name in names + [Atom("z0")]:
+                value = fresh_var("V")
+                pair = Compound("-", (name, value))
+                three = _solutions(Compound("attribute", (entries_list, name, value)), pair)
+                four = _solutions(
+                    Compound("attribute", (entries_list, name, value, fresh_var("R"))), pair
+                )
+                assert three == four, render_term(pair)

@@ -2,7 +2,7 @@
 
 from hypothesis import strategies as st
 
-from termxform.term_core import Atom, Compound, mk_list
+from termxform.term_core import Atom, Compound, deref, list_items, mk_list
 
 names = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=6)
 
@@ -76,3 +76,14 @@ def plain_trees(draw, depth=0, max_depth=4, max_fanout=4):
             else:
                 children.append(Compound("text", (Atom(draw(st.sampled_from(("t1", "t2", "9")))),)))
     return _assemble(name, attrs, children)
+
+
+def elements_of(tree):
+    """The element nodes of *tree* in pre-order."""
+    found, stack = [], [tree]
+    while stack:
+        node = deref(stack.pop())
+        if isinstance(node, Compound) and node.name == "element":
+            found.append(node)
+            stack.extend(reversed(list_items(node.args[2]) or []))
+    return found

@@ -29,10 +29,8 @@ from .rule_language import ParseError as RuleParseError
 from .template_engine import (
     TransformOptions,
     TransformReport,
-    TraversalOptions,
     transform_file,
     traverse,
-    traverse_elements,
 )
 from .term_core import (
     Atom,
@@ -79,7 +77,6 @@ __all__ = [
     "Term",
     "TransformOptions",
     "TransformReport",
-    "TraversalOptions",
     "ValidationError",
     "Var",
     "XmlParseError",
@@ -102,7 +99,6 @@ __all__ = [
     "tokenize_classify",
     "transform_file",
     "traverse",
-    "traverse_elements",
     "tree_to_relation",
     "__version__",
 ]

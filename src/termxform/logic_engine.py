@@ -845,39 +845,43 @@ def _bi_append(solver: Solver, args) -> Iterator[None]:
 
 
 def _append(solver: Solver, a: Term, b: Term, c: Term) -> Iterator[None]:
-    a_items, a_tail = list_parts(a)
-    if isinstance(a_tail, Atom) and a_tail.name == "[]":
-        # First argument proper: single solution c = a ++ b.
-        if solver.unify(c, mk_list(a_items, deref(b))):
+    while True:
+        a_items, a_tail = list_parts(a)
+        if isinstance(a_tail, Atom) and a_tail.name == "[]":
+            # First argument proper: single solution c = a ++ b.
+            if solver.unify(c, mk_list(a_items, deref(b))):
+                yield
+            break
+        if isinstance(deref(a), Var):
+            c_items, c_tail = list_parts(c)
+            if isinstance(c_tail, Atom) and c_tail.name == "[]":
+                # Enumerate the |c|+1 splits, sharing the suffix spine.
+                spine: list[Term] = [deref(c)]
+                node = deref(c)
+                while isinstance(node, Compound) and node.name == CONS:
+                    node = deref(node.args[1])
+                    spine.append(node)
+                for i in range(len(c_items) + 1):
+                    mark = len(solver.trail)
+                    if solver.unify(a, mk_list(c_items[:i])) and solver.unify(b, spine[i]):
+                        yield
+                    solver.undo_to(mark)
+                break
+        # General relational fallback (partial lists on both sides): a = [],
+        # then a = [H|A2], c = [H|C2] and the same again on A2 and C2, one
+        # step per list cell so the step limit bounds an endless enumeration.
+        solver._step()
+        mark = len(solver.trail)
+        if solver.unify(a, EMPTY_LIST) and solver.unify(b, c):
             yield
-        return
-    if isinstance(deref(a), Var):
-        c_items, c_tail = list_parts(c)
-        if isinstance(c_tail, Atom) and c_tail.name == "[]":
-            # Enumerate the |c|+1 splits, sharing the suffix spine.
-            spine: list[Term] = [deref(c)]
-            node = deref(c)
-            while isinstance(node, Compound) and node.name == CONS:
-                node = deref(node.args[1])
-                spine.append(node)
-            for i in range(len(c_items) + 1):
-                mark = len(solver.trail)
-                if solver.unify(a, mk_list(c_items[:i])) and solver.unify(b, spine[i]):
-                    yield
-                solver.undo_to(mark)
-            return
-    # General relational fallback (partial lists on both sides).
-    mark = len(solver.trail)
-    if solver.unify(a, EMPTY_LIST) and solver.unify(b, c):
-        yield
-    solver.undo_to(mark)
-    head, tail_a, tail_c = fresh_var("H"), fresh_var("T"), fresh_var("T")
-    mark = len(solver.trail)
-    if solver.unify(a, Compound(CONS, (head, tail_a))) and solver.unify(
-        c, Compound(CONS, (head, tail_c))
-    ):
-        yield from _append(solver, tail_a, b, tail_c)
-    solver.undo_to(mark)
+        solver.undo_to(mark)
+        head, tail_a, tail_c = fresh_var("H"), fresh_var("T"), fresh_var("T")
+        if not (
+            solver.unify(a, Compound(CONS, (head, tail_a)))
+            and solver.unify(c, Compound(CONS, (head, tail_c)))
+        ):
+            break
+        a, c = tail_a, tail_c
 
 
 @_builtin("member", 2)

@@ -6,7 +6,8 @@ comments contribute nothing; a node for which the solver finds
 (clauses are tried in text order, and a cut in a template body commits to
 its clause); an unmatched element recurses into its children, concatenating
 their results; unmatched text contributes nothing by default (or itself
-with the ``copy`` policy).
+with the ``copy`` policy).  Rules reach the same walk through the native
+predicate ``traverse(Node, Result)``, which uses the ``drop`` policy.
 
 Whole-file transformation works in one of two modes: if the rule program
 defines ``go/2``, the goal ``go(Doc, Result)`` is solved against the parsed
@@ -20,9 +21,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
-from .logic_engine import Program, Solver, SolverOptions
+from .logic_engine import Program, Solver, SolverOptions, _builtin
 from .rule_language import parse_program
 from .term_core import (
     Atom,
@@ -40,24 +41,15 @@ from .xml_io import parse_document, serialize_document, serialize_fragment
 
 __all__ = [
     "TemplateError",
-    "TraversalOptions",
     "TransformOptions",
     "TransformReport",
     "traverse",
-    "traverse_elements",
     "transform_file",
 ]
 
 
 class TemplateError(ValueError):
     """A template clause violated the traversal contract."""
-
-
-@dataclass
-class TraversalOptions:
-    """Traversal knobs: what to do with text no template matched."""
-
-    unmatched_text: str = "drop"  # or "copy"
 
 
 @dataclass
@@ -84,26 +76,22 @@ class TransformReport:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def traverse(node: Term, program: Program, opts: Optional[TraversalOptions] = None) -> list[Term]:
+def traverse(node: Term, program: Program, unmatched_text: str = "drop") -> list[Term]:
     """Collect the result nodes of a pre-order traversal rooted at *node*.
 
     *program* should already include the built-in rule set when template
-    bodies rely on it.
+    bodies rely on it.  *unmatched_text* is ``"drop"`` or ``"copy"``.
     """
-    solver = Solver(program)
-    return _traverse(node, solver, opts or TraversalOptions())
+    return _traverse(node, Solver(program), unmatched_text)
 
 
-def traverse_elements(
-    nodes: list[Term], program: Program, opts: Optional[TraversalOptions] = None
-) -> list[Term]:
-    """Traverse each entry of a node list, concatenating the results."""
-    solver = Solver(program)
-    options = opts or TraversalOptions()
-    return _traverse_items(nodes, solver, options)
+@_builtin("traverse", 2)
+def _bi_traverse(solver: Solver, args) -> Iterator[None]:
+    if solver.unify(args[1], mk_list(_traverse(args[0], solver))):
+        yield
 
 
-def _traverse(node: Term, solver: Solver, opts: TraversalOptions) -> list[Term]:
+def _traverse(node: Term, solver: Solver, unmatched_text: str = "drop") -> list[Term]:
     node = deref(node)
     if not isinstance(node, Compound):
         return []
@@ -122,20 +110,15 @@ def _traverse(node: Term, solver: Solver, opts: TraversalOptions) -> list[Term]:
             return items
     if node.name == "element" and len(node.args) == 3:
         children = list_items(deref(node.args[2])) or []
-        return _traverse_items(children, solver, opts)
+        results: list[Term] = []
+        for child in children:
+            child = deref(child)
+            if isinstance(child, Compound) and child.name != ".":
+                results.extend(_traverse(child, solver, unmatched_text))
+        return results
     if node.name == "text" and len(node.args) == 1:
-        return [node] if opts.unmatched_text == "copy" else []
+        return [node] if unmatched_text == "copy" else []
     return []
-
-
-def _traverse_items(nodes: list[Term], solver: Solver, opts: TraversalOptions) -> list[Term]:
-    results: list[Term] = []
-    for entry in nodes:
-        entry = deref(entry)
-        if not isinstance(entry, Compound) or entry.name == ".":
-            continue
-        results.extend(_traverse(entry, solver, opts))
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +166,7 @@ def transform_file(
             if not options.all_solutions:
                 break
     else:
-        results = _traverse(doc, solver, TraversalOptions(options.unmatched_text))
+        results = _traverse(doc, solver, options.unmatched_text)
         if results:
             result_sets.append(results)
     timings["solve"] = time.perf_counter() - started

@@ -1,24 +1,29 @@
 '''The built-in rule set loaded ahead of every user program.
 
-It defines the document traversal entry points, the navigation and
-transformation operators (``/ ^ @ ? id # c atts sort sortbyName child
-descendant copy copy_of level last count name distinct``), tree editing
-(``removeElement``, ``remove``, ``removeAttribute``, ``insertBefore``,
-``insertAfter``), serializability checks, and general helpers
-(``quicksort/3``, ``nth/3``, ``church/2``, ``concat``, ``equals/2``, ...).
+It defines the navigation and transformation operators (``/ ^ @ ? id # c
+atts sort sortbyName child descendant copy copy_of level last count name
+distinct``), tree editing (``removeElement``, ``remove``,
+``removeAttribute``, ``insertBefore``, ``insertAfter``), the attribute-list
+check ``checkAttributes/1``, and general helpers (``quicksort/3``,
+``nth/3``, ``church/2``, ``concat``, ``equals/2``, ...).
+
+Two predicates the rules call are native, so that each has one
+implementation: ``traverse/2`` is the template walk in
+:mod:`.template_engine`, and ``checkSerializable/1`` (registered here) is
+the per-node check that :func:`.xml_io.serialize_fragment` applies.
 
 This module also provides Python-side utilities that complement the rule
-set: structural tree equality modulo attribute order, and conversion of a
-flat attribute-only document into a list of facts (one relation row per
-child element).
+set: structural tree equality modulo attribute order (the test oracle for
+``equals/2``), and conversion of a flat attribute-only document into a list
+of facts (one relation row per child element).
 '''
 
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import Iterator, Optional
 
-from .logic_engine import Clause, Program
+from .logic_engine import Clause, Program, Solver, _builtin
 from .rule_language import OperatorTable, parse_program
 from .term_core import (
     Atom,
@@ -28,6 +33,7 @@ from .term_core import (
     list_items,
     split_attr,
 )
+from .xml_io import ValidationError, _check_node
 
 __all__ = [
     "PRELUDE_SRC",
@@ -40,25 +46,7 @@ __all__ = [
 
 
 PRELUDE_SRC = """\
-% Document traversal.
-
-traverse(pi(_),[]):-!.
-traverse(comment(_),[]):-!.
-traverse(X,Res):-template(X,Res), !.
-traverse(element(_,_,L),Res):-
-  traverseElements(L,Res).
-traverse(text(_),[]).
-
-traverseElements([],[]).
-traverseElements([H|T],Res):-
-  not(list(H)), compound(H),
-  traverse(H,Res1),
-  traverseElements(T,Res2),
-  append(Res1,Res2,Res).
-traverseElements([H|T],Res):-
-  (list(H);not(compound(H))),
-  traverseElements(T,Res).
-
+% traverse/2 is native; this keeps template/2 defined.
 template(never,never):-fail.
 
 % Navigation and transformation operators.
@@ -353,22 +341,6 @@ extendStructure([E1|T2],Extension,[E2|T]):-
   extendStructure(T2,Extension,T),
   E2=element(N,A,C).
 
-checkSerializable(pi(_)):-!.
-checkSerializable(comment(_)):-!.
-checkSerializable(text(_)):-!.
-checkSerializable(element(N,A,C)):-
-  not(list(N)), atom(N),
-  checkAttributes(A),
-  checkSerializables(C), !.
-checkSerializable(X):-
-  write('Error: '), write(X),
-  write(' was not expected here!'), fail.
-
-checkSerializables([]).
-checkSerializables([H|T]):-
-  checkSerializable(H),
-  checkSerializables(T).
-
 checkAttributes([]):-!.
 checkAttributes([H|T]):-
   attribute([H],_,_), !,
@@ -420,7 +392,7 @@ leStrings(S1,S2):-
   lexicalle(S1Codes,S2Codes).
 
 checkSerializable0(element(N,A,C)):-
-  checkSerializable(element(N,A,C)), !.
+  !, checkSerializable(element(N,A,C)).
 checkSerializable0(X):-
   write('Error: element()-constructor was expected, but '),
   write(X),
@@ -541,6 +513,17 @@ def load_prelude(user: Optional[Program] = None) -> Program:
         if user.operators is not None:
             combined.operators = user.operators
     return combined
+
+
+@_builtin("checkSerializable", 1)
+def _bi_check_serializable(solver: Solver, args) -> Iterator[None]:
+    """checkSerializable(Node): xml_io's verdict; a rejection writes its message and fails."""
+    try:
+        _check_node(args[0], [])
+    except ValidationError as exc:
+        solver.write_out("%s\n" % exc)
+        return
+    yield
 
 
 # ---------------------------------------------------------------------------

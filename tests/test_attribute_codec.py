@@ -145,12 +145,12 @@ def test_check_attributes_reports_only_the_suffix_at_the_bad_entry():
         "checkSerializable(element(a,['a=\"1\"','b=\"2\"',junk],[text(x)]))", var=None
     )
     assert found == []
-    # The cut used to follow the recursive call, so every suffix that held
-    # the bad entry ([junk], [b="2",junk] and the whole list) was reported.
-    assert diagnostics == (
-        "Error in remaining attributes list: [junk]"
-        'Error: element(a,[a="1",b="2",junk],[text(x)]) was not expected here!'
-    )
+    # checkSerializable/1 is xml_io's check: one message, naming the bad
+    # entry.  The rule version reported every suffix that held the bad
+    # entry ([junk], [b="2",junk] and the whole list) until checkAttributes/1
+    # cut before its recursive call, and then still added a line for the
+    # element, with no newline between messages.
+    assert diagnostics == "Error in remaining attributes list: junk (at path [])\n"
 
 
 def test_attribute_operators_on_a_partial_list_fail_at_once():

@@ -198,6 +198,15 @@ def test_query_depth_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
     assert captured.out == "YES.\nC/6\n"
 
 
+def test_query_open_append_enumeration_hits_the_step_limit(capsys):
+    code = main(
+        ["query", "--rules", "prelude-only", "--depth-limit", "300",
+         "findall(X, append(X, [a], Y), L)"]
+    )
+    assert code == 3
+    assert "step limit of 300" in capsys.readouterr().err
+
+
 def test_query_bad_goal_is_an_input_error(tmp_path, capsys):
     rules = write(tmp_path, "rules.tx", "p(1).")
     code = main(["query", "--rules", rules, "p("])
@@ -323,6 +332,18 @@ def test_check_reports_never_matching_template_heads(tmp_path, capsys):
 
 def test_check_clean_file_is_silent(tmp_path, capsys):
     rules = write(tmp_path, "rules.tx", "p(X) :- member(X, [a, b]).")
+    code = main(["check", "--rules", rules])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == ""
+
+
+def test_check_knows_the_native_traverse_and_check_serializable(tmp_path, capsys):
+    rules = write(
+        tmp_path,
+        "rules.tx",
+        "go(Doc, R) :- traverse(Doc, R), checkSerializable(element(result, [], R)).",
+    )
     code = main(["check", "--rules", rules])
     captured = capsys.readouterr()
     assert code == 0

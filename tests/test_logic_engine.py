@@ -1,11 +1,13 @@
 """Tests for the resolution engine: control flow, natives, and evaluation."""
 
 import io
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from termxform.logic_engine import (
+    _BUILTINS,
     EvalError,
     Program,
     ResourceLimitError,
@@ -13,7 +15,16 @@ from termxform.logic_engine import (
     SolverOptions,
 )
 from termxform.rule_language import parse_program, parse_query
-from termxform.term_core import Atom, Compound, fresh_var, mk_list, render_term
+from termxform.term_core import (
+    Atom,
+    Compound,
+    Var,
+    deref,
+    fresh_var,
+    list_parts,
+    mk_list,
+    render_term,
+)
 
 
 def make_solver(program_text="", **options):
@@ -280,6 +291,83 @@ def test_append_modes():
         ("[1]", "[2]"),
         ("[1,2]", "[]"),
     ]
+
+
+def test_append_on_open_lists_stops_at_the_step_limit():
+    # One step per list cell: the endless enumeration stops at the limit.
+    solver = make_solver("", depth_limit=300)
+    query = parse_query("append(X, [a], Y)", solver.program.operators)
+    with pytest.raises(ResourceLimitError):
+        for count, _ in enumerate(solver.solve(query.goal)):
+            assert count < 1000
+    solver = make_solver("", depth_limit=300)
+    query = parse_query("findall(X, append(X, [a], Y), L)", solver.program.operators)
+    with pytest.raises(ResourceLimitError):
+        for _ in solver.solve(query.goal):
+            pass
+    assert solver.steps == 301
+
+
+def _recursive_append(solver, a, b, c):
+    """append/3 as it was written before it became a loop: the order oracle."""
+    a_items, a_tail = list_parts(a)
+    if isinstance(a_tail, Atom) and a_tail.name == "[]":
+        if solver.unify(c, mk_list(a_items, deref(b))):
+            yield
+        return
+    if isinstance(deref(a), Var):
+        c_items, c_tail = list_parts(c)
+        if isinstance(c_tail, Atom) and c_tail.name == "[]":
+            spine = [deref(c)]
+            node = deref(c)
+            while isinstance(node, Compound) and node.name == ".":
+                node = deref(node.args[1])
+                spine.append(node)
+            for i in range(len(c_items) + 1):
+                mark = len(solver.trail)
+                if solver.unify(a, mk_list(c_items[:i])) and solver.unify(b, spine[i]):
+                    yield
+                solver.undo_to(mark)
+            return
+    mark = len(solver.trail)
+    if solver.unify(a, mk_list([])) and solver.unify(b, c):
+        yield
+    solver.undo_to(mark)
+    head, tail_a, tail_c = fresh_var("H"), fresh_var("T"), fresh_var("T")
+    mark = len(solver.trail)
+    if solver.unify(a, Compound(".", (head, tail_a))) and solver.unify(
+        c, Compound(".", (head, tail_c))
+    ):
+        yield from _recursive_append(solver, tail_a, b, tail_c)
+    solver.undo_to(mark)
+
+
+def _first_answers(goal_text, count=20):
+    """The first *count* instances of the goal, variables renamed by first occurrence."""
+    solver = make_solver("")
+    query = parse_query(goal_text, solver.program.operators)
+    answers = []
+    for _ in solver.solve(query.goal):
+        names = {}
+        answers.append(
+            re.sub(r"_\w+", lambda m: names.setdefault(m.group(0), "V%d" % len(names)),
+                   render_term(query.goal))
+        )
+        if len(answers) == count:
+            break
+    return answers
+
+
+@pytest.mark.parametrize(
+    "goal", ["append(X, Y, [a|T])", "append([a|X], Y, Z)", "append(X, [b|Y], [a, b, c|T])"]
+)
+def test_append_on_open_lists_keeps_its_solution_order(goal, monkeypatch):
+    looped = _first_answers(goal)
+    assert len(looped) == 20
+    monkeypatch.setitem(
+        _BUILTINS, ("append", 3), lambda solver, args: _recursive_append(solver, *args)
+    )
+    assert looped == _first_answers(goal)
 
 
 def test_member_modes():

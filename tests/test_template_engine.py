@@ -7,10 +7,8 @@ from termxform.rule_language import parse_program
 from termxform.template_engine import (
     TemplateError,
     TransformOptions,
-    TraversalOptions,
     transform_file,
     traverse,
-    traverse_elements,
 )
 from termxform.term_core import (
     Atom,
@@ -18,6 +16,7 @@ from termxform.term_core import (
     fresh_var,
     mk_comment,
     mk_element,
+    mk_list,
     mk_pi,
     mk_text,
     render_term,
@@ -71,7 +70,7 @@ def test_cut_in_template_body_commits_to_its_clause():
     program = program_with(rules)
     doc = parse_document("<a><b><c/></b></a>")
     # b has no template match (the cut commits to the failing clause), so
-    # traversal recurses into its children, exactly as prelude traverse/2 does.
+    # traversal recurses into its children, in Python and through traverse/2.
     assert rendered(traverse(doc, program)) == ["text(c)"]
     out = fresh_var("R")
     solutions = [render_term(out) for _ in Solver(program).solve(Compound("traverse", (doc, out)))]
@@ -109,7 +108,7 @@ def test_unmatched_text_dropped_by_default_copied_on_request():
     program = program_with("template(element(x, _, _), [text(hit)]).")
     doc = parse_document("<a>keep<x/></a>")
     assert rendered(traverse(doc, program)) == ["text(hit)"]
-    copied = traverse(doc, program, TraversalOptions(unmatched_text="copy"))
+    copied = traverse(doc, program, unmatched_text="copy")
     assert rendered(copied) == ["text(keep)", "text(hit)"]
 
 
@@ -141,8 +140,9 @@ def test_traverse_elements_skips_non_nodes():
         mk_text("plain"),
         mk_comment("c"),
         mk_pi("p"),
+        mk_list([mk_element("x")]),
     ]
-    assert rendered(traverse_elements(nodes, program)) == ["text(hit)"]
+    assert rendered(traverse(mk_element("a", [], nodes), program)) == ["text(hit)"]
 
 
 def write(tmp_path, name, content):

@@ -5,7 +5,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from termxform.logic_engine import Solver, SolverOptions
+from termxform.logic_engine import _BUILTINS, Solver, SolverOptions
 from termxform.rule_language import parse_program, parse_query
 from termxform.term_core import (
     list_items,
@@ -51,7 +51,10 @@ def test_prelude_parses_and_callers_get_copies():
     second = prelude_program()
     assert first is not second
     assert first.defines("transform", 2)
-    assert first.defines("traverse", 2)
+    assert first.defines("template", 2)
+    # traverse/2 and checkSerializable/1 are natives, not prelude rules.
+    assert ("traverse", 2) in _BUILTINS and not first.defines("traverse", 2)
+    assert ("checkSerializable", 1) in _BUILTINS and not first.defines("checkSerializable", 1)
 
 
 def test_slash_selects_children_by_name():

@@ -7,10 +7,14 @@ distinct``), tree editing (``removeElement``, ``remove``,
 check ``checkAttributes/1``, and general helpers (``quicksort/3``,
 ``nth/3``, ``church/2``, ``concat``, ``equals/2``, ...).
 
-Two predicates the rules call are native, so that each has one
+Four prelude predicates are native, so that each has one
 implementation: ``traverse/2`` is the template walk in
-:mod:`.template_engine`, and ``checkSerializable/1`` (registered here) is
-the per-node check that :func:`.xml_io.serialize_fragment` applies.
+:mod:`.template_engine`; ``checkSerializable/1`` (registered here) is the
+per-node check that :func:`.xml_io.serialize_fragment` applies; and
+``sortChildren/3``, the body of ``E sort Att``, and ``leStrings/2``
+(both registered here) order text in code-point order, as the rule-level
+``lexicalle/2`` does over code lists.  The operators are the default
+table of :mod:`.rule_language`; the prelude declares none.
 
 This module also provides Python-side utilities that complement the rule
 set: structural tree equality modulo attribute order (the test oracle for
@@ -26,12 +30,16 @@ from typing import Iterator, Optional
 from .logic_engine import Clause, Program, Solver, _builtin
 from .rule_language import OperatorTable, parse_program
 from .term_core import (
+    EMPTY_LIST,
     Atom,
     Compound,
     Term,
+    Var,
     deref,
     list_items,
+    mk_list,
     split_attr,
+    term_variables,
 )
 from .xml_io import ValidationError, _check_node
 
@@ -49,9 +57,9 @@ PRELUDE_SRC = """\
 % traverse/2 is native; this keeps template/2 defined.
 template(never,never):-fail.
 
-% Navigation and transformation operators.
+% Navigation and transformation operators (declared in the
+% default operator table of rule_language).
 
-:-op(100,yfx,'/').
 transform(E1 / Child,element(Child,A,C)):-
   E1=element(Name,AttList,Children),
   append(_,[(element(Child,A,C))|_],
@@ -59,7 +67,6 @@ transform(E1 / Child,element(Child,A,C)):-
 transform(X / Child,Y):-transform(X,X2),
   transform(X2 / Child,Y).
 
-:-op(100,yfx,'^').
 transform(_ ^ Name,_):-
   (var(Name);list(Name)), !, fail.
 transform(element(Name,A,C) ^ Name,
@@ -71,7 +78,6 @@ transform(X ^ Name,Y):-
   transform(X,X2),
   transform(X2 ^ Name,Y).
 
-:-op(100,yfx,'@').
 transform(element(_,AttList,_) @ Att,X):-
   atom(Att), attribute(AttList,Att,V), !,
   (X=V; number(X), V is string(X)).
@@ -79,7 +85,6 @@ transform(X @ Att, Y):-
   transform(X,X2),
   transform(X2 @ Att, Y).
 
-:-op(100,fy,atts).
 transform(atts element(_,L,_),_):-
   findall(X,selectattribute(X,L),[]),
   !, fail.
@@ -89,12 +94,10 @@ transform(atts E,Y):-
   transform(E,E2),
   transform(atts E2,Y).
 
-:-op(100,yfx,'?').
 transform(X ? Att1):-
   atom(Att1), transform(atts X,X2),
   member(Att1,X2).
 
-:-op(100,yfx,id).
 transform(X id S,Attrib):-
   X=element(_,_,_),
   transform(atts X,AttribNames),
@@ -104,7 +107,6 @@ transform(X id S,Id):-
   transform(X,X2),
   transform(X2 id S,Id).
 
-:-op(100,yfx,'#').
 transform(element(_,_,L) # N,Y):-
   integer(N), N>=1,
   findall(X,member(text(X),L),Z),
@@ -120,7 +122,6 @@ transform(X ? N,Y):-
   transform(X,X2),
   transform(X2 ? N,Y).
 
-:-op(100,yfx,'c').
 transform(element(_,_,L) c N,Y):-
   integer(N), N>=1,
   findall(X,member(comment(X),L),Z),
@@ -129,34 +130,27 @@ transform(X c N,Y):-
   transform(X,X2),
   transform(X2 c N,Y).
 
-:-op(100,yfx,sort).
 transform(element(N,A,L)
           sort AttName,
           element(N,A,Y)):-
-  extendStructure(L2,AttName,L),
-  quicksort(L2,leAttributes,L3),
-  extendStructure(L3,AttName,Y).
+  sortChildren(L,AttName,Y).
 
-:-op(100,fy,sortbyName).
 transform(sortbyName element(N,A,L),
           element(N,A,Y)):-
   quicksort(L,le,Y).
 
-:-op(100,fy,child).
 transform(child element(_,_,C),Y):-
   member(Y,C).
 transform(child X,Y):-
   transform(X,X2),
   transform(child X2,Y).
 
-:-op(100,fy,descendant).
 transform(descendant X,Y):-
   transform(child X,Y).
 transform(descendant X,Y):-
   transform(child X,Y2),
   transform(descendant Y2,Y).
 
-:-op(100,fy,copy).
 transform(copy element(N,_,_),
           element(N,[],[])).
 transform(copy text(T),text(T)).
@@ -167,14 +161,12 @@ transform(copy X,Y):-
   transform(X,X2),
   transform(copy X2,Y).
 
-:-op(100,fy,copy_of).
 transform(copy_of X,X):-
   X=element(_,_,_);
   X=text(_);
   X=comment(_); X=pi(_).
 transform(copy_of X,Y):-transform(X,Y).
 
-:-op(100,yfx,level).
 transform(Tree level Node,Y):-
   level1(Tree,Node,Y).
 transform(Tree level Node,Y):-
@@ -182,21 +174,18 @@ transform(Tree level Node,Y):-
   transform(Node,Node2),
   level1(Tree2,Node2,Y).
 
-:-op(100,fy,last).
 transform(last element(_,_,C),Y):-
   last(C,Y).
 transform(last X,Y):-
   transform(X,X2),
   transform(last X2,Y).
 
-:-op(100,fy,count).
 transform(count element(_,_,C),Len):-
   length(C,Len).
 transform(count X,Y):-
   transform(X,X2),
   transform(count X2,Y).
 
-:-op(100,fy,name).
 transform(name element(Name,_,_),_):-
   (var(Name);list(Name)), !, fail.
 transform(name element(Name,_,_),Name).
@@ -204,7 +193,6 @@ transform(name X,Y):-
   transform(X,X2),
   transform(name X2,Y).
 
-:-op(100,fy,distinct).
 transform(distinct element(N,A,L),
           element(N,A,Z)):-
   reverse(L,L2),
@@ -332,15 +320,6 @@ concat0([],X,X).
 concat0([H|T],X,Y):-list(H),
   append(X,H,X2), concat0(T,X2,Y).
 
-extendStructure([],_,[]).
-extendStructure(L,_,L2):-
-  not(ground(L)),
-  not(ground(L2)), !, fail.
-extendStructure([E1|T2],Extension,[E2|T]):-
-  E1=element(N,A,C,Extension),
-  extendStructure(T2,Extension,T),
-  E2=element(N,A,C).
-
 checkAttributes([]):-!.
 checkAttributes([H|T]):-
   attribute([H],_,_), !,
@@ -371,25 +350,8 @@ church(s(X),N):-
   N is N1+1.
 church(s(X),N):-
   not(var(N)),
-  N1 is N-1,
+  N1 is N-1, N>0,
   church(X,N1).
-
-leAttributes(element(_,AL1,_,Att1),
-             element(_,AL2,_,Att1)):-
-  transform(element(_,AL1,_) @ Att1,A1),
-  transform(element(_,AL2,_) @ Att1,A2),
-  atom_codes(A1,E1Codes),
-  atom_codes(A2,E2Codes),
-  lexicalle(E1Codes,E2Codes).
-
-leStrings(S1,S2):-
-  atom(S1),
-  not(list(S1)),
-  atom(S2),
-  not(list(S2)),
-  atom_codes(S1,S1Codes),
-  atom_codes(S2,S2Codes),
-  lexicalle(S1Codes,S2Codes).
 
 checkSerializable0(element(N,A,C)):-
   !, checkSerializable(element(N,A,C)).
@@ -513,6 +475,79 @@ def load_prelude(user: Optional[Program] = None) -> Program:
         if user.operators is not None:
             combined.operators = user.operators
     return combined
+
+
+def _sort_key(child: Compound, att: Optional[str]) -> Optional[str]:
+    """The value of *child*'s first well-formed *att* entry, the one ``@`` reads."""
+    for item in list_items(child.args[1]) or ():
+        attr = split_attr(item)
+        if attr is not None and attr[0] == att:
+            return attr[1]
+    return None
+
+
+@_builtin("sortChildren", 3)
+def _bi_sort_children(solver: Solver, args) -> Iterator[None]:
+    """sortChildren(Children, Att, Sorted): the body of ``E sort Att``.
+
+    Gives the order of ``quicksort/3`` with a comparator that holds when
+    both children have an Att value and the first value is at or before
+    the second in code-point order (the order of ``leStrings/2``): values
+    ascend, equal values come out in reverse input order, and a child
+    without a value stays where the quicksort leaves it.  One pass computes
+    that: a child without a value is emitted when the pass reaches it; a
+    child whose value is above every value emitted so far emits each
+    pending child whose value is at most its own, in sorted order.
+
+    Children must be a ground proper list of ``element/3`` nodes (an
+    unbound list is bound to ``[]``), and a non-empty list with a non-ground
+    Att only checks a ground Sorted against the input order, as the rules
+    this replaces did.
+    """
+    children, att, sorted_out = args
+    if isinstance(deref(children), Var):
+        if solver.unify(children, EMPTY_LIST) and solver.unify(sorted_out, EMPTY_LIST):
+            yield
+        return
+    items = list_items(children)
+    if items is None or term_variables(children):
+        return
+    nodes = [deref(item) for item in items]
+    if not all(isinstance(n, Compound) and n.name == "element" and len(n.args) == 3 for n in nodes):
+        return
+    att = deref(att)
+    if nodes and term_variables(att) and term_variables(sorted_out):
+        return
+    name = att.name if isinstance(att, Atom) else None
+    keys = [_sort_key(node, name) for node in nodes]
+    pending = sorted(
+        ((key, node) for key, node in reversed(list(zip(keys, nodes))) if key is not None),
+        key=lambda pair: pair[0],
+    )
+    result: list[Term] = []
+    emitted = 0
+    for key, node in zip(keys, nodes):
+        if key is None:
+            result.append(node)
+        elif not emitted or key > pending[emitted - 1][0]:
+            while emitted < len(pending) and pending[emitted][0] <= key:
+                result.append(pending[emitted][1])
+                emitted += 1
+    if solver.unify(sorted_out, mk_list(result)):
+        yield
+
+
+@_builtin("leStrings", 2)
+def _bi_le_strings(solver: Solver, args) -> Iterator[None]:
+    """leStrings(S1, S2): atoms other than ``[]``, S1 at or before S2 in code-point order."""
+    first, second = deref(args[0]), deref(args[1])
+    if (
+        isinstance(first, Atom)
+        and isinstance(second, Atom)
+        and EMPTY_LIST not in (first, second)
+        and first.name <= second.name
+    ):
+        yield
 
 
 @_builtin("checkSerializable", 1)

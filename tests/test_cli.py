@@ -1,7 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import termxform
 from termxform.cli import _divergence_path, main
 from termxform.xml_io import parse_document
 
@@ -181,6 +186,20 @@ def test_query_prelude_goal_without_document(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out == "YES.\nX/b\n"
+
+
+@pytest.mark.parametrize("goal", ["nth(-1, [a, b], X)", "church(X, -1)", "church(X, 1.5)"])
+def test_church_of_a_negative_or_fractional_number_fails(goal):
+    # Counting such a number down never reached 0, and the recursive solver
+    # overflowed the C stack (exit 139) before the step limit stopped it;
+    # a subprocess keeps such a crash out of the test run.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(termxform.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "termxform.cli", "query", "--rules", "prelude-only", goal],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (1, "NO\n", "")
 
 
 def test_query_depth_env_and_flag_precedence(tmp_path, capsys, monkeypatch):

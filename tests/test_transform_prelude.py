@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from termxform.logic_engine import _BUILTINS, Solver, SolverOptions
-from termxform.rule_language import parse_program, parse_query
+from termxform.rule_language import OperatorTable, parse_program, parse_query
 from termxform.term_core import (
     list_items,
     mk_list,
@@ -14,7 +14,9 @@ from termxform.term_core import (
     term_equal,
 )
 from termxform.transform_prelude import (
+    PRELUDE_SRC,
     load_prelude,
+    prelude_operators,
     prelude_program,
     tree_to_relation,
     trees_equal,
@@ -194,11 +196,50 @@ def test_level_paths_are_root_first_child_indexes():
     assert node_by_path["[1,1]"].startswith("element(c,")
 
 
+def sort_by(xml, att):
+    """Every solution of transform(Doc sort att, X), rendered."""
+    return run(make_solver(), "transform(Doc sort %s, X)" % att, doc=parse_document(xml))
+
+
 def test_sort_by_attribute():
+    assert sort_by('<r><i n="beta"/><i n="alpha"/><i n="gamma"/></r>', "n") == [
+        "element(r,[],[element(i,['n=\"alpha\"'],[]),element(i,['n=\"beta\"'],[]),"
+        "element(i,['n=\"gamma\"'],[])])"
+    ]
+
+
+def test_sort_puts_ties_in_reverse_input_order():
+    assert sort_by('<r><i n="b" p="1"/><i n="a"/><i n="b" p="2"/><i n="b" p="3"/></r>', "n") == [
+        "element(r,[],[element(i,['n=\"a\"'],[]),element(i,['n=\"b\"','p=\"3\"'],[]),"
+        "element(i,['n=\"b\"','p=\"2\"'],[]),element(i,['n=\"b\"','p=\"1\"'],[])])"
+    ]
+
+
+def test_sort_compares_numeric_looking_values_as_text():
+    assert sort_by('<r><i p="9"/><i p="10"/><i p="100"/></r>', "p") == [
+        "element(r,[],[element(i,['p=\"10\"'],[]),element(i,['p=\"100\"'],[]),"
+        "element(i,['p=\"9\"'],[])])"
+    ]
+
+
+def test_sort_leaves_a_child_without_the_attribute_where_the_quicksort_puts_it():
+    # b is the first pivot: a goes before it, x and c after it, in input
+    # order; x, without a key, is never moved past c.
+    assert sort_by('<r><i n="b"/><x/><i n="c"/><i n="a"/></r>', "n") == [
+        "element(r,[],[element(i,['n=\"a\"'],[]),element(i,['n=\"b\"'],[]),"
+        "element(x,[],[]),element(i,['n=\"c\"'],[])])"
+    ]
+    assert sort_by('<r><x/><i n="b"/><i n="a"/></r>', "n") == [
+        "element(r,[],[element(x,[],[]),element(i,['n=\"a\"'],[]),element(i,['n=\"b\"'],[])])"
+    ]
+
+
+def test_sort_reads_the_first_entry_of_a_duplicate_id():
     solver = make_solver()
-    doc = parse_document('<r><i n="beta"/><i n="alpha"/><i n="gamma"/></r>')
-    [sorted_doc] = run(solver, "transform(Doc sort n, X)", doc=doc, limit=1)
-    assert sorted_doc.index("alpha") < sorted_doc.index("beta") < sorted_doc.index("gamma")
+    doc = "element(r,[],[element(a,['p=\"2\"','p=\"0\"'],[]),element(b,['p=\"1\"'],[])])"
+    assert run(solver, "transform(%s sort p, X)" % doc) == [
+        "element(r,[],[element(b,['p=\"1\"'],[]),element(a,['p=\"2\"','p=\"0\"'],[])])"
+    ]
 
 
 def test_sortby_name_orders_children_by_element_name():
@@ -466,9 +507,26 @@ def test_le_strings_orders_atoms():
         ("leStrings(alpha, beta)", True),
         ("leStrings(beta, alpha)", False),
         ("leStrings(a, a)", True),
+        ("leStrings(b, 'é')", True),
+        ("leStrings('é', b)", False),
+        ("leStrings('[]', a)", False),
+        ("leStrings(a, '[]')", False),
+        ("leStrings(a, 1)", False),
+        ("leStrings(1, 2)", False),
+        ("leStrings(X, a)", False),
+        ("leStrings(a, X)", False),
     ):
         query = parse_query(goal_text, solver.program.operators)
         assert solver.solve_once(query.goal) is expected, goal_text
+
+
+def test_the_prelude_uses_the_default_operator_table():
+    # The operators are declared once, in rule_language's default table,
+    # which also parses user programs before the prelude is loaded.
+    assert ":-op(" not in PRELUDE_SRC.replace(" ", "")
+    default = OperatorTable()
+    assert prelude_operators().infix == default.infix
+    assert prelude_operators().prefix == default.prefix
 
 
 def test_user_rules_extend_prelude_and_keep_their_operators():

@@ -67,10 +67,11 @@ def main(argv: list[str] | None = None) -> int:
     for document in report.documents:
         print(document.rstrip("\n"))
     print(
-        "--- %d solution(s); parse %.3fs, solve %.3fs, serialize %.3fs ---"
+        "--- %d solution(s); parse %.3fs, rules %.3fs, solve %.3fs, serialize %.3fs ---"
         % (
             report.solutions,
             report.timings["parse"],
+            report.timings["rules"],
             report.timings["solve"],
             report.timings["serialize"],
         )

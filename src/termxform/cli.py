@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 from .logic_engine import (
     _BUILTINS,
     DEFAULT_STEP_LIMIT,
-    Program,
     ResourceLimitError,
     Solver,
     SolverOptions,
@@ -36,8 +35,8 @@ from .metrics import (
     report_csv,
     tokenize_classify,
 )
-from .rule_language import parse_program, parse_query
-from .template_engine import TransformOptions, transform_file
+from .rule_language import parse_query
+from .template_engine import TransformOptions, rule_program, transform_file
 from .term_core import (
     Atom,
     Compound,
@@ -47,7 +46,6 @@ from .term_core import (
     render_term,
     term_equal,
 )
-from .transform_prelude import load_prelude
 from .xml_io import parse_document, serialize_document
 
 __all__ = ["main"]
@@ -139,12 +137,6 @@ def _resolve_depth(flag: Optional[int]) -> int:
     return DEFAULT_STEP_LIMIT
 
 
-def _load_rules(spec: str) -> Optional[Program]:
-    if spec == PRELUDE_ONLY:
-        return None
-    return parse_program(Path(spec).read_text(encoding="utf-8"))
-
-
 def _cmd_transform(args: argparse.Namespace) -> int:
     options = TransformOptions(
         all_solutions=args.all,
@@ -164,10 +156,11 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         for text in report.documents:
             print(text)
     print(
-        "%d solution(s); parse %.3fs, solve %.3fs, serialize %.3fs"
+        "%d solution(s); parse %.3fs, rules %.3fs, solve %.3fs, serialize %.3fs"
         % (
             report.solutions,
             report.timings.get("parse", 0.0),
+            report.timings.get("rules", 0.0),
             report.timings.get("solve", 0.0),
             report.timings.get("serialize", 0.0),
         ),
@@ -177,8 +170,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    user = _load_rules(args.rules)
-    program = load_prelude(user)
+    text = None if args.rules == PRELUDE_ONLY else Path(args.rules).read_text(encoding="utf-8")
+    _, program = rule_program(text)
     query = parse_query(args.goal, program.operators)
     solver = Solver(
         program,
@@ -265,8 +258,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    user = parse_program(Path(args.rules).read_text(encoding="utf-8"))
-    combined = load_prelude(user)
+    user, combined = rule_program(Path(args.rules).read_text(encoding="utf-8"))
     warnings: list[str] = []
 
     defined = set(combined.clauses)

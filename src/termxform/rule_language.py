@@ -132,10 +132,6 @@ class OperatorTable:
         else:
             self.infix[d.name] = d
 
-    def lookup(self, name: str) -> Optional[OperatorDef]:
-        """The infix definition for *name*, or its prefix one, or None."""
-        return self.infix.get(name) or self.prefix.get(name)
-
     def copy(self) -> "OperatorTable":
         dup = OperatorTable([])
         dup.infix = dict(self.infix)

@@ -14,12 +14,16 @@ defines ``go/2``, the goal ``go(Doc, Result)`` is solved against the parsed
 input document; otherwise template traversal runs.  Result lists are
 wrapped for serialization: a singleton is emitted directly, anything else
 inside a synthetic ``result`` root (``no_wrap`` emits a fragment stream).
+:func:`rule_program` parses, merges and indexes a rule text once per
+process; every later document with the same text reuses that program and
+its compiled clauses.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -43,6 +47,7 @@ __all__ = [
     "TemplateError",
     "TransformOptions",
     "TransformReport",
+    "rule_program",
     "traverse",
     "transform_file",
 ]
@@ -125,6 +130,20 @@ def _traverse(node: Term, solver: Solver, unmatched_text: str = "drop") -> list[
 # Whole-file transformation
 
 
+@lru_cache(maxsize=8)
+def rule_program(text: Optional[str]) -> tuple[Optional[Program], Program]:
+    """The parsed rules of *text* and the prelude merged with them.
+
+    *text* ``None`` means the prelude alone.  The first call for a text
+    parses it; later calls return the same two programs, so the clause code
+    compiled while transforming one document serves every later one.
+    Callers must not change them (:func:`load_prelude` gives a program of
+    one's own).  A :class:`ParseError` is raised again on every call.
+    """
+    user = parse_program(text) if text is not None else None
+    return user, load_prelude(user)
+
+
 def transform_file(
     input_path: str,
     rules_path: Optional[str],
@@ -143,11 +162,13 @@ def transform_file(
 
     started = time.perf_counter()
     doc = parse_document(Path(input_path).read_text(encoding="utf-8"), keep_ws=options.keep_ws)
-    user: Optional[Program] = None
-    if rules_path is not None:
-        user = parse_program(Path(rules_path).read_text(encoding="utf-8"))
-    program = load_prelude(user)
     timings["parse"] = time.perf_counter() - started
+
+    started = time.perf_counter()
+    user, program = rule_program(
+        Path(rules_path).read_text(encoding="utf-8") if rules_path is not None else None
+    )
+    timings["rules"] = time.perf_counter() - started
 
     solver_options = SolverOptions(occurs_check=options.occurs_check)
     if options.depth_limit is not None:

@@ -333,8 +333,8 @@ checkAttributes(X):-
 sum([],0).
 sum([H|T],X):-sum(T,X2), X is X2+H.
 
-last([_|T],L):-last(T,L).
 last([H],H).
+last([_|T],L):-last(T,L).
 
 nth(N,L,E):-
   var(N), nth0(N1,L,E), church(N1,N).
@@ -455,16 +455,21 @@ equalsList([H1|T1],[H2|T2]):-
 _CACHE: dict[str, Program] = {}
 
 
-def prelude_program() -> Program:
-    """A fresh copy of the parsed built-in rule set."""
+def _parsed_prelude() -> Program:
+    """The one parsed built-in rule set; callers copy what they change."""
     if "prelude" not in _CACHE:
         _CACHE["prelude"] = parse_program(PRELUDE_SRC)
-    return _CACHE["prelude"].copy()
+    return _CACHE["prelude"]
+
+
+def prelude_program() -> Program:
+    """A fresh copy of the parsed built-in rule set."""
+    return _parsed_prelude().copy()
 
 
 def prelude_operators() -> OperatorTable:
     """The operator table after loading the built-in rule set."""
-    return prelude_program().operators.copy()
+    return _parsed_prelude().operators.copy()
 
 
 def load_prelude(user: Optional[Program] = None) -> Program:

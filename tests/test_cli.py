@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -200,6 +201,35 @@ def test_church_of_a_negative_or_fractional_number_fails(goal):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert (done.returncode, done.stdout, done.stderr) == (1, "NO\n", "")
+
+
+@pytest.mark.parametrize(
+    "goal, answers",
+    [
+        ("last(L, a)", ["L/[a]", "L/[_,a]", "L/[_,_,a]"]),
+        (
+            "transform(last E, text(a))",
+            ["E/element(_,_,[text(a)])", "E/element(_,_,[_,text(a)])", "E/element(_,_,[_,_,text(a)])"],
+        ),
+    ],
+)
+def test_last_of_an_open_list_enumerates_longer_lists(goal, answers):
+    # last/2 tried its recursive clause first, so on an open list it
+    # recursed until the C stack overflowed (exit 139); with the base clause
+    # first it gives [a], [_,a], ... as other Prologs do.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(termxform.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "termxform.cli", "query", "--rules", "prelude-only", "--max", "3", goal],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    expected = "".join("YES.\n%s\n" % answer for answer in answers)
+    assert (done.returncode, re.sub(r"_\d+", "_", done.stdout), done.stderr) == (0, expected, "")
+
+
+def test_last_of_a_proper_list_has_one_answer(capsys):
+    code = main(["query", "--rules", "prelude-only", "--max", "5", "last([a, b, c], X)"])
+    assert (code, capsys.readouterr().out) == (0, "YES.\nX/c\n")
 
 
 def test_query_depth_env_and_flag_precedence(tmp_path, capsys, monkeypatch):

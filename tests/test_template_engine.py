@@ -162,7 +162,7 @@ def test_transform_file_template_mode(tmp_path):
     assert report.solutions == 1
     assert report.documents == ["<strong>hi</strong>"]
     assert out.read_text(encoding="utf-8") == "<strong>hi</strong>\n"
-    assert set(report.timings) == {"parse", "solve", "serialize"}
+    assert set(report.timings) == {"parse", "rules", "solve", "serialize"}
 
 
 def test_transform_file_wraps_multiple_results(tmp_path):

@@ -46,7 +46,7 @@ from .term_core import (
     render_term,
     term_equal,
 )
-from .xml_io import parse_document, serialize_document
+from .xml_io import _is_element, parse_document, serialize_document
 
 __all__ = ["main"]
 
@@ -214,27 +214,47 @@ def _cmd_roundtrip(args: argparse.Namespace) -> int:
 
 
 def _divergence_path(a: Term, b: Term) -> list[int]:
-    """Child-index path to the first structural difference."""
-    a = deref(a)
-    b = deref(b)
-    if term_equal(a, b):
-        return []
-    if (
-        isinstance(a, Compound)
-        and isinstance(b, Compound)
-        and a.name == "element"
-        and b.name == "element"
-        and len(a.args) == 3
-        and len(b.args) == 3
-    ):
-        kids_a = list_items(deref(a.args[2])) or []
-        kids_b = list_items(deref(b.args[2])) or []
-        for index, (child_a, child_b) in enumerate(zip(kids_a, kids_b)):
-            if not term_equal(child_a, child_b):
-                return [index] + _divergence_path(child_a, child_b)
+    """Child-index path to the first structural difference.
+
+    Two elements lead into their first pair of differing children, or to
+    the first missing child when only the counts differ.  One lockstep walk
+    compares each pair of nodes once.
+    """
+    path: list[int] = []  # path[k]: the child pair of frames[k] being compared
+    frames: list[tuple[Compound, Compound, list[Term], list[Term], bool]] = []
+    pair: Optional[tuple[Term, Term]] = (a, b)
+    while True:
+        if pair is not None:
+            x, y = deref(pair[0]), deref(pair[1])
+            pair = None
+            if _is_element(x) and _is_element(y):
+                kids_a = list_items(deref(x.args[2]))
+                kids_b = list_items(deref(y.args[2]))
+                proper = kids_a is not None and kids_b is not None
+                frames.append((x, y, kids_a or [], kids_b or [], proper))
+                path.append(-1)
+            elif not term_equal(x, y) or not frames:
+                return path
+        x, y, kids_a, kids_b, proper = frames[-1]
+        index = path[-1] + 1
+        if index < len(kids_a) and index < len(kids_b):
+            path[-1] = index
+            pair = (kids_a[index], kids_b[index])
+            continue
         if len(kids_a) != len(kids_b):
-            return [min(len(kids_a), len(kids_b))]
-    return []
+            path[-1] = index
+            return path
+        # Every child agrees, so the elements differ, if at all, by name,
+        # attributes or an improper children list; then the path ends here.
+        frames.pop()
+        path.pop()
+        same = (
+            term_equal(x.args[0], y.args[0])
+            and term_equal(x.args[1], y.args[1])
+            and (proper or term_equal(x.args[2], y.args[2]))
+        )
+        if not same or not frames:
+            return path
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:

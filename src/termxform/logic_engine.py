@@ -270,7 +270,6 @@ class SolverOptions:
 
     occurs_check: bool = False
     depth_limit: Optional[int] = DEFAULT_STEP_LIMIT
-    trace: bool = False
     diagnostics: Optional[TextIO] = None  # default: sys.stderr at use time
 
 
@@ -417,9 +416,6 @@ class Solver:
             else:
                 name, args = goal.name, goal.args
             arity = len(args)
-
-            if self.options.trace:
-                self._diag().write("trace: call %s\n" % render_term(goal))
 
             # Control constructs (cut-transparent where required).
             if name == "," and arity == 2:

@@ -97,14 +97,17 @@ def _bi_traverse(solver: Solver, args) -> Iterator[None]:
 
 
 def _traverse(node: Term, solver: Solver, unmatched_text: str = "drop") -> list[Term]:
-    node = deref(node)
-    if not isinstance(node, Compound):
-        return []
-    if node.name in ("pi", "comment") and len(node.args) == 1:
-        return []
-    if solver.program.defines("template", 2):
+    # Pre-order over an explicit stack: a node's results all come before
+    # those of its later siblings.
+    templates = solver.program.defines("template", 2)
+    results: list[Term] = []
+    stack = [node]
+    while stack:
+        node = deref(stack.pop())
+        if not isinstance(node, Compound) or node.name in ("pi", "comment") and len(node.args) == 1:
+            continue
         out = fresh_var("Result")
-        for _ in solver.solve(Compound("template", (node, out))):
+        for _ in solver.solve(Compound("template", (node, out))) if templates else ():
             result = copy_term(out)  # one copy: shared variables stay shared
             items = list_items(result)
             if items is None:
@@ -112,18 +115,17 @@ def _traverse(node: Term, solver: Solver, unmatched_text: str = "drop") -> list[
                     "the template for %s produced %s, which is not a result list"
                     % (render_term(node), render_term(result))
                 )
-            return items
-    if node.name == "element" and len(node.args) == 3:
-        children = list_items(deref(node.args[2])) or []
-        results: list[Term] = []
-        for child in children:
-            child = deref(child)
-            if isinstance(child, Compound) and child.name != ".":
-                results.extend(_traverse(child, solver, unmatched_text))
-        return results
-    if node.name == "text" and len(node.args) == 1:
-        return [node] if unmatched_text == "copy" else []
-    return []
+            results.extend(items)
+            break
+        else:  # no template matched
+            if node.name == "element" and len(node.args) == 3:
+                for child in reversed(list_items(deref(node.args[2])) or []):
+                    child = deref(child)
+                    if isinstance(child, Compound) and child.name != ".":
+                        stack.append(child)
+            elif node.name == "text" and len(node.args) == 1 and unmatched_text == "copy":
+                results.append(node)
+    return results
 
 
 # ---------------------------------------------------------------------------

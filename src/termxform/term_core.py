@@ -137,9 +137,9 @@ TRUE = Atom("true")
 
 _var_ids = itertools.count(1)
 
-#: Names accepted for elements and attribute identifiers (also by the XML
-#: parser, so construction and parsing agree on validity).
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.-]*\Z")
+#: Names accepted for elements and attribute identifiers.  Unanchored, so
+#: the XML parser matches it in place and agrees with construction.
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.-]*")
 
 
 def fresh_var(name: str = "_") -> Var:
@@ -149,7 +149,7 @@ def fresh_var(name: str = "_") -> Var:
 
 def is_valid_name(name: str) -> bool:
     """True iff *name* may serve as an element or attribute identifier."""
-    return bool(_NAME_RE.match(name))
+    return _NAME_RE.fullmatch(name) is not None
 
 
 def deref(t: Term) -> Term:

@@ -10,7 +10,7 @@ check ``checkAttributes/1``, and general helpers (``quicksort/3``,
 Four prelude predicates are native, so that each has one
 implementation: ``traverse/2`` is the template walk in
 :mod:`.template_engine`; ``checkSerializable/1`` (registered here) is the
-per-node check that :func:`.xml_io.serialize_fragment` applies; and
+check-and-write walk of :mod:`.xml_io`'s serializer; and
 ``sortChildren/3``, the body of ``E sort Att``, and ``leStrings/2``
 (both registered here) order text in code-point order, as the rule-level
 ``lexicalle/2`` does over code lists.  The operators are the default
@@ -41,7 +41,7 @@ from .term_core import (
     split_attr,
     term_variables,
 )
-from .xml_io import ValidationError, _check_node
+from .xml_io import ValidationError, _write
 
 __all__ = [
     "PRELUDE_SRC",
@@ -559,7 +559,7 @@ def _bi_le_strings(solver: Solver, args) -> Iterator[None]:
 def _bi_check_serializable(solver: Solver, args) -> Iterator[None]:
     """checkSerializable(Node): xml_io's verdict; a rejection writes its message and fails."""
     try:
-        _check_node(args[0], [])
+        _write(args[0], [])
     except ValidationError as exc:
         solver.write_out("%s\n" % exc)
         return

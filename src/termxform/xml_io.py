@@ -18,9 +18,11 @@ from __future__ import annotations
 from typing import Optional
 
 from .term_core import (
+    EMPTY_LIST,
     Atom,
     Compound,
     Term,
+    _NAME_RE,
     attr_atom,
     deref,
     is_valid_name,
@@ -41,8 +43,6 @@ __all__ = [
 ]
 
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
-_NAME_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
-_NAME_CHARS = _NAME_START | set("0123456789_.-")
 
 
 class ParseError(ValueError):
@@ -74,15 +74,10 @@ class _Scanner:
         self.i = 0
         self.n = len(text)
 
-    def location(self, at: Optional[int] = None) -> tuple[int, int]:
-        index = self.i if at is None else at
-        line = self.text.count("\n", 0, index) + 1
-        last_nl = self.text.rfind("\n", 0, index)
-        return line, index - last_nl
-
     def error(self, message: str, expected: str = "", at: Optional[int] = None) -> ParseError:
         index = self.i if at is None else at
-        line, col = self.location(index)
+        line = self.text.count("\n", 0, index) + 1
+        col = index - self.text.rfind("\n", 0, index)
         found = self.text[index] if index < self.n else "end of input"
         return ParseError(message, line, col, expected, repr(found))
 
@@ -100,12 +95,11 @@ class _Scanner:
             self.i += 1
 
     def read_name(self, what: str) -> str:
-        start = self.i
-        if self.i >= self.n or self.text[self.i] not in _NAME_START:
+        match = _NAME_RE.match(self.text, self.i)
+        if match is None:
             raise self.error("expected %s" % what, expected="name")
-        while self.i < self.n and self.text[self.i] in _NAME_CHARS:
-            self.i += 1
-        return self.text[start : self.i]
+        self.i = match.end()
+        return match.group()
 
     def expect(self, literal: str) -> None:
         if not self.startswith(literal):
@@ -117,40 +111,77 @@ def parse_document(text: str, keep_ws: bool = False) -> Term:
     """Parse an XML document into its element term.
 
     Raises ParseError on malformed input (including DOCTYPE and CDATA,
-    which this dialect does not support).
+    which this dialect does not support).  One loop reads the whole text;
+    open elements wait on an explicit stack, so nesting depth is bounded
+    by memory alone.
     """
-    scanner = _Scanner(text.lstrip("﻿"))
-    _skip_misc(scanner, allow_decl=True)
-    if scanner.at_end() or scanner.peek() != "<":
-        raise scanner.error("expected the root element", expected="<")
-    root = _parse_element(scanner, keep_ws)
-    _skip_misc(scanner, allow_decl=False)
-    if not scanner.at_end():
-        raise scanner.error("unexpected content after the root element")
-    return root
-
-
-def _skip_misc(scanner: _Scanner, allow_decl: bool) -> None:
-    """Skip whitespace, comments, and PIs (and at most one XML declaration)."""
-    seen_decl = not allow_decl
+    scanner = _Scanner(text.lstrip("\ufeff"))
+    # Open elements as (name, attributes, children); empty in prolog and epilog.
+    stack: list[tuple[str, list[Atom], list[Term]]] = []
+    root: Optional[Term] = None
+    seen_decl = False
     while True:
-        scanner.skip_ws()
-        if scanner.startswith("<?xml") and not seen_decl:
-            end = scanner.text.find("?>", scanner.i)
-            if end < 0:
-                raise scanner.error("unterminated XML declaration")
-            scanner.i = end + 2
-            seen_decl = True
-            continue
+        if stack:
+            if scanner.at_end():
+                raise scanner.error("unterminated element %r" % stack[-1][0])
+        else:
+            scanner.skip_ws()
+            if root is None and not seen_decl and scanner.startswith("<?xml"):
+                end = scanner.text.find("?>", scanner.i)
+                if end < 0:
+                    raise scanner.error("unterminated XML declaration")
+                scanner.i = end + 2
+                seen_decl = True
+                continue
         if scanner.startswith("<!--"):
-            _parse_comment(scanner)
-            continue
-        if scanner.startswith("<!"):
+            node = _parse_comment(scanner)
+        elif scanner.startswith("<!"):
             raise scanner.error("DOCTYPE and CDATA sections are not supported")
-        if scanner.startswith("<?"):
-            _parse_pi(scanner)
-            continue
-        return
+        elif scanner.startswith("<?"):
+            node = _parse_pi(scanner)
+        elif not stack and root is not None:
+            if not scanner.at_end():
+                raise scanner.error("unexpected content after the root element")
+            return root
+        elif not stack and scanner.peek() != "<":
+            raise scanner.error("expected the root element", expected="<")
+        elif stack and scanner.startswith("</"):
+            scanner.i += 2
+            name, attrs, children = stack[-1]
+            closing = scanner.read_name("the closing element name")
+            if closing != name:
+                raise scanner.error(
+                    "mismatched closing tag %r for element %r" % (closing, name),
+                    expected=name,
+                )
+            scanner.skip_ws()
+            scanner.expect(">")
+            stack.pop()
+            node = Compound("element", (Atom(name), mk_list(attrs), mk_list(children)))
+        elif scanner.peek() == "<":
+            scanner.i += 1
+            name = scanner.read_name("an element name")
+            attrs = _parse_attributes(scanner)
+            if not scanner.startswith("/>"):
+                scanner.expect(">")
+                stack.append((name, attrs, []))
+                continue
+            scanner.i += 2
+            node = Compound("element", (Atom(name), mk_list(attrs), EMPTY_LIST))
+        else:
+            start = scanner.i
+            next_lt = scanner.text.find("<", start)
+            if next_lt < 0:
+                next_lt = scanner.n
+            raw = scanner.text[start:next_lt]
+            scanner.i = next_lt
+            if raw.strip() == "" and not keep_ws:
+                continue
+            node = mk_text(_decode_text(scanner, raw, start))
+        if stack:
+            stack[-1][2].append(node)
+        elif node.name == "element":
+            root = node  # comments and PIs outside the root are dropped
 
 
 def _parse_comment(scanner: _Scanner) -> Term:
@@ -225,108 +256,116 @@ def _parse_attributes(scanner: _Scanner) -> list[Atom]:
         attrs.append(attr_atom(name, value))
 
 
-def _parse_element(scanner: _Scanner, keep_ws: bool) -> Term:
-    scanner.expect("<")
-    name = scanner.read_name("an element name")
-    attrs = _parse_attributes(scanner)
-    if scanner.startswith("/>"):
-        scanner.i += 2
-        return Compound("element", (Atom(name), mk_list(attrs), Atom("[]")))
-    scanner.expect(">")
-    children: list[Term] = []
-    while True:
-        if scanner.at_end():
-            raise scanner.error("unterminated element %r" % name)
-        if scanner.startswith("</"):
-            scanner.i += 2
-            closing = scanner.read_name("the closing element name")
-            if closing != name:
-                raise scanner.error(
-                    "mismatched closing tag %r for element %r" % (closing, name),
-                    expected=name,
-                )
-            scanner.skip_ws()
-            scanner.expect(">")
-            return Compound("element", (Atom(name), mk_list(attrs), mk_list(children)))
-        if scanner.startswith("<!--"):
-            children.append(_parse_comment(scanner))
-            continue
-        if scanner.startswith("<!"):
-            raise scanner.error("DOCTYPE and CDATA sections are not supported")
-        if scanner.startswith("<?"):
-            children.append(_parse_pi(scanner))
-            continue
-        if scanner.peek() == "<":
-            children.append(_parse_element(scanner, keep_ws))
-            continue
-        start = scanner.i
-        next_lt = scanner.text.find("<", start)
-        if next_lt < 0:
-            next_lt = scanner.n
-        raw = scanner.text[start:next_lt]
-        scanner.i = next_lt
-        if raw.strip() == "" and not keep_ws:
-            continue
-        children.append(mk_text(_decode_text(scanner, raw, start)))
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 
 
 def check_serializable(term: Term) -> None:
     """Raise ValidationError unless *term* serializes to well-formed XML."""
-    _check_node(term, [], top=True)
+    _write(term, [], top=True)
 
 
-def _check_node(term: Term, path: list[int], top: bool = False) -> None:
-    term = deref(term)
-    if isinstance(term, Compound) and term.name == "element" and len(term.args) == 3:
-        name, attrs, children = (deref(a) for a in term.args)
-        if not isinstance(name, Atom) or not is_valid_name(name.name):
-            raise ValidationError(list(path), "Error: %s was not expected here!" % _show(name))
-        attr_items = list_items(attrs)
-        if attr_items is None:
-            raise ValidationError(
-                list(path), "Error in remaining attributes list: %s" % _show(attrs)
+def serialize_document(term: Term, pretty: bool = False) -> str:
+    """Serialize an element term to XML text.
+
+    Invalid input raises ValidationError; no text is returned for it.
+    """
+    out: list[str] = []
+    _write(term, out, pretty, top=True)
+    text = "".join(out)
+    return text + "\n" if pretty else text
+
+
+def serialize_fragment(terms: list[Term]) -> str:
+    """Serialize a sequence of nodes without requiring an element root."""
+    out: list[str] = []
+    for index, term in enumerate(terms):
+        _write(term, out, path=(index, None))
+    return "".join(out)
+
+
+# A node's path as a link to its parent's: (child index, parent path), None
+# at the root.  The index list is built only for a ValidationError.
+_Path = Optional[tuple[int, "_Path"]]
+_UNEXPECTED = "Error: %s was not expected here!"
+
+
+def _write(
+    term: Term, out: list[str], pretty: bool = False, path: _Path = None, top: bool = False
+) -> None:
+    """Check *term* and append its XML to *out*, in one pre-order walk.
+
+    Each node is checked just before it is written, so the first node
+    rejected is the first in document order; callers that only check drop
+    *out*.  *top* demands an element at the root.  Pending nodes and closing
+    tags wait on an explicit stack, so depth is bounded by memory alone.
+    """
+    if top and not _is_element(deref(term)):
+        raise _reject(path, term)
+    stack: list = [(term, path, 0)]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        node, path, indent = item
+        node = deref(node)
+        if _is_element(node):
+            name, attrs, children = deref(node.args[0]), deref(node.args[1]), deref(node.args[2])
+            if not isinstance(name, Atom) or not is_valid_name(name.name):
+                raise _reject(path, name)
+            attr_items = list_items(attrs)
+            if attr_items is None:
+                raise _reject(path, attrs, "Error in remaining attributes list: %s")
+            pieces = [name.name]
+            for attr in attr_items:
+                pair = split_attr(attr)
+                if pair is None:
+                    raise _reject(path, attr, "Error in remaining attributes list: %s")
+                pieces.append('%s="%s"' % (pair[0], _escape_attr(pair[1])))
+            child_items = list_items(children)
+            if child_items is None:
+                raise _reject(path, children)
+            if not child_items:
+                out.append("<%s/>" % " ".join(pieces))
+                continue
+            out.append("<%s>" % " ".join(pieces))
+            blocky = pretty and all(
+                isinstance(deref(c), Compound) and deref(c).name != "text" for c in child_items
             )
-        for attr in attr_items:
-            attr = deref(attr)
-            if not isinstance(attr, Atom) or split_attr(attr) is None:
-                raise ValidationError(
-                    list(path), "Error in remaining attributes list: %s" % _show(attr)
-                )
-        child_items = list_items(children)
-        if child_items is None:
-            raise ValidationError(list(path), "Error: %s was not expected here!" % _show(children))
-        for index, child in enumerate(child_items):
-            path.append(index)
-            _check_node(child, path)
-            path.pop()
-        return
-    if top:
-        raise ValidationError(list(path), "Error: %s was not expected here!" % _show(term))
-    if isinstance(term, Compound) and len(term.args) == 1 and term.name in ("text", "comment", "pi"):
-        content = deref(term.args[0])
-        if not isinstance(content, Atom):
-            raise ValidationError(list(path), "Error: %s was not expected here!" % _show(content))
-        value = content.name
-        if term.name == "text":
-            if value == "":
-                raise ValidationError(list(path), "Error: %s was not expected here!" % _show(term))
-            return
-        if value != value.strip():
-            raise ValidationError(list(path), "Error: %s was not expected here!" % _show(term))
-        if term.name == "comment" and "-->" in value:
-            raise ValidationError(list(path), "Error: %s was not expected here!" % _show(term))
-        if term.name == "pi" and ">" in value:
-            raise ValidationError(list(path), "Error: %s was not expected here!" % _show(term))
-        return
-    raise ValidationError(list(path), "Error: %s was not expected here!" % _show(term))
+            before = "\n" + "  " * (indent + 1) if blocky else ""
+            stack.append("%s</%s>" % (before[:-2], name.name))
+            for index in range(len(child_items) - 1, -1, -1):
+                stack.append((child_items[index], (index, path), indent + 1))
+                if blocky:
+                    stack.append(before)
+        elif isinstance(node, Compound) and len(node.args) == 1 and node.name in ("text", "comment", "pi"):
+            content = deref(node.args[0])
+            if not isinstance(content, Atom):
+                raise _reject(path, content)
+            value = content.name
+            if node.name == "text":
+                if value == "":
+                    raise _reject(path, node)
+                out.append(_escape_text(value))
+            elif value != value.strip() or ("-->" if node.name == "comment" else ">") in value:
+                raise _reject(path, node)
+            else:
+                out.append(("<!--%s-->" if node.name == "comment" else "<?%s?>") % value)
+        else:
+            raise _reject(path, node)
 
 
-def _show(term: Term) -> str:
-    return render_term(term, quoted=True)
+def _is_element(term: Term) -> bool:
+    return isinstance(term, Compound) and term.name == "element" and len(term.args) == 3
+
+
+def _reject(path: _Path, term: Term, message: str = _UNEXPECTED) -> ValidationError:
+    indexes: list[int] = []
+    while path is not None:
+        index, path = path
+        indexes.append(index)
+    return ValidationError(indexes[::-1], message % render_term(term, quoted=True))
 
 
 def _escape_text(value: str) -> str:
@@ -335,68 +374,3 @@ def _escape_text(value: str) -> str:
 
 def _escape_attr(value: str) -> str:
     return value.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
-
-
-def serialize_document(term: Term, pretty: bool = False) -> str:
-    """Serialize an element term to XML text.
-
-    The tree is validated first; nothing is emitted for invalid input.
-    """
-    check_serializable(term)
-    out: list[str] = []
-    _emit(deref(term), out, 0, pretty)
-    text = "".join(out)
-    return text + "\n" if pretty else text
-
-
-def serialize_fragment(terms: list[Term]) -> str:
-    """Serialize a sequence of nodes without requiring an element root."""
-    for index, term in enumerate(terms):
-        _check_node(term, [index])
-    out: list[str] = []
-    for term in terms:
-        _emit(deref(term), out, 0, False)
-    return "".join(out)
-
-
-def _emit(term: Term, out: list[str], indent: int, pretty: bool) -> None:
-    term = deref(term)
-    assert isinstance(term, Compound)
-    if term.name == "text":
-        out.append(_escape_text(_content(term)))
-        return
-    if term.name == "comment":
-        out.append("<!--%s-->" % _content(term))
-        return
-    if term.name == "pi":
-        out.append("<?%s?>" % _content(term))
-        return
-    name = deref(term.args[0])
-    assert isinstance(name, Atom)
-    attrs = list_items(deref(term.args[1])) or []
-    children = list_items(deref(term.args[2])) or []
-    pieces = [name.name]
-    for attr in attrs:
-        attr_id, value = split_attr(deref(attr))  # type: ignore[misc]
-        pieces.append('%s="%s"' % (attr_id, _escape_attr(value)))
-    open_tag = "<%s" % " ".join(pieces)
-    if not children:
-        out.append(open_tag + "/>")
-        return
-    out.append(open_tag + ">")
-    blocky = pretty and all(
-        isinstance(deref(c), Compound) and deref(c).name != "text" for c in children
-    )
-    for child in children:
-        if blocky:
-            out.append("\n" + "  " * (indent + 1))
-        _emit(child, out, indent + 1, pretty)
-    if blocky:
-        out.append("\n" + "  " * indent)
-    out.append("</%s>" % name.name)
-
-
-def _content(term: Compound) -> str:
-    content = deref(term.args[0])
-    assert isinstance(content, Atom)
-    return content.name

@@ -20,7 +20,6 @@ from .rule_language import (
     OperatorDef,
     OperatorTable,
     Query,
-    SourceProgram,
     default_operators,
     parse_program,
     parse_query,
@@ -73,7 +72,6 @@ __all__ = [
     "RuleParseError",
     "Solver",
     "SolverOptions",
-    "SourceProgram",
     "Term",
     "TransformOptions",
     "TransformReport",

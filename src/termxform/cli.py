@@ -20,13 +20,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .logic_engine import (
-    _BUILTINS,
-    DEFAULT_STEP_LIMIT,
-    ResourceLimitError,
-    Solver,
-    SolverOptions,
-)
+from .logic_engine import DEFAULT_STEP_LIMIT, ResourceLimitError, Solver, SolverOptions
 from .metrics import (
     HalsteadCounts,
     halstead,
@@ -51,8 +45,6 @@ from .xml_io import _is_element, parse_document, serialize_document
 __all__ = ["main"]
 
 PRELUDE_ONLY = "prelude-only"
-
-_CONTROL_NAMES = {",", ";", "!", "true", "fail", "false", "not", "findall", "call"}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -285,9 +277,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for (name, arity) in user.order:
         for clause in user.clauses[(name, arity)]:
             for goal_name, goal_arity in _referenced_goals(clause.body):
-                if goal_name in _CONTROL_NAMES:
-                    continue
-                if (goal_name, goal_arity) in defined or (goal_name, goal_arity) in _BUILTINS:
+                if (goal_name, goal_arity) in defined or Solver.is_builtin(goal_name, goal_arity):
                     continue
                 warnings.append(
                     "warning: unknown predicate %s/%d referenced in %s/%d"
@@ -310,7 +300,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _referenced_goals(body: Term) -> list[tuple[str, int]]:
-    """Callable (name, arity) pairs reachable through control constructs."""
+    """Callable (name, arity) pairs, also inside ``,`` ``;`` ``not/1`` ``findall/3`` ``call/N``."""
     found: list[tuple[str, int]] = []
     stack = [body]
     while stack:
@@ -326,12 +316,13 @@ def _referenced_goals(body: Term) -> list[tuple[str, int]]:
             stack.append(goal.args[0])
         elif goal.name == "findall" and len(goal.args) == 3:
             stack.append(goal.args[1])
-        elif goal.name == "call" and len(goal.args) >= 1:
-            target = deref(goal.args[0])
-            if isinstance(target, Atom):
-                found.append((target.name, len(goal.args) - 1))
-            elif isinstance(target, Compound):
-                found.append((target.name, len(target.args) + len(goal.args) - 1))
+        elif goal.name == "call":
+            # The goal call/N runs: its target with the extra arguments added.
+            target, extra = deref(goal.args[0]), goal.args[1:]
+            if isinstance(target, Compound):
+                stack.append(Compound(target.name, target.args + extra))
+            elif isinstance(target, Atom):
+                stack.append(Compound(target.name, extra) if extra else target)
         else:
             found.append((goal.name, len(goal.args)))
     return found

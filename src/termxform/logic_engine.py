@@ -2,11 +2,16 @@
 
 The solver enumerates solutions depth-first over an ordered clause store:
 clauses are tried in program order, conjunctions left to right, and bindings
-are undone chronologically (a trail) on backtracking.  Control constructs are
-``,`` ``;`` ``!`` ``not/1`` ``findall/3`` and ``call/N``; the cut commits to
-the choices made since the activation of the clause it occurs in.  A step
-counter turns runaway programs into a :class:`ResourceLimitError` instead of
-a hang.  A call tries only the clauses in its first-argument bucket (see
+are undone chronologically (a trail) on backtracking.  The solver runs the
+control constructs ``,`` ``;`` ``!`` and ``call/N`` itself; the cut commits to
+the choices made since the activation of the clause it occurs in.  Every
+other built-in goal, ``true/0``, ``fail/0``, ``false/0``, ``not/1`` and
+``findall/3`` included, is a native in one registry.  ``call/N``, ``not/1``
+and ``findall/3`` each run their goal behind a cut barrier of its own.
+Natives, like the control constructs, shadow program clauses of the same
+name and arity (see :meth:`Solver.is_builtin`).  A step counter turns
+runaway programs into a :class:`ResourceLimitError` instead of a hang.  A
+call tries only the clauses in its first-argument bucket (see
 :class:`Program`) and matches each one's compiled head in place, without
 copying the clause (see :class:`Clause`).
 
@@ -35,6 +40,7 @@ from .term_core import (
     copy_term,
     deref,
     fresh_var,
+    is_ground,
     is_list,
     list_items,
     list_parts,
@@ -388,7 +394,7 @@ class Solver:
     def solve_once(self, goal: Term) -> bool:
         """True iff *goal* has at least one solution; bindings are undone."""
         mark = len(self.trail)
-        for _ in self.solve(goal):
+        for _ in self._solve(goal, [False]):
             self.undo_to(mark)
             return True
         self.undo_to(mark)
@@ -417,7 +423,9 @@ class Solver:
                 name, args = goal.name, goal.args
             arity = len(args)
 
-            # Control constructs (cut-transparent where required).
+            # Control constructs: `,` `;` and `!` act on the caller's cut
+            # barrier, and call/N takes any arity.  Every other built-in goal
+            # is a native in the registry.
             if name == "," and arity == 2:
                 for _ in self._solve(args[0], barrier):
                     yield from self._solve(args[1], barrier)
@@ -435,24 +443,6 @@ class Solver:
             if name == "!" and arity == 0:
                 yield
                 barrier[0] = True
-                return
-            if name == "true" and arity == 0:
-                yield
-                return
-            if (name == "fail" or name == "false") and arity == 0:
-                return
-            if name == "not" and arity == 1:
-                sub_mark = len(self.trail)
-                succeeded = False
-                for _ in self._solve(args[0], [False]):
-                    succeeded = True
-                    break
-                self.undo_to(sub_mark)
-                if not succeeded:
-                    yield
-                return
-            if name == "findall" and arity == 3:
-                yield from self._findall(args[0], args[1], args[2])
                 return
             if name == "call" and arity >= 1:
                 target = self._call_goal(args[0], args[1:])
@@ -484,6 +474,13 @@ class Solver:
                     return
         finally:
             self.undo_to(mark)
+
+    @staticmethod
+    def is_builtin(name: str, arity: int) -> bool:
+        """True when ``_solve`` runs name/arity itself or by a native, never by clauses."""
+        if (name, arity) in ((",", 2), (";", 2), ("!", 0)) or (name == "call" and arity >= 1):
+            return True
+        return (name, arity) in _BUILTINS
 
     def _match(self, skel, term: Term, env: list) -> bool:
         """Match a goal subterm against a clause skeleton, filling *env*.
@@ -533,15 +530,6 @@ class Solver:
             return Compound(target.name, target.args + tuple(extra))
         self.warn("call/N target is not callable: %s" % render_term(target))
         return None
-
-    def _findall(self, template: Term, goal: Term, collected: Term) -> Iterator[None]:
-        results: list[Term] = []
-        sub_mark = len(self.trail)
-        for _ in self._solve(goal, [False]):
-            results.append(copy_term(template, {}))
-        self.undo_to(sub_mark)
-        if self.unify(collected, mk_list(results)):
-            yield
 
     # -- arithmetic / functor evaluation -------------------------------------
 
@@ -673,8 +661,8 @@ class Solver:
         if isinstance(t, (int, float)):
             return self._num_text(t)
         if isinstance(t, Compound) and t.name == CONS and len(t.args) == 2:
-            items, tail = list_parts(t)
-            if not (isinstance(tail, Atom) and tail.name == "[]"):
+            items = list_items(t)
+            if items is None:
                 raise EvalError("cat cannot flatten an improper list")
             return "".join(self._stringify(item) for item in items)
         value = self.eval_is(t)
@@ -711,6 +699,34 @@ class Solver:
 
 # ---------------------------------------------------------------------------
 # Native predicates
+
+
+@_builtin("true", 0)
+def _bi_true(solver: Solver, args) -> Iterator[None]:
+    yield
+
+
+@_builtin("fail", 0)
+@_builtin("false", 0)
+def _bi_fail(solver: Solver, args) -> Iterator[None]:
+    return iter(())
+
+
+@_builtin("not", 1)
+def _bi_not(solver: Solver, args) -> Iterator[None]:
+    if not solver.solve_once(args[0]):
+        yield
+
+
+@_builtin("findall", 3)
+def _bi_findall(solver: Solver, args) -> Iterator[None]:
+    """findall(Template, Goal, List): a copy of Template per solution of Goal, in order.
+
+    Goal runs behind its own cut barrier, and its bindings are undone.
+    """
+    results = [copy_term(args[0], {}) for _ in solver._solve(args[1], [False])]
+    if solver.unify(args[2], mk_list(results)):
+        yield
 
 
 @_builtin("=", 2)
@@ -751,27 +767,13 @@ def _type_test(predicate):
 _BUILTINS[("var", 1)] = _type_test(lambda t: isinstance(t, Var))
 _BUILTINS[("nonvar", 1)] = _type_test(lambda t: not isinstance(t, Var))
 _BUILTINS[("atom", 1)] = _type_test(lambda t: isinstance(t, Atom))
-_BUILTINS[("number", 1)] = _type_test(lambda t: isinstance(t, (int, float)))
-_BUILTINS[("integer", 1)] = _type_test(lambda t: isinstance(t, int))
-_BUILTINS[("float", 1)] = _type_test(lambda t: isinstance(t, float))
+_BUILTINS[("number", 1)] = _BUILTINS[("isnumber", 1)] = _type_test(lambda t: isinstance(t, (int, float)))
+_BUILTINS[("integer", 1)] = _BUILTINS[("inumber", 1)] = _type_test(lambda t: isinstance(t, int))
+_BUILTINS[("float", 1)] = _BUILTINS[("fnumber", 1)] = _type_test(lambda t: isinstance(t, float))
 _BUILTINS[("compound", 1)] = _type_test(lambda t: isinstance(t, Compound))
 _BUILTINS[("atomic", 1)] = _type_test(lambda t: isinstance(t, (Atom, int, float)))
 _BUILTINS[("list", 1)] = _type_test(is_list)
-_BUILTINS[("isnumber", 1)] = _type_test(lambda t: isinstance(t, (int, float)))
-_BUILTINS[("fnumber", 1)] = _type_test(lambda t: isinstance(t, float))
-_BUILTINS[("inumber", 1)] = _type_test(lambda t: isinstance(t, int))
-
-
-@_builtin("ground", 1)
-def _bi_ground(solver: Solver, args) -> Iterator[None]:
-    stack = [args[0]]
-    while stack:
-        node = deref(stack.pop())
-        if isinstance(node, Var):
-            return
-        if isinstance(node, Compound):
-            stack.extend(node.args)
-    yield
+_BUILTINS[("ground", 1)] = _type_test(is_ground)
 
 
 @_builtin("is", 2)
@@ -818,9 +820,7 @@ def _bi_atom_codes(solver: Solver, args) -> Iterator[None]:
         if solver.unify(args[1], codes):
             yield
         return
-    items = None
-    if is_list(args[1]):
-        items = list_parts(args[1])[0]
+    items = list_items(args[1])
     if items is None:
         solver.warn("atom_codes/2 needs a bound atom or a proper code list")
         return
@@ -842,15 +842,15 @@ def _bi_append(solver: Solver, args) -> Iterator[None]:
 
 def _append(solver: Solver, a: Term, b: Term, c: Term) -> Iterator[None]:
     while True:
-        a_items, a_tail = list_parts(a)
-        if isinstance(a_tail, Atom) and a_tail.name == "[]":
+        a_items = list_items(a)
+        if a_items is not None:
             # First argument proper: single solution c = a ++ b.
             if solver.unify(c, mk_list(a_items, deref(b))):
                 yield
             break
         if isinstance(deref(a), Var):
-            c_items, c_tail = list_parts(c)
-            if isinstance(c_tail, Atom) and c_tail.name == "[]":
+            c_items = list_items(c)
+            if c_items is not None:
                 # Enumerate the |c|+1 splits, sharing the suffix spine.
                 spine: list[Term] = [deref(c)]
                 node = deref(c)
@@ -939,24 +939,20 @@ def _bi_length(solver: Solver, args) -> Iterator[None]:
 
 @_builtin("reverse", 2)
 def _bi_reverse(solver: Solver, args) -> Iterator[None]:
-    items, tail = list_parts(args[0])
-    if isinstance(tail, Atom) and tail.name == "[]":
-        if solver.unify(args[1], mk_list(list(reversed(items)))):
-            yield
-        return
-    items, tail = list_parts(args[1])
-    if isinstance(tail, Atom) and tail.name == "[]":
-        if solver.unify(args[0], mk_list(list(reversed(items)))):
-            yield
-        return
+    for source, target in ((args[0], args[1]), (args[1], args[0])):
+        items = list_items(source)
+        if items is not None:
+            if solver.unify(target, mk_list(items[::-1])):
+                yield
+            return
     solver.warn("reverse/2 needs at least one proper list")
 
 
 @_builtin("delete", 3)
 def _bi_delete(solver: Solver, args) -> Iterator[None]:
     pattern, source, result = args
-    items, tail = list_parts(source)
-    if not (isinstance(tail, Atom) and tail.name == "[]"):
+    items = list_items(source)
+    if items is None:
         solver.warn("delete/3 needs a proper list")
         return
     kept: list[Term] = []
@@ -978,8 +974,8 @@ def _bi_write(solver: Solver, args) -> Iterator[None]:
 
 @_builtin("canon", 2)
 def _bi_canon(solver: Solver, args) -> Iterator[None]:
-    items, tail = list_parts(args[0])
-    if not (isinstance(tail, Atom) and tail.name == "[]"):
+    items = list_items(args[0])
+    if items is None:
         solver.warn("canon/2 needs a proper attribute list")
         return
     keyed = []

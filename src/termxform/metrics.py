@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .rule_language import SourceProgram, read_terms, tokenize
+from .rule_language import read_terms, tokenize
 from .term_core import Atom, Compound, Term, Var, deref
 
 __all__ = [
@@ -171,9 +171,7 @@ def _validate_config(config: ClassifierConfig) -> None:
         raise ValueError("variables_scope must be 'clause' or 'file'")
 
 
-def tokenize_classify(
-    program: "SourceProgram | str", config: Optional[ClassifierConfig] = None
-) -> HalsteadCounts:
+def tokenize_classify(text: str, config: Optional[ClassifierConfig] = None) -> HalsteadCounts:
     """Count operators and operands of a rule-language source.
 
     Structural tokens come straight from the token stream; functors and
@@ -182,7 +180,6 @@ def tokenize_classify(
     """
     config = config or ClassifierConfig()
     _validate_config(config)
-    text = program.text if isinstance(program, SourceProgram) else program
     operators: dict[str, int] = {}
     operands: dict[object, int] = {}
 

@@ -28,7 +28,6 @@ __all__ = [
     "OperatorTable",
     "ParseError",
     "Token",
-    "SourceProgram",
     "Query",
     "default_operators",
     "tokenize",
@@ -56,14 +55,6 @@ class OperatorDef:
     name: str
     precedence: int
     fixity: str  # one of: yfx, xfy, xfx, fy, fx
-
-
-@dataclass(frozen=True)
-class SourceProgram:
-    """A rule-language source text plus its origin for error messages."""
-
-    text: str
-    origin: str = "<memory>"
 
 
 _FIXITIES = ("yfx", "xfy", "xfx", "fy", "fx")
@@ -464,11 +455,8 @@ def _apply_directive(directive: Term, table: OperatorTable, parser: _Parser) -> 
     raise parser.error("unsupported directive", token)
 
 
-def parse_program(
-    source: "str | SourceProgram", table: Optional[OperatorTable] = None
-) -> Program:
+def parse_program(text: str, table: Optional[OperatorTable] = None) -> Program:
     """Parse rule-language source into an ordered clause store."""
-    text = source.text if isinstance(source, SourceProgram) else source
     terms, final_table = read_terms(text, table)
     program = Program(operators=final_table)
     for term in terms:

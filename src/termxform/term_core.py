@@ -2,7 +2,9 @@
 
 A term is one of:
 
-* ``Atom`` -- an interned-by-name symbolic constant,
+* ``Atom`` -- a symbolic constant; two atoms are equal, and hash alike,
+  when their names are equal (atoms are not interned: ``Atom("a") is
+  Atom("a")`` is false),
 * ``int`` / ``float`` -- host numbers used directly as terms,
 * ``Var`` -- a mutable logic variable cell (bound destructively by the solver),
 * ``Compound`` -- a functor name applied to one or more argument terms.
@@ -53,6 +55,7 @@ __all__ = [
     "copy_term",
     "render_term",
     "term_variables",
+    "is_ground",
 ]
 
 
@@ -333,6 +336,18 @@ def term_variables(t: Term) -> list[Var]:
         elif isinstance(node, Compound):
             stack.extend(reversed(node.args))
     return result
+
+
+def is_ground(t: Term) -> bool:
+    """True iff *t* holds no unbound variable; stops at the first one."""
+    stack = [t]
+    while stack:
+        node = deref(stack.pop())
+        if isinstance(node, Var):
+            return False
+        if isinstance(node, Compound):
+            stack.extend(node.args)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,10 @@ from .term_core import (
     Term,
     Var,
     deref,
+    is_ground,
     list_items,
     mk_list,
     split_attr,
-    term_variables,
 )
 from .xml_io import ValidationError, _write
 
@@ -54,9 +54,6 @@ __all__ = [
 
 
 PRELUDE_SRC = """\
-% traverse/2 is native; this keeps template/2 defined.
-template(never,never):-fail.
-
 % Navigation and transformation operators (declared in the
 % default operator table of rule_language).
 
@@ -515,13 +512,13 @@ def _bi_sort_children(solver: Solver, args) -> Iterator[None]:
             yield
         return
     items = list_items(children)
-    if items is None or term_variables(children):
+    if items is None or not is_ground(children):
         return
     nodes = [deref(item) for item in items]
     if not all(isinstance(n, Compound) and n.name == "element" and len(n.args) == 3 for n in nodes):
         return
     att = deref(att)
-    if nodes and term_variables(att) and term_variables(sorted_out):
+    if nodes and not is_ground(att) and not is_ground(sorted_out):
         return
     name = att.name if isinstance(att, Atom) else None
     keys = [_sort_key(node, name) for node in nodes]

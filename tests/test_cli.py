@@ -399,6 +399,39 @@ def test_check_knows_the_native_traverse_and_check_serializable(tmp_path, capsys
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "body, unknown",
+    [
+        ("not(a, b)", "not/2"),
+        ("findall(X, X)", "findall/2"),
+        ("call", "call/0"),
+        ("true(1)", "true/1"),
+        ("call((ghost, true))", "ghost/0"),
+        ("call(call, ghost(X))", "ghost/1"),
+    ],
+)
+def test_check_warns_for_built_in_names_at_other_arities(tmp_path, capsys, body, unknown):
+    rules = write(tmp_path, "rules.tx", "p(X) :- %s." % body)
+    code = main(["check", "--rules", rules])
+    assert code == 0
+    assert capsys.readouterr().out == "warning: unknown predicate %s referenced in p/1\n" % unknown
+    # The solver agrees: it finds no construct, native or clause for the goal.
+    assert main(["query", "--rules", rules, "p(x)"]) == 1
+    assert "unknown predicate %s (goal fails)" % unknown in capsys.readouterr().err
+
+
+def test_check_is_silent_on_control_goals_and_their_natives(tmp_path, capsys):
+    rules = write(
+        tmp_path,
+        "rules.tx",
+        "p(X) :- not(X = a), findall(Y, member(Y, [a]), _), call(member, X, [a]).\n"
+        "q :- true, (fail ; false ; !).",
+    )
+    code = main(["check", "--rules", rules])
+    assert code == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_check_warns_once_per_message(tmp_path, capsys):
     rules = write(tmp_path, "rules.tx", "p :- ghost.\nq :- ghost.\nr :- ghost.")
     code = main(["check", "--rules", rules])

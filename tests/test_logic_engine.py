@@ -167,6 +167,67 @@ def test_findall_cut_is_contained():
     assert result[0]["L"] == "[1]"
 
 
+CONTROL_PROGRAM = "t(X) :- member(X, [1, 2, 3]), !.\np(1). p(2). p(3)."
+UNKNOWN_FOO = "warning: unknown predicate foo/0 (goal fails)\n"
+
+
+@pytest.mark.parametrize(
+    "goal, answers, warnings, steps",
+    [
+        ("true", [{}], "", 1),
+        ("false", [], "", 1),
+        ("fail ; true", [{}], "", 3),
+        ("not(member(x, [a]))", [{}], "", 2),
+        ("not(not(X = a))", [{"X": "_"}], "", 3),
+        # A cut inside not/1 or findall/3 prunes only the inner goal.
+        ("not((member(X, [1, 2]), !, X = 2))", [{"X": "_"}], "", 6),
+        ("p(Y), not((!, Y = 2))", [{"Y": "1"}, {"Y": "3"}], "", 17),
+        ("findall(X, (member(X, [a, b, c]), !), L)", [{"X": "_", "L": "[a]"}], "", 4),
+        (
+            "findall(X, t(X), L), p(Y)",
+            [{"X": "_", "L": "[1]", "Y": y} for y in "123"],
+            "",
+            10,
+        ),
+        ("findall(X, member(X, [a, b]), L)", [{"X": "_", "L": "[a,b]"}], "", 2),
+        ("findall(X, fail, L)", [{"X": "_", "L": "[]"}], "", 2),
+        ("call(findall, X, member(X, [1, 2]), L)", [{"X": "_", "L": "[1,2]"}], "", 3),
+        ("not(foo)", [{}], UNKNOWN_FOO, 2),
+        ("not(foo), not(foo)", [{}], UNKNOWN_FOO, 5),
+    ],
+)
+def test_moved_control_goals_keep_answers_warnings_and_steps(goal, answers, warnings, steps):
+    # Answers in order, warnings and steps of the goals the registry runs as
+    # natives; any change here is a change of behaviour.
+    solver = make_solver(CONTROL_PROGRAM)
+    query = parse_query(goal, solver.program.operators)
+    found = [
+        {
+            name: "_" if isinstance(deref(var), Var) else render_term(var)
+            for name, var in query.variables.items()
+        }
+        for _ in solver.solve(query.goal)
+    ]
+    assert found == answers
+    assert solver.options.diagnostics.getvalue() == warnings
+    assert solver.steps == steps
+
+
+def test_control_goals_are_answered_by_one_registry():
+    for name, arity in [(",", 2), (";", 2), ("!", 0), ("call", 1), ("call", 8)]:
+        assert Solver.is_builtin(name, arity) and (name, arity) not in _BUILTINS
+    for name, arity in [("true", 0), ("fail", 0), ("false", 0), ("not", 1), ("findall", 3)]:
+        assert Solver.is_builtin(name, arity) and (name, arity) in _BUILTINS
+    for name, arity in [("call", 0), ("true", 1), ("not", 2), ("findall", 2), (",", 3), ("foo", 0)]:
+        assert not Solver.is_builtin(name, arity)
+
+
+def test_number_type_aliases_share_one_native():
+    assert _BUILTINS[("isnumber", 1)] is _BUILTINS[("number", 1)]
+    assert _BUILTINS[("inumber", 1)] is _BUILTINS[("integer", 1)]
+    assert _BUILTINS[("fnumber", 1)] is _BUILTINS[("float", 1)]
+
+
 def test_call_appends_arguments():
     solver = make_solver("")
     assert [s["X"] for s in solutions(solver, "call(member, X, [7, 8])")] == ["7", "8"]

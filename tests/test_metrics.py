@@ -16,7 +16,6 @@ from termxform.metrics import (
     report_csv,
     tokenize_classify,
 )
-from termxform.rule_language import SourceProgram
 
 
 def test_counts_reject_negative_values():
@@ -176,12 +175,6 @@ def test_classify_head_name_as_operator():
 def test_classify_quoted_atoms_and_numbers_are_operands():
     counts = tokenize_classify("p('hello world', 3, 2.5).")
     assert (counts.eta2, counts.n2) == (4, 4)
-
-
-def test_classify_accepts_source_program():
-    direct = tokenize_classify("a(b).")
-    wrapped = tokenize_classify(SourceProgram("a(b).", origin="unit"))
-    assert direct == wrapped
 
 
 def test_classify_loc_skips_blanks_and_comments():

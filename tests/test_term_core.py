@@ -13,6 +13,7 @@ from termxform.term_core import (
     copy_term,
     deref,
     fresh_var,
+    is_ground,
     is_list,
     is_valid_name,
     list_items,
@@ -134,6 +135,16 @@ def test_term_variables_first_occurrence_order():
     a, b = fresh_var("A"), fresh_var("B")
     t = Compound("f", (b, Compound("g", (a, b))))
     assert term_variables(t) == [b, a]
+
+
+def test_is_ground_follows_bindings_and_deep_terms():
+    v = fresh_var("V")
+    deep = v
+    for _ in range(100_000):
+        deep = Compound("f", (deep,))
+    assert not is_ground(deep) and not is_ground(v)
+    v.ref = mk_list([Atom("a"), 1, 2.5])
+    assert is_ground(deep) and is_ground(Atom("a")) and is_ground(7)
 
 
 def test_render_list_sugar():

@@ -53,10 +53,22 @@ def test_prelude_parses_and_callers_get_copies():
     second = prelude_program()
     assert first is not second
     assert first.defines("transform", 2)
-    assert first.defines("template", 2)
+    # Template traversal skips the solve when no clause defines template/2.
+    assert not first.defines("template", 2)
     # traverse/2 and checkSerializable/1 are natives, not prelude rules.
     assert ("traverse", 2) in _BUILTINS and not first.defines("traverse", 2)
     assert ("checkSerializable", 1) in _BUILTINS and not first.defines("checkSerializable", 1)
+
+
+def test_calling_template_without_templates_warns():
+    # Traversal does not call template/2 when no clause defines it.
+    solver = make_solver()
+    assert run(solver, "traverse(element(a, [], [text(x)]), X)") == ["[]"]
+    assert solver.options.diagnostics.getvalue() == ""
+    assert run(solver, "template(X, Y)") == []
+    assert solver.options.diagnostics.getvalue() == (
+        "warning: unknown predicate template/2 (goal fails)\n"
+    )
 
 
 def test_slash_selects_children_by_name():

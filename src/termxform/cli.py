@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 no solution (including roundtrip divergence),
 2 input error (parse/validation/degenerate counts), 3 internal error or
 resource limit.  The solver step limit defaults to the ``TERMXFORM_DEPTH``
 environment variable when set; the ``--depth-limit`` flag wins over both.
+``--max``, ``--depth-limit`` and ``TERMXFORM_DEPTH`` must be at least 1.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     query = sub.add_parser("query", help="solve a goal against a rule file")
     query.add_argument("--rules", required=True, help="rule file (.tx) or 'prelude-only'")
     query.add_argument("--in", dest="input", help="XML document bound to the variable Doc")
-    query.add_argument("--max", type=int, default=1, help="maximum solutions to print")
+    query.add_argument("--max", type=_positive_int, default=1, help="maximum solutions to print")
     query.add_argument("goal", help="goal text, e.g. \"gcd(24,30,C)\"")
     _solver_flags(query)
     query.set_defaults(func=_cmd_query)
@@ -116,8 +117,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _solver_flags(command: argparse.ArgumentParser) -> None:
-    command.add_argument("--depth-limit", type=int, help="solver step limit")
+    command.add_argument("--depth-limit", type=_positive_int, help="solver step limit")
     command.add_argument("--occurs-check", action="store_true", help="unify with occurs check")
+
+
+def _positive_int(text: str) -> int:
+    """An integer of at least 1; argparse names the flag in its error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
 
 
 def _resolve_depth(flag: Optional[int]) -> int:
@@ -125,7 +137,10 @@ def _resolve_depth(flag: Optional[int]) -> int:
         return flag
     env = os.environ.get("TERMXFORM_DEPTH")
     if env is not None:
-        return int(env)
+        try:
+            return _positive_int(env)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError("TERMXFORM_DEPTH: %s" % exc) from None
     return DEFAULT_STEP_LIMIT
 
 

@@ -15,6 +15,12 @@ call tries only the clauses in its first-argument bucket (see
 :class:`Program`) and matches each one's compiled head in place, without
 copying the clause (see :class:`Clause`).
 
+A conjunction runs as a goal sequence: a clause body is compiled once into
+the tuple of its goals, and a ``,`` goal met at run time is flattened into
+one.  :meth:`Solver._solve_body` runs every sequence, entering a goal only
+after the one before it has succeeded and building it only then, so no
+``,`` term is built and no ``,`` goal is solved.
+
 Native predicates cover the term inspection, list, and arithmetic catalog
 (``append/3`` is fully nondeterministic, ``delete/3`` removes all unifying
 occurrences without binding), and ``is/2`` evaluates both numeric operators
@@ -64,6 +70,8 @@ DEFAULT_STEP_LIMIT = 1_000_000
 
 _MIN_RECURSION_LIMIT = 100_000
 
+_EXHAUSTED = object()  # what ``next`` returns for a goal with no more solutions
+
 
 class ResourceLimitError(RuntimeError):
     """The step budget was exhausted before the query finished."""
@@ -78,8 +86,10 @@ class Clause:
 
     The solver does not copy ``head`` and ``body`` on each call.  The first
     time the clause is tried it is compiled (see :meth:`compile`) into
-    skeletons whose variables are numbered slots; a call then matches its
-    goal against the head skeleton and builds the body from the same slots.
+    skeletons, one per head argument and one per goal of the body's ``,``
+    chain, whose variables are numbered slots.  A call matches its goal against
+    the head skeletons and then runs the goal sequence, building each goal
+    from the same slots when it is entered.
     """
 
     __slots__ = ("head", "body", "code")
@@ -87,21 +97,22 @@ class Clause:
     def __init__(self, head: Term, body: Term = TRUE) -> None:
         self.head = head
         self.body = body
-        self.code: Optional[tuple[int, tuple, object]] = None
+        self.code: Optional[tuple[int, tuple, tuple]] = None
 
-    def compile(self) -> tuple[int, tuple, object]:
-        """(slot count, head argument skeletons, body skeleton), built once.
+    def compile(self) -> tuple[int, tuple, tuple]:
+        """(slot count, head argument skeletons, body goal skeletons), built once.
 
         Variables become :class:`_Slot` s numbered by first occurrence,
         compounds that hold variables become :class:`_Skel` s, and ground
-        subterms stay terms, shared by every call.
+        subterms stay terms, shared by every call.  A fact's goals are
+        ``(true,)``.
         """
         slots: dict[int, _Slot] = {}
         head = deref(self.head)
         args = head.args if isinstance(head, Compound) else ()
         head_args = tuple(_skeleton(arg, slots) for arg in args)
-        body = _skeleton(self.body, slots)
-        self.code = (len(slots), head_args, body)
+        goals = tuple(_skeleton(goal, slots) for goal in _conjuncts(self.body))
+        self.code = (len(slots), head_args, goals)
         return self.code
 
     def __repr__(self) -> str:
@@ -128,6 +139,17 @@ class _Skel:
     def __init__(self, name: str, args: tuple) -> None:
         self.name = name
         self.args = args
+
+
+def _conjuncts(t: Term) -> list[Term]:
+    """The goals of a right-nested ``,`` chain, left to right."""
+    goals = []
+    t = deref(t)
+    while type(t) is Compound and t.name == "," and len(t.args) == 2:
+        goals.append(t.args[0])
+        t = deref(t.args[1])
+    goals.append(t)
+    return goals
 
 
 def _skeleton(t: Term, slots: dict[int, _Slot]):
@@ -409,8 +431,15 @@ class Solver:
     def _solve(self, goal: Term, barrier: list) -> Iterator[None]:
         mark = len(self.trail)
         try:
-            self._step()
             goal = deref(goal)
+            # Control constructs: `,` `;` and `!` act on the caller's cut
+            # barrier, and call/N takes any arity.  Every other built-in goal
+            # is a native in the registry.  A conjunction counts its steps
+            # in the goal sequence, one before each goal but the last.
+            if type(goal) is Compound and goal.name == "," and len(goal.args) == 2:
+                yield from self._solve_body(_conjuncts(goal), None, barrier)
+                return
+            self._step()
             if isinstance(goal, Var):
                 self.warn("unbound variable called as a goal")
                 return
@@ -423,15 +452,6 @@ class Solver:
                 name, args = goal.name, goal.args
             arity = len(args)
 
-            # Control constructs: `,` `;` and `!` act on the caller's cut
-            # barrier, and call/N takes any arity.  Every other built-in goal
-            # is a native in the registry.
-            if name == "," and arity == 2:
-                for _ in self._solve(args[0], barrier):
-                    yield from self._solve(args[1], barrier)
-                    if barrier[0]:
-                        break
-                return
             if name == ";" and arity == 2:
                 branch_mark = len(self.trail)
                 yield from self._solve(args[0], barrier)
@@ -461,19 +481,59 @@ class Solver:
                 return
             clause_barrier = [False]
             for clause in clauses:
-                slot_count, head_args, body = clause.code or clause.compile()
+                slot_count, head_args, goals = clause.code or clause.compile()
                 env: list = [None] * slot_count
                 clause_mark = len(self.trail)
                 for skel, arg in zip(head_args, args):
                     if not self._match(skel, arg, env):
                         break
                 else:
-                    yield from self._solve(_build(body, env), clause_barrier)
+                    # A one-goal body is no conjunction.  Run directly, it
+                    # costs a recursion through it one generator per level
+                    # instead of two, and so half the C stack.
+                    if len(goals) == 1:
+                        yield from self._solve(_build(goals[0], env), clause_barrier)
+                    else:
+                        yield from self._solve_body(goals, env, clause_barrier)
                 self.undo_to(clause_mark)
                 if clause_barrier[0]:
                     return
         finally:
             self.undo_to(mark)
+
+    def _solve_body(self, goals: Sequence, env: Optional[list], barrier: list) -> Iterator[None]:
+        """Run a goal sequence left to right; yields once per solution of all goals.
+
+        *goals* are a clause body's goal skeletons, built from *env* when the
+        goal is first entered and reused when it is re-entered, or terms when
+        *env* is None.  Goal i is entered only after goal i-1 has succeeded,
+        and one step is counted before each goal but the last.  Once a goal
+        is exhausted with *barrier* set (a cut ran), the sequence is done.
+        """
+        last = len(goals) - 1
+        built = goals if env is None else [None] * len(goals)
+        running: list = []  # the solution generators of the goals before the last
+        while True:
+            index = len(running)
+            goal = built[index]
+            if goal is None:
+                goal = built[index] = _build(goals[index], env)
+            if index < last:
+                self._step()
+                running.append(self._solve(goal, barrier))
+            else:
+                yield from self._solve(goal, barrier)
+                if barrier[0]:
+                    return
+            # Resume the newest goal with another solution, then enter the next.
+            while running:
+                if next(running[-1], _EXHAUSTED) is None:
+                    break
+                running.pop()
+                if barrier[0]:
+                    return
+            else:
+                return
 
     @staticmethod
     def is_builtin(name: str, arity: int) -> bool:

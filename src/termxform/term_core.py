@@ -289,37 +289,50 @@ def term_equal(a: Term, b: Term) -> bool:
 
 
 def copy_term(t: Term, mapping: Optional[dict[int, Var]] = None) -> Term:
-    """Structure-copy *t*, renaming unbound variables apart.
+    """Copy *t*, renaming unbound variables apart and following bound ones.
 
     *mapping* (var id -> fresh Var) is shared across calls when supplied, so
     multiple terms can be copied consistently.
+
+    Terms are immutable, so a compound is rebuilt only when an argument's
+    copy is a different object: a subterm with no ``Var`` in it is returned
+    as it is.  A ``Var`` argument, bound or not, always rebuilds its parent,
+    because backtracking may unbind it after the copy is taken.
     """
     if mapping is None:
         mapping = {}
-
-    root = deref(t)
-    # Post-order rebuild with an explicit stack to survive deep terms.
-    out: dict[int, Term] = {}
-    stack: list[tuple[Term, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        node = deref(node)
-        key = id(node)
-        if isinstance(node, Compound):
-            if expanded:
-                args = tuple(out[id(deref(a))] for a in node.args)
-                out[key] = Compound(node.name, args)
-            else:
-                stack.append((node, True))
-                for a in node.args:
-                    stack.append((a, False))
-        elif isinstance(node, Var):
-            if node.id not in mapping:
-                mapping[node.id] = fresh_var(node.name)
-            out[key] = mapping[node.id]
+    # One walk with an explicit stack, since documents may nest deeply.  A
+    # frame is [compound, the copies of its arguments so far, rebuild?].
+    frames: list[list] = []
+    node = t
+    while True:
+        while type(node) is Var and node.ref is not None:
+            node = node.ref
+        if type(node) is Compound:
+            frames.append([node, [], False])
+            node = node.args[0]
+            continue
+        if type(node) is Var:
+            copy = mapping.get(node.id)
+            if copy is None:
+                copy = mapping[node.id] = fresh_var(node.name)
         else:
-            out[key] = node
-    return out[id(root)]
+            copy = node
+        # Hand the copy to its parent; finish every compound that completes.
+        while frames:
+            frame = frames[-1]
+            compound, copies = frame[0], frame[1]
+            args = compound.args
+            if copy is not args[len(copies)]:
+                frame[2] = True
+            copies.append(copy)
+            if len(copies) < len(args):
+                node = args[len(copies)]
+                break
+            frames.pop()
+            copy = Compound(compound.name, copies) if frame[2] else compound
+        else:
+            return copy
 
 
 def term_variables(t: Term) -> list[Var]:

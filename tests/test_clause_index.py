@@ -164,12 +164,13 @@ def _copied(self):
     """The clause as calls used to try it: head and body copied on every call.
 
     With no slots, the matcher unifies each copied head argument with the
-    goal's, and the copied body is called as it is.
+    goal's, and the copied body is called as one goal, so a conjunction runs
+    as a ``,`` goal rather than as the compiled goal sequence.
     """
     mapping = {}
     head = deref(self.head)
     args = tuple(copy_term(arg, mapping) for arg in getattr(head, "args", ()))
-    return 0, args, copy_term(self.body, mapping)
+    return 0, args, (copy_term(self.body, mapping),)
 
 
 def _render(term):

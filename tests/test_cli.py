@@ -256,6 +256,49 @@ def test_query_open_append_enumeration_hits_the_step_limit(capsys):
     assert "step limit of 300" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--max", "0"], "argument --max: must be at least 1, got 0"),
+        (["--max", "-3"], "argument --max: must be at least 1, got -3"),
+        (["--depth-limit", "0"], "argument --depth-limit: must be at least 1, got 0"),
+        (["--depth-limit", "-1"], "argument --depth-limit: must be at least 1, got -1"),
+        (["--depth-limit", "many"], "argument --depth-limit: expected an integer, got 'many'"),
+    ],
+)
+def test_query_counts_below_one_are_input_errors(flags, message, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["query", "--rules", "prelude-only", *flags, "member(X, [a, b])"])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_transform_depth_limit_below_one_is_an_input_error(tmp_path, capsys):
+    source = write(tmp_path, "in.xml", "<a/>")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["transform", "--rules", "prelude-only", "--in", source, "--depth-limit", "-1"])
+    assert excinfo.value.code == 2
+    assert "argument --depth-limit: must be at least 1, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("0", "must be at least 1, got 0"), ("-5", "must be at least 1, got -5"), ("lots", "expected an integer, got 'lots'")],
+)
+def test_a_depth_environment_value_below_one_is_an_input_error(value, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TERMXFORM_DEPTH", value)
+    assert main(["query", "--rules", "prelude-only", "member(X, [a])"]) == 2
+    assert capsys.readouterr().err == "error: TERMXFORM_DEPTH: %s\n" % message
+    source = write(tmp_path, "in.xml", "<a/>")
+    assert main(["transform", "--rules", "prelude-only", "--in", source]) == 2
+    assert capsys.readouterr().err == "error: TERMXFORM_DEPTH: %s\n" % message
+    # The flag still wins over the environment.
+    assert main(["query", "--rules", "prelude-only", "--depth-limit", "10", "member(X, [a])"]) == 0
+    assert capsys.readouterr().out == "YES.\nX/a\n"
+
+
 def test_query_bad_goal_is_an_input_error(tmp_path, capsys):
     rules = write(tmp_path, "rules.tx", "p(1).")
     code = main(["query", "--rules", rules, "p("])

@@ -213,6 +213,95 @@ def test_moved_control_goals_keep_answers_warnings_and_steps(goal, answers, warn
     assert solver.steps == steps
 
 
+CONJUNCTION_PROGRAM = """
+a(1). a(2). a(3).
+b(x). b(y).
+c(p). c(q).
+cut_mid(A, B) :- a(A), !, b(B).
+left(A, B, C) :- (a(A), b(B)), c(C).
+or_cut(A) :- (a(A), ! ; A = 9).
+unbound_goal(A) :- a(A), G, b(A).
+bound_goal(A, B) :- G = (a(A), b(B)), G, !.
+cut_last :- a(A), !, b(B), c(C).
+"""
+UNBOUND_GOAL = "warning: unbound variable called as a goal\n"
+LEFT_ANSWERS = ["A=%s B=%s C=%s" % (a, b, c) for a in "123" for b in "xy" for c in "pq"]
+
+
+def conjunction_outcome(goal, depth_limit=1000):
+    """Answers in order (``limit`` when the step limit stops it), warnings, steps."""
+    solver = make_solver(CONJUNCTION_PROGRAM, depth_limit=depth_limit)
+    query = parse_query(goal, solver.program.operators)
+    found = []
+    try:
+        for _ in solver.solve(query.goal):
+            found.append(" ".join(
+                "%s=%s" % (name, "_" if isinstance(deref(var), Var) else render_term(var))
+                for name, var in query.variables.items()
+            ))
+    except ResourceLimitError:
+        found.append("limit")
+    return found, solver.options.diagnostics.getvalue(), solver.steps
+
+
+@pytest.mark.parametrize(
+    "goal, answers, warnings, steps",
+    [
+        # A cut between two multi-solution goals keeps the right one's choices.
+        ("cut_mid(A, B)", ["A=1 B=x", "A=1 B=y"], "", 9),
+        ("a(A), !, b(B)", ["A=1 B=x", "A=1 B=y"], "", 8),
+        # A left-nested conjunction runs its inner `,` as one goal.
+        ("left(A, B, C)", LEFT_ANSWERS, "", 34),
+        ("((a(A), b(B)), c(C))", LEFT_ANSWERS, "", 33),
+        ("or_cut(A)", ["A=1"], "", 6),
+        ("(a(A), ! ; b(A))", ["A=1"], "", 5),
+        ("call((a(A), !, b(B)))", ["A=1 B=x", "A=1 B=y"], "", 9),
+        ("not((a(A), b(z)))", ["A=_"], "", 9),
+        ("not((a(A), b(B)))", [], "", 6),
+        (
+            "findall(f(A, B), (a(A), b(B)), L)",
+            ["A=_ B=_ L=[f(1,x),f(1,y),f(2,x),f(2,y),f(3,x),f(3,y)]"],
+            "",
+            15,
+        ),
+        # A body variable called as a goal: unbound it warns, bound it runs.
+        ("unbound_goal(A)", [], UNBOUND_GOAL, 12),
+        ("a(A), G", [], UNBOUND_GOAL, 8),
+        ("bound_goal(A, B)", ["A=1 B=x"], "", 10),
+        (
+            "X = (a(A), b(B)), X",
+            ["X=','(a(%s),b(%s)) A=%s B=%s" % (a, b, a, b) for a in "123" for b in "xy"],
+            "",
+            16,
+        ),
+    ],
+)
+def test_conjunctions_keep_answers_warnings_and_steps(goal, answers, warnings, steps):
+    assert conjunction_outcome(goal) == (answers, warnings, steps)
+
+
+def test_a_conjunction_stops_at_the_step_limit_where_it_did():
+    assert conjunction_outcome("left(A, B, C)", 20) == (LEFT_ANSWERS[:6] + ["limit"], "", 21)
+
+
+@pytest.mark.parametrize(
+    "goal, before_limit",
+    [
+        # Answers found before the step limit raises, for limits 1, 2, ... 35.
+        ("left(A, B, C)", [0] * 8 + [1, 2, 2, 2, 3, 4, 4, 4, 4, 4, 5, 6, 6, 6, 7, 8, 8, 8, 8, 8, 9, 10, 10, 10, 11] + [None] * 2),
+        ("a(A), b(B), c(C)", [0] * 7 + [1, 2, 2, 2, 3, 4, 4, 4, 4, 4, 4, 5, 6, 6, 6, 7, 8, 8, 8, 8, 8, 8, 9, 10, 10, 10, 11, None]),
+        ("cut_last", [0] * 10 + [1, 2, 2, 2, 3] + [None] * 20),
+    ],
+)
+def test_conjunctions_count_each_step_where_they_did(goal, before_limit):
+    found = []
+    for limit in range(1, 36):
+        answers, _, steps = conjunction_outcome(goal, limit)
+        found.append(len(answers) - 1 if answers[-1:] == ["limit"] else None)
+        assert steps == limit + 1 if found[-1] is not None else steps <= limit
+    assert found == before_limit
+
+
 def test_control_goals_are_answered_by_one_registry():
     for name, arity in [(",", 2), (";", 2), ("!", 0), ("call", 1), ("call", 8)]:
         assert Solver.is_builtin(name, arity) and (name, arity) not in _BUILTINS

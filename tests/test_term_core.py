@@ -1,7 +1,10 @@
 """Tests for the term model: construction, equality, copying, rendering."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from termxform.logic_engine import Solver
+from termxform.rule_language import parse_program, parse_query
 
 from termxform.term_core import (
     Atom,
@@ -25,6 +28,7 @@ from termxform.term_core import (
     term_equal,
     term_variables,
 )
+from xmlgen import elements
 
 
 def test_atom_equality_by_name():
@@ -129,6 +133,107 @@ def test_copy_term_follows_bindings():
     v.ref = Atom("bound")
     c = copy_term(Compound("f", (v,)))
     assert c == Compound("f", (Atom("bound"),))
+
+
+def test_copy_term_keeps_var_free_subterms():
+    ground = mk_element("row", [("id", "1")], [mk_text("hi")])
+    assert copy_term(ground) is ground
+    v = fresh_var("X")
+    c = copy_term(Compound("pair", (ground, Compound("g", (v, ground.args[1])))))
+    assert c.args[0] is ground
+    assert c.args[1].args[1] is ground.args[1]
+    assert isinstance(c.args[1].args[0], Var) and c.args[1].args[0] is not v
+    bound = fresh_var("B")
+    bound.ref = ground
+    assert copy_term(bound) is ground
+
+
+def test_a_subterm_reached_through_a_bound_variable_is_rebuilt():
+    y = fresh_var("Y")
+    shared = Compound("g", (Atom("h"),))
+    t = Compound("f", (y, shared))
+    y.ref = Atom("a")
+    c = copy_term(t)
+    y.ref = None  # backtracking unbinds Y; the copy must keep a
+    assert render_term(c) == "f(a,g(h))"
+    assert c is not t and c.args[1] is shared
+
+
+def test_findall_results_survive_backtracking():
+    # Each solution binds Y inside X's value; findall/3 undoes Y's binding
+    # before it builds the list, so every copy must have been rebuilt.
+    solver = Solver(parse_program(""))
+    query = parse_query("findall(X, (member(Y, [a, b]), X = f(Y, g(h))), L)")
+    lists = [deref(query.variables["L"]) for _ in solver.solve(query.goal)]
+    assert query.variables["Y"].ref is None and query.variables["L"].ref is None
+    assert [render_term(found) for found in lists] == ["[f(a,g(h)),f(b,g(h))]"]
+
+
+def test_copy_term_copies_a_100000_deep_term():
+    v = fresh_var("V")
+    deep, ground = v, Atom("x")
+    for _ in range(100_000):
+        deep, ground = Compound("f", (deep,)), Compound("f", (ground,))
+    assert copy_term(ground) is ground
+    node, depth = copy_term(deep), 0
+    while isinstance(node, Compound):
+        node, depth = node.args[0], depth + 1
+    assert depth == 100_000 and isinstance(node, Var) and node is not v
+    partial_list = mk_list(list(range(100_000)), v)
+    assert is_variant(copy_term(partial_list), partial_list)
+
+
+def is_variant(a, b):
+    """Equal up to a one-to-one renaming of unbound variables."""
+    forward, backward = {}, {}
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        x, y = deref(x), deref(y)
+        if isinstance(x, Var) or isinstance(y, Var):
+            if not (isinstance(x, Var) and isinstance(y, Var)):
+                return False
+            if forward.setdefault(x.id, y.id) != y.id or backward.setdefault(y.id, x.id) != x.id:
+                return False
+        elif isinstance(x, Compound):
+            if not (isinstance(y, Compound) and x.name == y.name and len(x.args) == len(y.args)):
+                return False
+            stack.extend(zip(x.args, y.args))
+        elif not term_equal(x, y):
+            return False
+    return True
+
+
+def with_variables(tree, pool):
+    """*tree* with each text content replaced by a variable of *pool*, in turn."""
+    count = 0
+
+    def rebuild(node):
+        nonlocal count
+        if node.name == "text":
+            count += 1
+            return Compound("text", (pool[count % len(pool)],))
+        if node.name != "element":
+            return node
+        children = [rebuild(child) for child in list_items(node.args[2])]
+        return Compound("element", (node.args[0], node.args[1], mk_list(children)))
+
+    return rebuild(tree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements(max_depth=3))
+def test_copy_of_a_generated_tree_is_a_fresh_variant(tree):
+    assert copy_term(tree) is tree
+    pool = [fresh_var("A"), fresh_var("B"), fresh_var("C")]
+    pool[0].ref = Atom("bound")
+    term = Compound("doc", (with_variables(tree, pool), pool[1], tree))
+    mapping = {}
+    copy = copy_term(term, mapping)
+    assert is_variant(copy, term)
+    assert not {v.id for v in term_variables(copy)} & {v.id for v in term_variables(term)}
+    assert copy.args[2] is tree
+    assert set(mapping) <= {pool[1].id, pool[2].id}
 
 
 def test_term_variables_first_occurrence_order():

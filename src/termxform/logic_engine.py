@@ -15,11 +15,9 @@ call tries only the clauses in its first-argument bucket (see
 :class:`Program`) and matches each one's compiled head in place, without
 copying the clause (see :class:`Clause`).
 
-A conjunction runs as a goal sequence: a clause body is compiled once into
-the tuple of its goals, and a ``,`` goal met at run time is flattened into
-one.  :meth:`Solver._solve_body` runs every sequence, entering a goal only
-after the one before it has succeeded and building it only then, so no
-``,`` term is built and no ``,`` goal is solved.
+One loop, :meth:`Solver._solve`, runs every goal on lists of its own, so rule
+recursion does not grow the Python stack.  Clause bodies are compiled into
+goal tuples and run goal by goal: no ``,`` term is built or solved.
 
 Native predicates cover the term inspection, list, and arithmetic catalog
 (``append/3`` is fully nondeterministic, ``delete/3`` removes all unifying
@@ -68,9 +66,11 @@ __all__ = [
 
 DEFAULT_STEP_LIMIT = 1_000_000
 
+# ``not/1``, ``findall/3`` and ``traverse/2`` nest one machine on the Python
+# stack per level of nesting; without this raise, 200 levels already fail.
 _MIN_RECURSION_LIMIT = 100_000
 
-_EXHAUSTED = object()  # what ``next`` returns for a goal with no more solutions
+_EXHAUSTED = object()  # what ``next`` returns for alternatives that are used up
 
 
 class ResourceLimitError(RuntimeError):
@@ -189,6 +189,14 @@ def _build(skel, env: list) -> Term:
                 arg = env[slot.index] = fresh_var(slot.name)
         args.append(arg)
     return Compound(skel.name, args)
+
+
+def _sequence(goals: Sequence, env: Optional[list], cut: int, rest: Optional[tuple]) -> tuple:
+    """Frames that run *goals* and then *rest*; all but the last count a step."""
+    last = len(goals) - 1
+    for index in range(last, -1, -1):
+        rest = (goals[index], env, cut, index != last, rest)
+    return rest
 
 
 def _functor_key(t: Term) -> Optional[tuple[str, int]]:
@@ -326,6 +334,19 @@ class Solver:
     ``solve`` is a generator yielding once per solution; bindings live in the
     query's variables while the generator is suspended, so capture (render or
     copy) anything you need *before* advancing or abandoning it.
+
+    :meth:`_solve` is one loop over the goals still to run, a linked list of
+    frames ``(goal, env, cut height, counts a step, rest)`` whose goal is
+    built from *env* on entry (a *rest* of None is a solution), and a list of
+    choicepoints ``[trail mark, alternatives, rest]``: a native's solution
+    generator, whose solutions go on with *rest*, or an iterator of frames
+    (a call's other clauses, a ``;``'s right branch).  On failure it undoes
+    the trail to the newest mark, resumes that choicepoint (each alternative
+    undoes its own bindings) and moves the mark up to the trail height.
+    ``!`` deletes the choicepoints above its clause's call-time height;
+    ``call/N`` records a new height.  A call with one candidate clause
+    pushes none.  Steps: one per goal entered other than ``,``, plus one on
+    entering each goal of a sequence but the last.
     """
 
     def __init__(self, program: Program, options: Optional[SolverOptions] = None) -> None:
@@ -411,15 +432,14 @@ class Solver:
 
     def solve(self, goal: Term) -> Iterator[None]:
         """Enumerate solutions of *goal* (yields once per solution)."""
-        yield from self._solve(goal, [False])
+        yield from self._solve(goal)
 
     def solve_once(self, goal: Term) -> bool:
         """True iff *goal* has at least one solution; bindings are undone."""
         mark = len(self.trail)
-        for _ in self._solve(goal, [False]):
+        for _ in self._solve(goal):
             self.undo_to(mark)
             return True
-        self.undo_to(mark)
         return False
 
     def _step(self) -> None:
@@ -428,112 +448,92 @@ class Solver:
         if limit is not None and self.steps > limit:
             raise ResourceLimitError("step limit of %d resolution steps exceeded" % limit)
 
-    def _solve(self, goal: Term, barrier: list) -> Iterator[None]:
-        mark = len(self.trail)
+    def _solve(self, goal: Term) -> Iterator[None]:
+        """Run *goal* on the machine (see the class docstring); yields once per solution."""
+        trail = self.trail
+        start = len(trail)
+        choicepoints: list = []
+        frame: Optional[tuple] = (goal, None, 0, False, None)
         try:
-            goal = deref(goal)
-            # Control constructs: `,` `;` and `!` act on the caller's cut
-            # barrier, and call/N takes any arity.  Every other built-in goal
-            # is a native in the registry.  A conjunction counts its steps
-            # in the goal sequence, one before each goal but the last.
-            if type(goal) is Compound and goal.name == "," and len(goal.args) == 2:
-                yield from self._solve_body(_conjuncts(goal), None, barrier)
-                return
-            self._step()
-            if isinstance(goal, Var):
-                self.warn("unbound variable called as a goal")
-                return
-            if isinstance(goal, (int, float)):
-                self.warn("number called as a goal: %s" % render_term(goal))
-                return
-            if isinstance(goal, Atom):
-                name, args = goal.name, ()
-            else:
-                name, args = goal.name, goal.args
-            arity = len(args)
-
-            if name == ";" and arity == 2:
-                branch_mark = len(self.trail)
-                yield from self._solve(args[0], barrier)
-                self.undo_to(branch_mark)
-                if barrier[0]:
-                    return
-                yield from self._solve(args[1], barrier)
-                return
-            if name == "!" and arity == 0:
-                yield
-                barrier[0] = True
-                return
-            if name == "call" and arity >= 1:
-                target = self._call_goal(args[0], args[1:])
-                if target is not None:
-                    yield from self._solve(target, [False])
-                return
-
-            native = _BUILTINS.get((name, arity))
-            if native is not None:
-                yield from native(self, args)
-                return
-
-            clauses = self.program.candidates(name, arity, args)
-            if clauses is None:
-                self.warn("unknown predicate %s/%d (goal fails)" % (name, arity))
-                return
-            clause_barrier = [False]
-            for clause in clauses:
-                slot_count, head_args, goals = clause.code or clause.compile()
-                env: list = [None] * slot_count
-                clause_mark = len(self.trail)
-                for skel, arg in zip(head_args, args):
-                    if not self._match(skel, arg, env):
-                        break
+            while True:
+                if frame is None:
+                    yield
                 else:
-                    # A one-goal body is no conjunction.  Run directly, it
-                    # costs a recursion through it one generator per level
-                    # instead of two, and so half the C stack.
-                    if len(goals) == 1:
-                        yield from self._solve(_build(goals[0], env), clause_barrier)
+                    goal, env, cut, counted, frame = frame
+                    if counted:
+                        self._step()
+                    goal = deref(goal if env is None else _build(goal, env))
+                    kind = type(goal)
+                    name = goal.name if kind is Compound or kind is Atom else None
+                    args = goal.args if kind is Compound else ()
+                    arity = len(args)
+                    if name == "," and arity == 2:
+                        frame = _sequence(_conjuncts(goal), None, cut, frame)
+                        continue
+                    self._step()
+                    if kind is Var:
+                        self.warn("unbound variable called as a goal")
+                    elif name is None:
+                        self.warn("number called as a goal: %s" % render_term(goal))
+                    elif name == "!" and arity == 0:
+                        del choicepoints[cut:]
+                        continue
+                    elif name == ";" and arity == 2:
+                        choicepoints.append([len(trail), iter([(args[1], None, cut, False, frame)]), frame])
+                        frame = (args[0], None, cut, False, frame)
+                        continue
+                    elif name == "call" and arity >= 1:
+                        target = self._call_goal(args[0], args[1:])
+                        if target is not None:
+                            frame = (target, None, len(choicepoints), False, frame)
+                            continue
+                    elif (name, arity) in _BUILTINS:
+                        choicepoints.append([len(trail), _BUILTINS[(name, arity)](self, args), frame])
                     else:
-                        yield from self._solve_body(goals, env, clause_barrier)
-                self.undo_to(clause_mark)
-                if clause_barrier[0]:
+                        clauses = self.program.candidates(name, arity, args)
+                        if clauses is None:
+                            self.warn("unknown predicate %s/%d (goal fails)" % (name, arity))
+                        elif len(clauses) == 1:  # no choice: no choicepoint
+                            body = self._enter(clauses[0], args, len(choicepoints), frame)
+                            if body is not None:
+                                frame = body
+                                continue
+                        elif clauses:
+                            alternatives = self._clauses(clauses, args, len(choicepoints), frame)
+                            choicepoints.append([len(trail), alternatives, frame])
+                # Fail: resume the newest choicepoint that has an alternative left.
+                while choicepoints:
+                    point = choicepoints[-1]
+                    if len(trail) > point[0]:
+                        self.undo_to(point[0])
+                    alternative = next(point[1], _EXHAUSTED)
+                    if alternative is not _EXHAUSTED:
+                        point[0] = len(trail)
+                        frame = point[2] if alternative is None else alternative
+                        break
+                    choicepoints.pop()
+                else:
                     return
         finally:
+            self.undo_to(start)
+
+    def _clauses(self, clauses: Sequence[Clause], args: Sequence[Term], cut: int, rest) -> Iterator:
+        """The body frames of each clause whose head matches *args*, in order."""
+        for clause in clauses:
+            mark = len(self.trail)
+            body = self._enter(clause, args, cut, rest)
+            if body is not None:
+                yield body
             self.undo_to(mark)
 
-    def _solve_body(self, goals: Sequence, env: Optional[list], barrier: list) -> Iterator[None]:
-        """Run a goal sequence left to right; yields once per solution of all goals.
-
-        *goals* are a clause body's goal skeletons, built from *env* when the
-        goal is first entered and reused when it is re-entered, or terms when
-        *env* is None.  Goal i is entered only after goal i-1 has succeeded,
-        and one step is counted before each goal but the last.  Once a goal
-        is exhausted with *barrier* set (a cut ran), the sequence is done.
-        """
-        last = len(goals) - 1
-        built = goals if env is None else [None] * len(goals)
-        running: list = []  # the solution generators of the goals before the last
-        while True:
-            index = len(running)
-            goal = built[index]
-            if goal is None:
-                goal = built[index] = _build(goals[index], env)
-            if index < last:
-                self._step()
-                running.append(self._solve(goal, barrier))
-            else:
-                yield from self._solve(goal, barrier)
-                if barrier[0]:
-                    return
-            # Resume the newest goal with another solution, then enter the next.
-            while running:
-                if next(running[-1], _EXHAUSTED) is None:
-                    break
-                running.pop()
-                if barrier[0]:
-                    return
-            else:
-                return
+    def _enter(self, clause: Clause, args: Sequence[Term], cut: int, rest) -> Optional[tuple]:
+        """The frames of *clause*'s body if its head matches *args*, else None."""
+        slot_count, head_args, goals = clause.code or clause.compile()
+        env: list = [None] * slot_count
+        for skel, arg in zip(head_args, args):
+            if not self._match(skel, arg, env):
+                return None
+        return _sequence(goals, env, cut, rest)
 
     @staticmethod
     def is_builtin(name: str, arity: int) -> bool:
@@ -782,9 +782,9 @@ def _bi_not(solver: Solver, args) -> Iterator[None]:
 def _bi_findall(solver: Solver, args) -> Iterator[None]:
     """findall(Template, Goal, List): a copy of Template per solution of Goal, in order.
 
-    Goal runs behind its own cut barrier, and its bindings are undone.
+    Goal runs on a machine of its own (a cut in it stays in it); its bindings are undone.
     """
-    results = [copy_term(args[0], {}) for _ in solver._solve(args[1], [False])]
+    results = [copy_term(args[0], {}) for _ in solver._solve(args[1])]
     if solver.unify(args[2], mk_list(results)):
         yield
 

@@ -181,8 +181,8 @@ def _render(term):
     return render_term(term)
 
 
-def _outcome(program, goal, out, depth_limit):
-    solver = Solver(program, SolverOptions(diagnostics=io.StringIO(), depth_limit=depth_limit))
+def _outcome(program, goal, out, depth_limit, solver_class=Solver):
+    solver = solver_class(program, SolverOptions(diagnostics=io.StringIO(), depth_limit=depth_limit))
     found = []
     try:
         for _ in solver.solve(goal):

@@ -289,8 +289,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     warnings: list[str] = []
 
     defined = set(combined.clauses)
-    for (name, arity) in user.order:
-        for clause in user.clauses[(name, arity)]:
+    for (name, arity), clauses in user.clauses.items():
+        for clause in clauses:
             for goal_name, goal_arity in _referenced_goals(clause.body):
                 if (goal_name, goal_arity) in defined or Solver.is_builtin(goal_name, goal_arity):
                     continue

@@ -70,7 +70,7 @@ DEFAULT_STEP_LIMIT = 1_000_000
 # stack per level of nesting; without this raise, 200 levels already fail.
 _MIN_RECURSION_LIMIT = 100_000
 
-_EXHAUSTED = object()  # what ``next`` returns for alternatives that are used up
+_EXHAUSTED = object()  # no alternatives left, or a clause head that does not match
 
 
 class ResourceLimitError(RuntimeError):
@@ -89,7 +89,7 @@ class Clause:
     skeletons, one per head argument and one per goal of the body's ``,``
     chain, whose variables are numbered slots.  A call matches its goal against
     the head skeletons and then runs the goal sequence, building each goal
-    from the same slots when it is entered.
+    from the same slots when it is entered.  A fact runs no goals.
     """
 
     __slots__ = ("head", "body", "code")
@@ -104,14 +104,15 @@ class Clause:
 
         Variables become :class:`_Slot` s numbered by first occurrence,
         compounds that hold variables become :class:`_Skel` s, and ground
-        subterms stay terms, shared by every call.  A fact's goals are
-        ``(true,)``.
+        subterms stay terms, shared by every call.  A body ``true`` (a fact,
+        or ``p :- true``) has no goals.
         """
         slots: dict[int, _Slot] = {}
         head = deref(self.head)
         args = head.args if isinstance(head, Compound) else ()
         head_args = tuple(_skeleton(arg, slots) for arg in args)
-        goals = tuple(_skeleton(goal, slots) for goal in _conjuncts(self.body))
+        body = deref(self.body)
+        goals = () if body == TRUE else tuple(_skeleton(goal, slots) for goal in _conjuncts(body))
         self.code = (len(slots), head_args, goals)
         return self.code
 
@@ -191,11 +192,10 @@ def _build(skel, env: list) -> Term:
     return Compound(skel.name, args)
 
 
-def _sequence(goals: Sequence, env: Optional[list], cut: int, rest: Optional[tuple]) -> tuple:
-    """Frames that run *goals* and then *rest*; all but the last count a step."""
-    last = len(goals) - 1
-    for index in range(last, -1, -1):
-        rest = (goals[index], env, cut, index != last, rest)
+def _sequence(goals: Sequence, env: Optional[list], cut: int, rest: Optional[tuple]) -> Optional[tuple]:
+    """Frames that run *goals* and then *rest* (*rest* itself for no goals)."""
+    for goal in reversed(goals):
+        rest = (goal, env, cut, rest)
     return rest
 
 
@@ -233,8 +233,7 @@ class Program:
     """
 
     def __init__(self, operators: object = None) -> None:
-        self.clauses: dict[tuple[str, int], list[Clause]] = {}
-        self.order: list[tuple[str, int]] = []
+        self.clauses: dict[tuple[str, int], list[Clause]] = {}  # in order of definition
         self.operators = operators
         # predicate -> (bucket per first-argument key, variable-first clauses)
         self.index: dict[tuple[str, int], tuple[dict[tuple, list[Clause]], list[Clause]]] = {}
@@ -248,7 +247,6 @@ class Program:
     def _store(self, key: tuple[str, int], clause: Clause) -> None:
         if key not in self.clauses:
             self.clauses[key] = []
-            self.order.append(key)
             self.index[key] = ({}, [])
         self.clauses[key].append(clause)
         buckets, unkeyed = self.index[key]
@@ -285,13 +283,12 @@ class Program:
 
     def extend(self, other: "Program") -> None:
         """Append *other*'s clauses after this program's (order preserved)."""
-        for key in other.order:
-            for clause in other.clauses[key]:
+        for key, clauses in other.clauses.items():
+            for clause in clauses:
                 self._store(key, clause)
 
     def copy(self) -> "Program":
         dup = Program(self.operators)
-        dup.order = list(self.order)
         dup.clauses = {key: list(cls) for key, cls in self.clauses.items()}
         dup.index = {
             key: ({first: list(bucket) for first, bucket in buckets.items()}, list(unkeyed))
@@ -336,17 +333,17 @@ class Solver:
     copy) anything you need *before* advancing or abandoning it.
 
     :meth:`_solve` is one loop over the goals still to run, a linked list of
-    frames ``(goal, env, cut height, counts a step, rest)`` whose goal is
-    built from *env* on entry (a *rest* of None is a solution), and a list of
-    choicepoints ``[trail mark, alternatives, rest]``: a native's solution
-    generator, whose solutions go on with *rest*, or an iterator of frames
-    (a call's other clauses, a ``;``'s right branch).  On failure it undoes
-    the trail to the newest mark, resumes that choicepoint (each alternative
-    undoes its own bindings) and moves the mark up to the trail height.
+    frames ``(goal, env, cut height, rest)`` whose goal is built from *env*
+    on entry (a *rest* of None is a solution), and a list of choicepoints
+    ``[trail mark, alternatives, rest]``: a native's solution generator,
+    whose solutions go on with *rest*, or an iterator of frames (a call's
+    other clauses, a ``;``'s right branch).  On failure it undoes the trail
+    to the newest mark, resumes that choicepoint (each alternative undoes
+    its own bindings) and moves the mark up to the trail height.
     ``!`` deletes the choicepoints above its clause's call-time height;
     ``call/N`` records a new height.  A call with one candidate clause
-    pushes none.  Steps: one per goal entered other than ``,``, plus one on
-    entering each goal of a sequence but the last.
+    pushes none.  Steps: one per goal entered other than ``,``, so a fact's
+    call is one step and a clause body of k goals adds k.
     """
 
     def __init__(self, program: Program, options: Optional[SolverOptions] = None) -> None:
@@ -453,15 +450,13 @@ class Solver:
         trail = self.trail
         start = len(trail)
         choicepoints: list = []
-        frame: Optional[tuple] = (goal, None, 0, False, None)
+        frame: Optional[tuple] = (goal, None, 0, None)
         try:
             while True:
                 if frame is None:
                     yield
                 else:
-                    goal, env, cut, counted, frame = frame
-                    if counted:
-                        self._step()
+                    goal, env, cut, frame = frame
                     goal = deref(goal if env is None else _build(goal, env))
                     kind = type(goal)
                     name = goal.name if kind is Compound or kind is Atom else None
@@ -479,13 +474,13 @@ class Solver:
                         del choicepoints[cut:]
                         continue
                     elif name == ";" and arity == 2:
-                        choicepoints.append([len(trail), iter([(args[1], None, cut, False, frame)]), frame])
-                        frame = (args[0], None, cut, False, frame)
+                        choicepoints.append([len(trail), iter([(args[1], None, cut, frame)]), frame])
+                        frame = (args[0], None, cut, frame)
                         continue
                     elif name == "call" and arity >= 1:
                         target = self._call_goal(args[0], args[1:])
                         if target is not None:
-                            frame = (target, None, len(choicepoints), False, frame)
+                            frame = (target, None, len(choicepoints), frame)
                             continue
                     elif (name, arity) in _BUILTINS:
                         choicepoints.append([len(trail), _BUILTINS[(name, arity)](self, args), frame])
@@ -495,7 +490,7 @@ class Solver:
                             self.warn("unknown predicate %s/%d (goal fails)" % (name, arity))
                         elif len(clauses) == 1:  # no choice: no choicepoint
                             body = self._enter(clauses[0], args, len(choicepoints), frame)
-                            if body is not None:
+                            if body is not _EXHAUSTED:
                                 frame = body
                                 continue
                         elif clauses:
@@ -522,17 +517,17 @@ class Solver:
         for clause in clauses:
             mark = len(self.trail)
             body = self._enter(clause, args, cut, rest)
-            if body is not None:
+            if body is not _EXHAUSTED:
                 yield body
             self.undo_to(mark)
 
-    def _enter(self, clause: Clause, args: Sequence[Term], cut: int, rest) -> Optional[tuple]:
-        """The frames of *clause*'s body if its head matches *args*, else None."""
+    def _enter(self, clause: Clause, args: Sequence[Term], cut: int, rest):
+        """*clause*'s body frames before *rest* if its head matches *args*, else _EXHAUSTED."""
         slot_count, head_args, goals = clause.code or clause.compile()
         env: list = [None] * slot_count
         for skel, arg in zip(head_args, args):
             if not self._match(skel, arg, env):
-                return None
+                return _EXHAUSTED
         return _sequence(goals, env, cut, rest)
 
     @staticmethod

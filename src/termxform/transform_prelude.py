@@ -16,10 +16,8 @@ check-and-write walk of :mod:`.xml_io`'s serializer; and
 ``lexicalle/2`` does over code lists.  The operators are the default
 table of :mod:`.rule_language`; the prelude declares none.
 
-This module also provides Python-side utilities that complement the rule
-set: structural tree equality modulo attribute order (the test oracle for
-``equals/2``), and conversion of a flat attribute-only document into a list
-of facts (one relation row per child element).
+This module also converts a flat attribute-only document into a list of
+facts (one relation row per child element).
 '''
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ __all__ = [
     "prelude_program",
     "prelude_operators",
     "load_prelude",
-    "trees_equal",
     "tree_to_relation",
 ]
 
@@ -311,8 +308,6 @@ le(element(N,_,_),element(N2,_,_)):-
   atom_codes(N2,N2Codes),
   lexicalle(NCodes,N2Codes).
 
-ge(X,Y):-le(Y,X).
-
 concat0([],X,X).
 concat0([H|T],X,Y):-list(H),
   append(X,H,X2), concat0(T,X2,Y).
@@ -349,14 +344,6 @@ church(s(X),N):-
   not(var(N)),
   N1 is N-1, N>0,
   church(X,N1).
-
-checkSerializable0(element(N,A,C)):-
-  !, checkSerializable(element(N,A,C)).
-checkSerializable0(X):-
-  write('Error: element()-constructor was expected, but '),
-  write(X),
-  write(' was found!'),
-  fail.
 
 concat(E1,E2,A1):-var(A1),
   A1 is cat(E1,E2).
@@ -565,36 +552,6 @@ def _bi_check_serializable(solver: Solver, args) -> Iterator[None]:
 
 # ---------------------------------------------------------------------------
 # Python-side helpers
-
-
-def trees_equal(a: Term, b: Term) -> bool:
-    """Structural node equality that ignores attribute order."""
-    a = deref(a)
-    b = deref(b)
-    if isinstance(a, Compound) and isinstance(b, Compound):
-        if a.name != b.name or len(a.args) != len(b.args):
-            return False
-        if a.name == "element" and len(a.args) == 3:
-            name_a, attrs_a, children_a = (deref(x) for x in a.args)
-            name_b, attrs_b, children_b = (deref(x) for x in b.args)
-            if name_a != name_b:
-                return False
-            items_a = list_items(attrs_a)
-            items_b = list_items(attrs_b)
-            if items_a is None or items_b is None:
-                return items_a == items_b and trees_equal(children_a, children_b)
-            key = lambda t: getattr(deref(t), "name", "")
-            if [key(x) for x in sorted(items_a, key=key)] != [
-                key(x) for x in sorted(items_b, key=key)
-            ]:
-                return False
-            kids_a = list_items(children_a)
-            kids_b = list_items(children_b)
-            if kids_a is None or kids_b is None or len(kids_a) != len(kids_b):
-                return False
-            return all(trees_equal(x, y) for x, y in zip(kids_a, kids_b))
-        return all(trees_equal(x, y) for x, y in zip(a.args, b.args))
-    return a == b
 
 
 _INT_VALUE = re.compile(r"-?[0-9]+\Z")

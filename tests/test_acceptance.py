@@ -39,8 +39,9 @@ from termxform.term_core import (
     split_attr,
     term_equal,
 )
-from termxform.transform_prelude import load_prelude, tree_to_relation, trees_equal
+from termxform.transform_prelude import load_prelude, tree_to_relation
 from termxform.xml_io import parse_document, serialize_document
+from equality_oracle import trees_equal
 
 DATA = Path(__file__).parent / "data"
 

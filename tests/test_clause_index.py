@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from termxform.logic_engine import Clause, Program, ResourceLimitError, Solver, SolverOptions
 from termxform.rule_language import parse_program, parse_query
 from termxform.term_core import (
+    TRUE,
     Atom,
     Compound,
     copy_term,
@@ -165,12 +166,14 @@ def _copied(self):
 
     With no slots, the matcher unifies each copied head argument with the
     goal's, and the copied body is called as one goal, so a conjunction runs
-    as a ``,`` goal rather than as the compiled goal sequence.
+    as a ``,`` goal rather than as the compiled goal sequence.  A body
+    ``true`` is no goal, as in the compiled clause.
     """
     mapping = {}
     head = deref(self.head)
     args = tuple(copy_term(arg, mapping) for arg in getattr(head, "args", ()))
-    return 0, args, (copy_term(self.body, mapping),)
+    body = deref(self.body)
+    return 0, args, () if body == TRUE else (copy_term(body, mapping),)
 
 
 def _render(term):

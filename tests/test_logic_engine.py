@@ -180,20 +180,20 @@ UNKNOWN_FOO = "warning: unknown predicate foo/0 (goal fails)\n"
         ("not(member(x, [a]))", [{}], "", 2),
         ("not(not(X = a))", [{"X": "_"}], "", 3),
         # A cut inside not/1 or findall/3 prunes only the inner goal.
-        ("not((member(X, [1, 2]), !, X = 2))", [{"X": "_"}], "", 6),
-        ("p(Y), not((!, Y = 2))", [{"Y": "1"}, {"Y": "3"}], "", 17),
-        ("findall(X, (member(X, [a, b, c]), !), L)", [{"X": "_", "L": "[a]"}], "", 4),
+        ("not((member(X, [1, 2]), !, X = 2))", [{"X": "_"}], "", 4),
+        ("p(Y), not((!, Y = 2))", [{"Y": "1"}, {"Y": "3"}], "", 10),
+        ("findall(X, (member(X, [a, b, c]), !), L)", [{"X": "_", "L": "[a]"}], "", 3),
         (
             "findall(X, t(X), L), p(Y)",
             [{"X": "_", "L": "[1]", "Y": y} for y in "123"],
             "",
-            10,
+            5,
         ),
         ("findall(X, member(X, [a, b]), L)", [{"X": "_", "L": "[a,b]"}], "", 2),
         ("findall(X, fail, L)", [{"X": "_", "L": "[]"}], "", 2),
         ("call(findall, X, member(X, [1, 2]), L)", [{"X": "_", "L": "[1,2]"}], "", 3),
         ("not(foo)", [{}], UNKNOWN_FOO, 2),
-        ("not(foo), not(foo)", [{}], UNKNOWN_FOO, 5),
+        ("not(foo), not(foo)", [{}], UNKNOWN_FOO, 4),
     ],
 )
 def test_moved_control_goals_keep_answers_warnings_and_steps(goal, answers, warnings, steps):
@@ -223,6 +223,10 @@ or_cut(A) :- (a(A), ! ; A = 9).
 unbound_goal(A) :- a(A), G, b(A).
 bound_goal(A, B) :- G = (a(A), b(B)), G, !.
 cut_last :- a(A), !, b(B), c(C).
+fact.
+true_body :- true.
+one_goal :- a(1).
+three_goals :- a(1), b(x), c(p).
 """
 UNBOUND_GOAL = "warning: unbound variable called as a goal\n"
 LEFT_ANSWERS = ["A=%s B=%s C=%s" % (a, b, c) for a in "123" for b in "xy" for c in "pq"]
@@ -248,32 +252,39 @@ def conjunction_outcome(goal, depth_limit=1000):
     "goal, answers, warnings, steps",
     [
         # A cut between two multi-solution goals keeps the right one's choices.
-        ("cut_mid(A, B)", ["A=1 B=x", "A=1 B=y"], "", 9),
-        ("a(A), !, b(B)", ["A=1 B=x", "A=1 B=y"], "", 8),
+        ("cut_mid(A, B)", ["A=1 B=x", "A=1 B=y"], "", 4),
+        ("a(A), !, b(B)", ["A=1 B=x", "A=1 B=y"], "", 3),
         # A left-nested conjunction runs its inner `,` as one goal.
-        ("left(A, B, C)", LEFT_ANSWERS, "", 34),
-        ("((a(A), b(B)), c(C))", LEFT_ANSWERS, "", 33),
-        ("or_cut(A)", ["A=1"], "", 6),
-        ("(a(A), ! ; b(A))", ["A=1"], "", 5),
-        ("call((a(A), !, b(B)))", ["A=1 B=x", "A=1 B=y"], "", 9),
-        ("not((a(A), b(z)))", ["A=_"], "", 9),
-        ("not((a(A), b(B)))", [], "", 6),
+        ("left(A, B, C)", LEFT_ANSWERS, "", 11),
+        ("((a(A), b(B)), c(C))", LEFT_ANSWERS, "", 10),
+        ("or_cut(A)", ["A=1"], "", 4),
+        ("(a(A), ! ; b(A))", ["A=1"], "", 3),
+        ("call((a(A), !, b(B)))", ["A=1 B=x", "A=1 B=y"], "", 4),
+        ("not((a(A), b(z)))", ["A=_"], "", 5),
+        ("not((a(A), b(B)))", [], "", 3),
         (
             "findall(f(A, B), (a(A), b(B)), L)",
             ["A=_ B=_ L=[f(1,x),f(1,y),f(2,x),f(2,y),f(3,x),f(3,y)]"],
             "",
-            15,
+            5,
         ),
         # A body variable called as a goal: unbound it warns, bound it runs.
-        ("unbound_goal(A)", [], UNBOUND_GOAL, 12),
-        ("a(A), G", [], UNBOUND_GOAL, 8),
-        ("bound_goal(A, B)", ["A=1 B=x"], "", 10),
+        ("unbound_goal(A)", [], UNBOUND_GOAL, 5),
+        ("a(A), G", [], UNBOUND_GOAL, 4),
+        ("bound_goal(A, B)", ["A=1 B=x"], "", 5),
         (
             "X = (a(A), b(B)), X",
             ["X=','(a(%s),b(%s)) A=%s B=%s" % (a, b, a, b) for a in "123" for b in "xy"],
             "",
-            16,
+            5,
         ),
+        # One step per goal entered, other than `,`: a fact call is one step,
+        # `p :- true` costs what the fact `p` costs, and a body of k goals
+        # (facts here) costs k + 1.
+        ("fact", [""], "", 1),
+        ("true_body", [""], "", 1),
+        ("one_goal", [""], "", 2),
+        ("three_goals", [""], "", 4),
     ],
 )
 def test_conjunctions_keep_answers_warnings_and_steps(goal, answers, warnings, steps):
@@ -281,16 +292,16 @@ def test_conjunctions_keep_answers_warnings_and_steps(goal, answers, warnings, s
 
 
 def test_a_conjunction_stops_at_the_step_limit_where_it_did():
-    assert conjunction_outcome("left(A, B, C)", 20) == (LEFT_ANSWERS[:6] + ["limit"], "", 21)
+    assert conjunction_outcome("left(A, B, C)", 8) == (LEFT_ANSWERS[:8] + ["limit"], "", 9)
 
 
 @pytest.mark.parametrize(
     "goal, before_limit",
     [
         # Answers found before the step limit raises, for limits 1, 2, ... 35.
-        ("left(A, B, C)", [0] * 8 + [1, 2, 2, 2, 3, 4, 4, 4, 4, 4, 5, 6, 6, 6, 7, 8, 8, 8, 8, 8, 9, 10, 10, 10, 11] + [None] * 2),
-        ("a(A), b(B), c(C)", [0] * 7 + [1, 2, 2, 2, 3, 4, 4, 4, 4, 4, 4, 5, 6, 6, 6, 7, 8, 8, 8, 8, 8, 8, 9, 10, 10, 10, 11, None]),
-        ("cut_last", [0] * 10 + [1, 2, 2, 2, 3] + [None] * 20),
+        ("left(A, B, C)", [0, 0, 0, 2, 4, 4, 6, 8, 8, 10] + [None] * 25),
+        ("a(A), b(B), c(C)", [0, 0, 2, 4, 4, 6, 8, 8, 10] + [None] * 26),
+        ("cut_last", [0, 0, 0, 0, 2] + [None] * 30),
     ],
 )
 def test_conjunctions_count_each_step_where_they_did(goal, before_limit):

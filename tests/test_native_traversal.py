@@ -181,15 +181,6 @@ def test_check_serializable_never_binds_its_argument():
     ]
 
 
-def test_check_serializable0_reports_only_the_real_error():
-    program = program_with()
-    found, diagnostics = run(program, "checkSerializable0(element('1a',[],[]))")
-    assert found == []
-    # The element used to fall through to the second clause as well, which
-    # added "element()-constructor was expected, but ... was found!".
-    assert diagnostics == "Error: '1a' was not expected here! (at path [])\n"
-
-
 def test_traverse_leaves_an_unbound_node_unbound():
     program = program_with(TEMPLATES)
     found, _ = run(program, "traverse(X, R)")

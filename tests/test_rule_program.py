@@ -110,7 +110,7 @@ def test_a_rule_parse_error_is_raised_on_every_call(tmp_path, parse_calls):
 def _snapshot(program):
     """Everything a transform could change in a stored program."""
     return (
-        list(program.order),
+        list(program.clauses),
         {key: list(clauses) for key, clauses in program.clauses.items()},
         {
             key: ({first: list(bucket) for first, bucket in buckets.items()}, list(unkeyed))

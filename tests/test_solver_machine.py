@@ -4,11 +4,13 @@
 of choicepoints.  Before it, two cooperating generator paths did the same
 work: ``_solve`` for ``;`` ``!`` ``call/N``, natives and the clause loop, and
 ``_solve_body`` for goal sequences, with cut barriers held in one-element
-lists.  That code is kept below, unchanged but for the default barrier, as
-``GeneratorSolver``, the oracle.  Both solvers run the same goals, and the
-tests compare the rendered solutions (order and multiplicity), the
-diagnostics, ``Solver.steps``, and the answers given before a
-``ResourceLimitError`` at every step limit from 1 to 40.
+lists.  That code is kept below as ``GeneratorSolver``, the oracle, changed
+only by a default barrier and by the machine's step rule, one step per goal
+entered other than ``,``: ``_solve_body`` takes no step of its own, and a
+fact, whose compiled body has no goals, succeeds at once.  Both solvers
+run the same goals, and the tests compare the rendered solutions (order and
+multiplicity), the diagnostics, ``Solver.steps``, and the answers given
+before a ``ResourceLimitError`` at every step limit from 1 to 40.
 """
 
 import random
@@ -85,7 +87,9 @@ class GeneratorSolver(Solver):
                     if not self._match(skel, arg, env):
                         break
                 else:
-                    if len(goals) == 1:
+                    if not goals:
+                        yield
+                    elif len(goals) == 1:
                         yield from self._solve(_build(goals[0], env), clause_barrier)
                     else:
                         yield from self._solve_body(goals, env, clause_barrier)
@@ -105,7 +109,6 @@ class GeneratorSolver(Solver):
             if goal is None:
                 goal = built[index] = _build(goals[index], env)
             if index < last:
-                self._step()
                 running.append(self._solve(goal, barrier))
             else:
                 yield from self._solve(goal, barrier)

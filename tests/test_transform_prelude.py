@@ -19,9 +19,9 @@ from termxform.transform_prelude import (
     prelude_operators,
     prelude_program,
     tree_to_relation,
-    trees_equal,
 )
 from termxform.xml_io import parse_document
+from equality_oracle import trees_equal
 from xmlgen import plain_trees
 
 DOC = parse_document(
@@ -433,14 +433,6 @@ def test_check_serializable_reports_bad_attributes():
     assert not solver.solve_once(query.goal)
     text = solver.options.diagnostics.getvalue()
     assert "Error in remaining attributes list: " in text
-
-
-def test_check_serializable0_requires_element():
-    solver = make_solver()
-    query = parse_query("checkSerializable0(text(hi))", solver.program.operators)
-    assert not solver.solve_once(query.goal)
-    text = solver.options.diagnostics.getvalue()
-    assert "element()-constructor was expected" in text
 
 
 def test_print_tree_concatenates_text():

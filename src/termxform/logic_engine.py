@@ -12,12 +12,12 @@ Natives, like the control constructs, shadow program clauses of the same
 name and arity (see :meth:`Solver.is_builtin`).  A step counter turns
 runaway programs into a :class:`ResourceLimitError` instead of a hang.  A
 call tries only the clauses in its first-argument bucket (see
-:class:`Program`) and matches each one's compiled head in place, without
-copying the clause (see :class:`Clause`).
+:class:`Program`) and runs each one's head matcher, Python code generated
+from the clause once, without copying the clause (see :class:`Clause`).
 
 One loop, :meth:`Solver._solve`, runs every goal on lists of its own, so rule
-recursion does not grow the Python stack.  Clause bodies are compiled into
-goal tuples and run goal by goal: no ``,`` term is built or solved.
+recursion does not grow the Python stack.  A clause body runs goal by goal,
+each made by its generated builder: no ``,`` term is built or solved.
 
 Native predicates cover the term inspection, list, and arithmetic catalog
 (``append/3`` is fully nondeterministic, ``delete/3`` removes all unifying
@@ -29,6 +29,7 @@ fail with a diagnostic warning rather than raising.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence, TextIO
@@ -85,11 +86,12 @@ class Clause:
     """One stored rule: a head term and a body term (``true`` for facts).
 
     The solver does not copy ``head`` and ``body`` on each call.  The first
-    time the clause is tried it is compiled (see :meth:`compile`) into
-    skeletons, one per head argument and one per goal of the body's ``,``
-    chain, whose variables are numbered slots.  A call matches its goal against
-    the head skeletons and then runs the goal sequence, building each goal
-    from the same slots when it is entered.  A fact runs no goals.
+    time the clause is tried it is compiled (see :meth:`compile`) into Python
+    code generated from its terms: a head matcher and one builder per goal of
+    the body's ``,`` chain, both over a list of numbered variable slots.  A
+    call runs the matcher on its goal's arguments and then the goal sequence,
+    each goal built from the same slots when it is entered.  A fact runs no
+    goals.
     """
 
     __slots__ = ("head", "body", "code")
@@ -97,23 +99,22 @@ class Clause:
     def __init__(self, head: Term, body: Term = TRUE) -> None:
         self.head = head
         self.body = body
-        self.code: Optional[tuple[int, tuple, tuple]] = None
+        self.code: Optional[tuple[int, Callable, tuple]] = None
 
-    def compile(self) -> tuple[int, tuple, tuple]:
-        """(slot count, head argument skeletons, body goal skeletons), built once.
+    def compile(self) -> tuple[int, Callable, tuple]:
+        """(slot count, head matcher, body goal builders), made once.
 
-        Variables become :class:`_Slot` s numbered by first occurrence,
-        compounds that hold variables become :class:`_Skel` s, and ground
-        subterms stay terms, shared by every call.  A body ``true`` (a fact,
-        or ``p :- true``) has no goals.
+        One Python source, generated from the clause's terms and run with
+        ``exec``, defines ``match(args, e, solver)``, which matches the goal's
+        arguments left to right into the slot list *e* (false on a clash), and
+        ``g<i>(e)``, which builds body goal i.  Ground subterms are namespace
+        constants shared by every call and names are ``repr`` literals: no rule
+        text becomes code.  A body ``true`` (a fact, or ``p :- true``) has no goals.
         """
-        slots: dict[int, _Slot] = {}
         head = deref(self.head)
-        args = head.args if isinstance(head, Compound) else ()
-        head_args = tuple(_skeleton(arg, slots) for arg in args)
         body = deref(self.body)
-        goals = () if body == TRUE else tuple(_skeleton(goal, slots) for goal in _conjuncts(body))
-        self.code = (len(slots), head_args, goals)
+        goals = () if body == TRUE else _conjuncts(body)
+        self.code = _ClauseCode().generate(head.args if isinstance(head, Compound) else (), goals)
         return self.code
 
     def __repr__(self) -> str:
@@ -122,24 +123,136 @@ class Clause:
         return "%s:-%s." % (render_term(self.head), render_term(self.body))
 
 
-class _Slot:
-    """A clause variable, numbered by its first occurrence in the clause."""
+class _ClauseCode:
+    """Writes one clause's Python source (see :meth:`Clause.compile`).
 
-    __slots__ = ("index", "name")
+    ``filled`` holds the slots sure to be filled where the next line runs:
+    every head slot once matched, and a body slot after its first occurrence,
+    which alone tests ``is None`` (backtracking may enter its goal again).
+    Each head compound that holds variables gets one builder, which the
+    builders of the compounds around it call: the source is linear in the head.
+    """
 
-    def __init__(self, index: int, name: str) -> None:
-        self.index = index
-        self.name = name
+    def __init__(self) -> None:
+        self.slots: dict[int, int] = {}  # variable id -> slot
+        self.filled: set[int] = set()
+        self.constants: dict[int, bool] = {}  # id of a compound -> holds no variable
+        self.builders: dict[tuple, str] = {}  # (id of a head compound, filled slots) -> builder
+        self.names: dict[str, object] = {"Atom": Atom, "Compound": Compound, "Var": Var}
+        self.names.update(bind=_bind_built, deref=deref, fresh_var=fresh_var)
+        self.functions: list[str] = []
+        self.count = itertools.count()  # numbers the locals and functions
+        self.in_body = False
+
+    def generate(self, args: Sequence[Term], goals: Sequence[Term]) -> tuple[int, Callable, tuple]:
+        unpack = "".join("x%d, " % i for i in range(len(args)))
+        lines = ["    %s= args" % unpack] if args else []
+        for i, arg in enumerate(args):
+            self.match(arg, "x%d" % i, lines)
+        self.function("match(args, e, solver)", lines, "True")
+        self.in_body = True
+        for i, goal in enumerate(goals):
+            lines = []
+            self.function("g%d(e)" % i, lines, self.build(goal, lines))
+        exec("".join(self.functions), self.names)
+        return len(self.slots), self.names["match"], tuple(self.names["g%d" % i] for i in range(len(goals)))
+
+    def function(self, signature: str, lines: list[str], result: str) -> None:
+        body = "".join(line + "\n" for line in lines)
+        self.functions.append("def %s:\n%s    return %s\n" % (signature, body, result))
+
+    def is_constant(self, t: Term) -> bool:
+        t = deref(t)
+        if not isinstance(t, Compound):
+            return not isinstance(t, Var)
+        if id(t) not in self.constants:  # each compound once: linear in the clause
+            self.constants[id(t)] = all(self.is_constant(arg) for arg in t.args)
+        return self.constants[id(t)]
+
+    def constant(self, t: Term) -> str:
+        name = "k%d" % len(self.names)
+        self.names[name] = t
+        return name
+
+    def match(self, t: Term, x: str, lines: list[str], pad: str = "    ") -> None:
+        """Lines that match the goal subterm in local *x* against clause term *t*."""
+        t = deref(t)
+        if isinstance(t, Var):
+            slot = self.slots.setdefault(t.id, len(self.slots))
+            if slot in self.filled:
+                lines.append("%sif not solver.unify(e[%d], %s): return False" % (pad, slot, x))
+            else:
+                self.filled.add(slot)
+                lines.append("%se[%d] = %s" % (pad, slot, x))
+        elif not isinstance(t, Atom) and self.is_constant(t):  # numbers keep unify's type test
+            lines.append("%sif not solver.unify(%s, %s): return False" % (pad, self.constant(t), x))
+        else:
+            lines.append("%st = %s if type(%s) is not Var else deref(%s)" % (pad, x, x, x))
+            if isinstance(t, Atom):
+                lines.append("%sif type(t) is Var: solver.bind(t, %s)" % (pad, self.constant(t)))
+                lines.append("%selif type(t) is not Atom or t.name != %r: return False" % (pad, t.name))
+                return
+            before = set(self.filled)
+            builder = self.builder(t)  # an unbound goal variable is bound to the term it builds
+            self.filled = before
+            if pad == "    ":  # a head argument: the variable skips the argument's match
+                lines.append("    if type(t) is Var:\n        if bind(solver, t, %s(e)) is None: return False" % builder)
+                lines.append("    else:")
+                pad = "        "
+            else:  # matching the arguments against the built term changes nothing and keeps the source flat
+                lines.append("%sif type(t) is Var: t = bind(solver, t, %s(e))" % (pad, builder))
+            subs = ["s%d" % next(self.count) for _ in t.args]
+            check = "%sif type(t) is not Compound or t.name != %r or len(t.args) != %d: return False"
+            lines.append(check % (pad, t.name, len(t.args)))
+            lines.append("%s%s= t.args" % (pad, "".join(sub + ", " for sub in subs)))
+            for arg, sub in zip(t.args, subs):
+                self.match(arg, sub, lines, pad)
+
+    def builder(self, t: Compound) -> str:
+        """The function that builds head compound *t* with the slots filled now, made once.
+
+        The builder of the compound around *t* makes it; *t*'s own match then
+        calls it with the same slots filled.
+        """
+        key = (id(t), frozenset(self.filled))
+        if key not in self.builders:
+            lines: list[str] = []
+            built = self.build(t, lines)
+            self.builders[key] = "h%d" % next(self.count)
+            self.function("%s(e)" % self.builders[key], lines, built)
+        return self.builders[key]
+
+    def build(self, t: Term, lines: list[str]) -> str:
+        """An expression for clause term *t*; *lines* fill its new slots, in order."""
+        t = deref(t)
+        if isinstance(t, Var):
+            slot = self.slots.setdefault(t.id, len(self.slots))
+            if slot not in self.filled:
+                self.filled.add(slot)
+                test = "if e[%d] is None: " % slot if self.in_body else ""
+                lines.append("    %se[%d] = fresh_var(%r)" % (test, slot, t.name))
+            return "e[%d]" % slot
+        if self.is_constant(t):
+            return self.constant(t)
+        args = []
+        for arg in t.args:  # inner compounds go to locals: the source nests no deeper than the term
+            arg = deref(arg)
+            if isinstance(arg, Compound) and not self.is_constant(arg):
+                built = self.build(arg, lines) if self.in_body else self.builder(arg) + "(e)"
+                arg_local = "v%d" % next(self.count)
+                lines.append("    %s = %s" % (arg_local, built))
+                args.append(arg_local)
+            else:
+                args.append(self.build(arg, lines))
+        return "Compound(%r, (%s))" % (t.name, "".join(arg + ", " for arg in args))
 
 
-class _Skel:
-    """A clause compound that holds variables; ground compounds stay terms."""
-
-    __slots__ = ("name", "args")
-
-    def __init__(self, name: str, args: tuple) -> None:
-        self.name = name
-        self.args = args
+def _bind_built(solver: "Solver", var: Var, term: Term) -> Optional[Term]:
+    """*term*, built from a clause head, bound to goal variable *var*; None if *var* occurs in it."""
+    if solver.options.occurs_check and solver._occurs(var, term):
+        return None
+    solver.bind(var, term)
+    return term
 
 
 def _conjuncts(t: Term) -> list[Term]:
@@ -151,45 +264,6 @@ def _conjuncts(t: Term) -> list[Term]:
         t = deref(t.args[1])
     goals.append(t)
     return goals
-
-
-def _skeleton(t: Term, slots: dict[int, _Slot]):
-    t = deref(t)
-    if isinstance(t, Var):
-        slot = slots.get(t.id)
-        if slot is None:
-            slot = slots[t.id] = _Slot(len(slots), t.name)
-        return slot
-    if isinstance(t, Compound):
-        args = tuple(_skeleton(arg, slots) for arg in t.args)
-        if any(type(arg) is _Slot or type(arg) is _Skel for arg in args):
-            return _Skel(t.name, args)
-        return Compound(t.name, args)
-    return t
-
-
-def _build(skel, env: list) -> Term:
-    """The term for a skeleton; unfilled slots get fresh variables."""
-    kind = type(skel)
-    if kind is _Slot:
-        term = env[skel.index]
-        if term is None:
-            term = env[skel.index] = fresh_var(skel.name)
-        return term
-    if kind is not _Skel:
-        return skel
-    args = []
-    for arg in skel.args:  # slots and ground arguments inline: no call each
-        kind = type(arg)
-        if kind is _Skel:
-            arg = _build(arg, env)
-        elif kind is _Slot:
-            slot = arg
-            arg = env[slot.index]
-            if arg is None:
-                arg = env[slot.index] = fresh_var(slot.name)
-        args.append(arg)
-    return Compound(skel.name, args)
 
 
 def _sequence(goals: Sequence, env: Optional[list], cut: int, rest: Optional[tuple]) -> Optional[tuple]:
@@ -306,11 +380,14 @@ class SolverOptions:
     diagnostics: Optional[TextIO] = None  # default: sys.stderr at use time
 
 
+# A native marked ``once`` succeeds at most once: the solver takes its one
+# solution and pushes no choicepoint for it.
 _BUILTINS: dict[tuple[str, Optional[int]], Callable] = {}
 
 
-def _builtin(name: str, arity: Optional[int]):
+def _builtin(name: str, arity: Optional[int], once: bool = False):
     def register(fn):
+        fn.once = once
         _BUILTINS[(name, arity)] = fn
         return fn
 
@@ -333,17 +410,18 @@ class Solver:
     copy) anything you need *before* advancing or abandoning it.
 
     :meth:`_solve` is one loop over the goals still to run, a linked list of
-    frames ``(goal, env, cut height, rest)`` whose goal is built from *env*
-    on entry (a *rest* of None is a solution), and a list of choicepoints
-    ``[trail mark, alternatives, rest]``: a native's solution generator,
-    whose solutions go on with *rest*, or an iterator of frames (a call's
-    other clauses, a ``;``'s right branch).  On failure it undoes the trail
-    to the newest mark, resumes that choicepoint (each alternative undoes
-    its own bindings) and moves the mark up to the trail height.
-    ``!`` deletes the choicepoints above its clause's call-time height;
-    ``call/N`` records a new height.  A call with one candidate clause
-    pushes none.  Steps: one per goal entered other than ``,``, so a fact's
-    call is one step and a clause body of k goals adds k.
+    frames ``(goal, env, cut height, rest)`` whose goal, given an *env*, is
+    a builder called on entry (a *rest* of None is a solution), and a list
+    of choicepoints ``[trail mark, alternatives, rest]``: a native's
+    solution generator, whose solutions go on with *rest* (a native marked
+    ``once`` has none), or an iterator of frames (a call's other clauses, a
+    ``;``'s right branch).  On failure it undoes the trail to the newest
+    mark, resumes that choicepoint (each alternative undoes its own
+    bindings) and moves the mark up to the trail height.  ``!`` deletes the
+    choicepoints above its clause's call-time height; ``call/N`` records a
+    new height.  A call with one candidate clause pushes none.  Steps: one per
+    goal entered other than ``,``, so a fact's call is one step and a clause
+    body of k goals adds k.
     """
 
     def __init__(self, program: Program, options: Optional[SolverOptions] = None) -> None:
@@ -457,7 +535,7 @@ class Solver:
                     yield
                 else:
                     goal, env, cut, frame = frame
-                    goal = deref(goal if env is None else _build(goal, env))
+                    goal = deref(goal if env is None else goal(env))
                     kind = type(goal)
                     name = goal.name if kind is Compound or kind is Atom else None
                     args = goal.args if kind is Compound else ()
@@ -483,7 +561,11 @@ class Solver:
                             frame = (target, None, len(choicepoints), frame)
                             continue
                     elif (name, arity) in _BUILTINS:
-                        choicepoints.append([len(trail), _BUILTINS[(name, arity)](self, args), frame])
+                        native = _BUILTINS[(name, arity)]
+                        if not getattr(native, "once", False):
+                            choicepoints.append([len(trail), native(self, args), frame])
+                        elif next(native(self, args), _EXHAUSTED) is not _EXHAUSTED:
+                            continue
                     else:
                         clauses = self.program.candidates(name, arity, args)
                         if clauses is None:
@@ -523,11 +605,10 @@ class Solver:
 
     def _enter(self, clause: Clause, args: Sequence[Term], cut: int, rest):
         """*clause*'s body frames before *rest* if its head matches *args*, else _EXHAUSTED."""
-        slot_count, head_args, goals = clause.code or clause.compile()
+        slot_count, match, goals = clause.code or clause.compile()
         env: list = [None] * slot_count
-        for skel, arg in zip(head_args, args):
-            if not self._match(skel, arg, env):
-                return _EXHAUSTED
+        if not match(args, env, self):
+            return _EXHAUSTED
         return _sequence(goals, env, cut, rest)
 
     @staticmethod
@@ -536,42 +617,6 @@ class Solver:
         if (name, arity) in ((",", 2), (";", 2), ("!", 0)) or (name == "call" and arity >= 1):
             return True
         return (name, arity) in _BUILTINS
-
-    def _match(self, skel, term: Term, env: list) -> bool:
-        """Match a goal subterm against a clause skeleton, filling *env*.
-
-        The first occurrence of a slot takes *term* as it is; a repeated slot
-        or a ground subterm is unified with it.  An unbound goal variable
-        facing a compound skeleton is bound to the term built from *env*.
-        Arguments are matched left to right, as the WAM does.  The recursion
-        follows the clause's skeleton, so its depth is bounded by the clause
-        text; deeper goal subterms are left to the iterative ``unify``.
-        """
-        kind = type(skel)
-        if kind is _Slot:
-            bound = env[skel.index]
-            if bound is None:
-                env[skel.index] = term
-                return True
-            return self.unify(bound, term)
-        if kind is _Skel:
-            term = deref(term)
-            if type(term) is Compound:
-                args, skel_args = term.args, skel.args
-                if term.name != skel.name or len(args) != len(skel_args):
-                    return False
-                for sub, arg in zip(skel_args, args):
-                    if not self._match(sub, arg, env):
-                        return False
-                return True
-            if type(term) is Var:
-                built = _build(skel, env)
-                if self.options.occurs_check and self._occurs(term, built):
-                    return False
-                self.bind(term, built)
-                return True
-            return False
-        return self.unify(skel, term)
 
     def _call_goal(self, target: Term, extra: Sequence[Term]) -> Optional[Term]:
         target = deref(target)
@@ -756,24 +801,24 @@ class Solver:
 # Native predicates
 
 
-@_builtin("true", 0)
+@_builtin("true", 0, once=True)
 def _bi_true(solver: Solver, args) -> Iterator[None]:
     yield
 
 
-@_builtin("fail", 0)
-@_builtin("false", 0)
+@_builtin("fail", 0, once=True)
+@_builtin("false", 0, once=True)
 def _bi_fail(solver: Solver, args) -> Iterator[None]:
     return iter(())
 
 
-@_builtin("not", 1)
+@_builtin("not", 1, once=True)
 def _bi_not(solver: Solver, args) -> Iterator[None]:
     if not solver.solve_once(args[0]):
         yield
 
 
-@_builtin("findall", 3)
+@_builtin("findall", 3, once=True)
 def _bi_findall(solver: Solver, args) -> Iterator[None]:
     """findall(Template, Goal, List): a copy of Template per solution of Goal, in order.
 
@@ -784,13 +829,13 @@ def _bi_findall(solver: Solver, args) -> Iterator[None]:
         yield
 
 
-@_builtin("=", 2)
+@_builtin("=", 2, once=True)
 def _bi_unify(solver: Solver, args) -> Iterator[None]:
     if solver.unify(args[0], args[1]):
         yield
 
 
-@_builtin("\\=", 2)
+@_builtin("\\=", 2, once=True)
 def _bi_not_unify(solver: Solver, args) -> Iterator[None]:
     mark = len(solver.trail)
     unified = solver.unify(args[0], args[1])
@@ -799,13 +844,13 @@ def _bi_not_unify(solver: Solver, args) -> Iterator[None]:
         yield
 
 
-@_builtin("==", 2)
+@_builtin("==", 2, once=True)
 def _bi_identical(solver: Solver, args) -> Iterator[None]:
     if term_equal(args[0], args[1]):
         yield
 
 
-@_builtin("\\==", 2)
+@_builtin("\\==", 2, once=True)
 def _bi_not_identical(solver: Solver, args) -> Iterator[None]:
     if not term_equal(args[0], args[1]):
         yield
@@ -816,6 +861,7 @@ def _type_test(predicate):
         if predicate(deref(args[0])):
             yield
 
+    test.once = True
     return test
 
 
@@ -831,7 +877,7 @@ _BUILTINS[("list", 1)] = _type_test(is_list)
 _BUILTINS[("ground", 1)] = _type_test(is_ground)
 
 
-@_builtin("is", 2)
+@_builtin("is", 2, once=True)
 def _bi_is(solver: Solver, args) -> Iterator[None]:
     try:
         value = solver.eval_is(args[1])
@@ -853,6 +899,7 @@ def _comparison(op):
         if op(left, right):
             yield
 
+    compare.once = True
     return compare
 
 
@@ -862,7 +909,7 @@ _BUILTINS[("=<", 2)] = _comparison(lambda a, b: a <= b)
 _BUILTINS[(">=", 2)] = _comparison(lambda a, b: a >= b)
 
 
-@_builtin("atom_codes", 2)
+@_builtin("atom_codes", 2, once=True)
 def _bi_atom_codes(solver: Solver, args) -> Iterator[None]:
     a = deref(args[0])
     if isinstance(a, Atom):
@@ -992,7 +1039,7 @@ def _bi_length(solver: Solver, args) -> Iterator[None]:
     solver.warn("length/2 needs a proper list or an integer length")
 
 
-@_builtin("reverse", 2)
+@_builtin("reverse", 2, once=True)
 def _bi_reverse(solver: Solver, args) -> Iterator[None]:
     for source, target in ((args[0], args[1]), (args[1], args[0])):
         items = list_items(source)
@@ -1003,7 +1050,7 @@ def _bi_reverse(solver: Solver, args) -> Iterator[None]:
     solver.warn("reverse/2 needs at least one proper list")
 
 
-@_builtin("delete", 3)
+@_builtin("delete", 3, once=True)
 def _bi_delete(solver: Solver, args) -> Iterator[None]:
     pattern, source, result = args
     items = list_items(source)
@@ -1021,13 +1068,13 @@ def _bi_delete(solver: Solver, args) -> Iterator[None]:
         yield
 
 
-@_builtin("write", 1)
+@_builtin("write", 1, once=True)
 def _bi_write(solver: Solver, args) -> Iterator[None]:
     solver.write_out(render_term(deref(args[0]), quoted=False))
     yield
 
 
-@_builtin("canon", 2)
+@_builtin("canon", 2, once=True)
 def _bi_canon(solver: Solver, args) -> Iterator[None]:
     items = list_items(args[0])
     if items is None:
@@ -1070,7 +1117,7 @@ def _bi_attribute(solver: Solver, args) -> Iterator[None]:
         solver.undo_to(mark)
 
 
-@_builtin("upcase", 2)
+@_builtin("upcase", 2, once=True)
 def _bi_upcase(solver: Solver, args) -> Iterator[None]:
     word = deref(args[1])
     if not isinstance(word, Atom):
@@ -1092,14 +1139,14 @@ def _case_order_key(s: str, upper_rank: int) -> tuple:
     return (_ascii_lower(s), tuple(upper_rank if "A" <= c <= "Z" else 1 - upper_rank for c in s))
 
 
-@_builtin("upper_first", 2)
+@_builtin("upper_first", 2, once=True)
 def _bi_upper_first(solver: Solver, args) -> Iterator[None]:
     pair = _atom_pair(solver, args)
     if pair and _case_order_key(pair[0], 0) <= _case_order_key(pair[1], 0):
         yield
 
 
-@_builtin("lower_first", 2)
+@_builtin("lower_first", 2, once=True)
 def _bi_lower_first(solver: Solver, args) -> Iterator[None]:
     pair = _atom_pair(solver, args)
     if pair and _case_order_key(pair[0], 1) <= _case_order_key(pair[1], 1):
@@ -1112,28 +1159,28 @@ def _class_key(s: str, upper_class_first: bool) -> tuple:
     return (rank, s)
 
 
-@_builtin("first_upper", 2)
+@_builtin("first_upper", 2, once=True)
 def _bi_first_upper(solver: Solver, args) -> Iterator[None]:
     pair = _atom_pair(solver, args)
     if pair and _class_key(pair[0], True) <= _class_key(pair[1], True):
         yield
 
 
-@_builtin("first_lower", 2)
+@_builtin("first_lower", 2, once=True)
 def _bi_first_lower(solver: Solver, args) -> Iterator[None]:
     pair = _atom_pair(solver, args)
     if pair and _class_key(pair[0], False) <= _class_key(pair[1], False):
         yield
 
 
-@_builtin("contains", 2)
+@_builtin("contains", 2, once=True)
 def _bi_contains(solver: Solver, args) -> Iterator[None]:
     pair = _atom_pair(solver, args)
     if pair and pair[1] in pair[0]:
         yield
 
 
-@_builtin("starts_with", 2)
+@_builtin("starts_with", 2, once=True)
 def _bi_starts_with(solver: Solver, args) -> Iterator[None]:
     pair = _atom_pair(solver, args)
     if pair and pair[0].startswith(pair[1]):

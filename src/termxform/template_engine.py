@@ -90,7 +90,7 @@ def traverse(node: Term, program: Program, unmatched_text: str = "drop") -> list
     return _traverse(node, Solver(program), unmatched_text)
 
 
-@_builtin("traverse", 2)
+@_builtin("traverse", 2, once=True)
 def _bi_traverse(solver: Solver, args) -> Iterator[None]:
     if solver.unify(args[1], mk_list(_traverse(args[0], solver))):
         yield

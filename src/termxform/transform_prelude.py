@@ -475,7 +475,7 @@ def _sort_key(child: Compound, att: Optional[str]) -> Optional[str]:
     return None
 
 
-@_builtin("sortChildren", 3)
+@_builtin("sortChildren", 3, once=True)
 def _bi_sort_children(solver: Solver, args) -> Iterator[None]:
     """sortChildren(Children, Att, Sorted): the body of ``E sort Att``.
 
@@ -526,7 +526,7 @@ def _bi_sort_children(solver: Solver, args) -> Iterator[None]:
         yield
 
 
-@_builtin("leStrings", 2)
+@_builtin("leStrings", 2, once=True)
 def _bi_le_strings(solver: Solver, args) -> Iterator[None]:
     """leStrings(S1, S2): atoms other than ``[]``, S1 at or before S2 in code-point order."""
     first, second = deref(args[0]), deref(args[1])
@@ -539,7 +539,7 @@ def _bi_le_strings(solver: Solver, args) -> Iterator[None]:
         yield
 
 
-@_builtin("checkSerializable", 1)
+@_builtin("checkSerializable", 1, once=True)
 def _bi_check_serializable(solver: Solver, args) -> Iterator[None]:
     """checkSerializable(Node): xml_io's verdict; a rejection writes its message and fails."""
     try:

@@ -173,7 +173,12 @@ def _copied(self):
     head = deref(self.head)
     args = tuple(copy_term(arg, mapping) for arg in getattr(head, "args", ()))
     body = deref(self.body)
-    return 0, args, () if body == TRUE else (copy_term(body, mapping),)
+    goals = () if body == TRUE else (copy_term(body, mapping),)
+
+    def match(goal_args, env, solver):
+        return all(solver.unify(arg, goal_arg) for arg, goal_arg in zip(args, goal_args))
+
+    return 0, match, tuple((lambda env, goal=goal: goal) for goal in goals)
 
 
 def _render(term):

@@ -3,8 +3,9 @@
 The solver keeps the goals still to run and its choicepoints in lists of its
 own, so deep rule recursion is bounded by memory and the step limit.  When
 each level nested Python generators, every query below but the last
-crashed the interpreter (exit 139).  Each test runs ``termxform query`` in a
-fresh interpreter, so that such a crash fails one test instead of the run.
+crashed the interpreter (exit 139).  Each test runs ``termxform query``, or
+the solver itself, in a fresh interpreter, so that such a crash fails one
+test instead of the run.
 """
 
 import os
@@ -66,3 +67,24 @@ def test_recursion_through_not_over_a_2000_deep_document_answers(tmp_path):
     # the recursion limit the solver raises.
     done = query(tmp_path, "ok(Doc)", depth=2_000)
     assert (done.returncode, done.stdout, done.stderr) == (0, "YES.\n", "")
+
+
+def test_a_countdown_of_200000_levels_in_process_peaks_under_100_mb():
+    # Natives that succeed at most once (`>`, `is`) push no choicepoint, so
+    # a level keeps only its trail entry: about 43 MB here, against 288 MB
+    # when every native success left a choicepoint behind.
+    child = """
+import resource
+from termxform.logic_engine import Solver
+from termxform.rule_language import parse_program, parse_query
+solver = Solver(parse_program(%r))
+print(solver.solve_once(parse_query("cnt(200000)").goal), solver.steps)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+""" % RULES
+    done = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    answer, peak_mb = done.stdout.splitlines()
+    assert answer == "True 600001", done.stderr
+    assert int(peak_mb) < 100

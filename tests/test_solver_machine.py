@@ -7,7 +7,10 @@ work: ``_solve`` for ``;`` ``!`` ``call/N``, natives and the clause loop, and
 lists.  That code is kept below as ``GeneratorSolver``, the oracle, changed
 only by a default barrier and by the machine's step rule, one step per goal
 entered other than ``,``: ``_solve_body`` takes no step of its own, and a
-fact, whose compiled body has no goals, succeeds at once.  Both solvers
+fact, whose compiled body has no goals, succeeds at once.  It matches and
+builds clauses with the skeleton interpreter of ``skeleton_oracle``, which
+the generated clause code replaced, so it shares no clause code with the
+machine.  Both solvers
 run the same goals, and the tests compare the rendered solutions (order and
 multiplicity), the diagnostics, ``Solver.steps``, and the answers given
 before a ``ResourceLimitError`` at every step limit from 1 to 40.
@@ -18,10 +21,11 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from termxform.logic_engine import _BUILTINS, _EXHAUSTED, Solver, _build, _conjuncts
+from termxform.logic_engine import _BUILTINS, _EXHAUSTED, Solver, _conjuncts
 from termxform.rule_language import parse_program, parse_query
 from termxform.term_core import Atom, Compound, Var, deref, fresh_var, list_items, render_term, split_attr
 from termxform.transform_prelude import load_prelude
+from skeleton_oracle import _build, _match, skeletons
 from test_clause_index import GOAL_ARGS, _outcome, random_program
 from xmlgen import elements, elements_of
 
@@ -80,11 +84,11 @@ class GeneratorSolver(Solver):
                 return
             clause_barrier = [False]
             for clause in clauses:
-                slot_count, head_args, goals = clause.code or clause.compile()
+                slot_count, head_args, goals = skeletons(clause)
                 env = [None] * slot_count
                 clause_mark = len(self.trail)
                 for skel, arg in zip(head_args, args):
-                    if not self._match(skel, arg, env):
+                    if not _match(self, skel, arg, env):
                         break
                 else:
                     if not goals:

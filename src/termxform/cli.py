@@ -7,9 +7,10 @@ a parsed document), ``roundtrip`` (parse/serialize/parse fidelity check),
 (static lint of a rule file).
 
 Exit codes: 0 success, 1 no solution (including roundtrip divergence),
-2 input error (parse/validation/degenerate counts), 3 internal error or
-resource limit.  The solver step limit defaults to the ``TERMXFORM_DEPTH``
-environment variable when set; the ``--depth-limit`` flag wins over both.
+2 input error (parse/validation/degenerate counts, a cyclic query answer),
+3 internal error or resource limit.  The solver step limit defaults to the
+``TERMXFORM_DEPTH`` environment variable when set; the ``--depth-limit``
+flag wins over both.
 ``--max``, ``--depth-limit`` and ``TERMXFORM_DEPTH`` must be at least 1.
 """
 
@@ -21,7 +22,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .logic_engine import DEFAULT_STEP_LIMIT, ResourceLimitError, Solver, SolverOptions
+from .logic_engine import DEFAULT_STEP_LIMIT, ResourceLimitError, Solver, SolverOptions, call_goal
 from .metrics import (
     HalsteadCounts,
     halstead,
@@ -194,12 +195,15 @@ def _cmd_query(args: argparse.Namespace) -> int:
             solver.unify(query.variables["Doc"], doc)
             doc_bound = True
     solutions = 0
+    printed = {
+        name: var for name, var in query.variables.items() if not (doc_bound and name == "Doc")
+    }
     for _ in solver.solve(query.goal):
+        for name, var in printed.items():
+            _check_acyclic(name, var)
         solutions += 1
         print("YES.")
-        for name, var in query.variables.items():
-            if doc_bound and name == "Doc":
-                continue
+        for name, var in printed.items():
             print("%s/%s" % (name, render_term(var, quoted=True)))
         if solutions >= args.max:
             break
@@ -207,6 +211,31 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print("NO")
         return 1
     return 0
+
+
+def _check_acyclic(name: str, term: Term) -> None:
+    """Raise ValueError if *term* contains itself, which no text can print.
+
+    A walk over an explicit stack keeps the compounds on the current path;
+    meeting one of them again is a cycle.
+    """
+    on_path: set[int] = set()
+    stack: list[tuple[Term, bool]] = [(term, False)]
+    while stack:
+        node, leaving = stack.pop()
+        if leaving:
+            on_path.discard(id(node))
+            continue
+        node = deref(node)
+        if isinstance(node, Compound):
+            if id(node) in on_path:
+                raise ValueError(
+                    "the answer binds %s to a cyclic term; --occurs-check makes such "
+                    "a unification fail" % name
+                )
+            on_path.add(id(node))
+            stack.append((node, True))
+            stack.extend((arg, False) for arg in node.args)
 
 
 def _cmd_roundtrip(args: argparse.Namespace) -> int:
@@ -332,12 +361,9 @@ def _referenced_goals(body: Term) -> list[tuple[str, int]]:
         elif goal.name == "findall" and len(goal.args) == 3:
             stack.append(goal.args[1])
         elif goal.name == "call":
-            # The goal call/N runs: its target with the extra arguments added.
-            target, extra = deref(goal.args[0]), goal.args[1:]
-            if isinstance(target, Compound):
-                stack.append(Compound(target.name, target.args + extra))
-            elif isinstance(target, Atom):
-                stack.append(Compound(target.name, extra) if extra else target)
+            target = call_goal(goal.args[0], goal.args[1:])
+            if target is not None:
+                stack.append(target)
         else:
             found.append((goal.name, len(goal.args)))
     return found

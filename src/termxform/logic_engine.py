@@ -24,7 +24,10 @@ Native predicates cover the term inspection, list, and arithmetic catalog
 occurrences without binding), and ``is/2`` evaluates both numeric operators
 and the string/node functor family (``cat``, ``substring``, ``translate``,
 ``plus`` over single-text elements, ...).  Evaluation errors make the goal
-fail with a diagnostic warning rather than raising.
+fail with a diagnostic warning rather than raising.  A native that succeeds
+at most once returns True or False, so its call leaves no choicepoint; the
+ones that can succeed again (``append/3``, ``member/2``, ``length/2`` and
+``attribute/3,4``) are generators, one item per solution.
 """
 
 from __future__ import annotations
@@ -273,6 +276,18 @@ def _sequence(goals: Sequence, env: Optional[list], cut: int, rest: Optional[tup
     return rest
 
 
+def call_goal(target: Term, extra: Sequence[Term]) -> Optional[Term]:
+    """The goal ``call(Target, Extra...)`` runs: *target* with *extra* added (None: not callable)."""
+    target = deref(target)
+    if isinstance(target, (Atom, Compound)) and not extra:
+        return target
+    if isinstance(target, Atom):
+        return Compound(target.name, tuple(extra))
+    if isinstance(target, Compound):
+        return Compound(target.name, target.args + tuple(extra))
+    return None
+
+
 def _functor_key(t: Term) -> Optional[tuple[str, int]]:
     t = deref(t)
     if isinstance(t, Atom):
@@ -376,18 +391,19 @@ class SolverOptions:
     """Knobs for one solver instance."""
 
     occurs_check: bool = False
-    depth_limit: Optional[int] = DEFAULT_STEP_LIMIT
+    depth_limit: int = DEFAULT_STEP_LIMIT
     diagnostics: Optional[TextIO] = None  # default: sys.stderr at use time
 
 
-# A native marked ``once`` succeeds at most once: the solver takes its one
-# solution and pushes no choicepoint for it.
-_BUILTINS: dict[tuple[str, Optional[int]], Callable] = {}
+# A native is called as ``native(solver, args)``.  One that succeeds at most
+# once returns True or False and pushes no choicepoint; one that can succeed
+# again is a generator function, and the iterator it returns, one item per
+# solution, becomes a choicepoint.
+_BUILTINS: dict[tuple[str, int], Callable] = {}
 
 
-def _builtin(name: str, arity: Optional[int], once: bool = False):
+def _builtin(name: str, arity: int):
     def register(fn):
-        fn.once = once
         _BUILTINS[(name, arity)] = fn
         return fn
 
@@ -413,9 +429,9 @@ class Solver:
     frames ``(goal, env, cut height, rest)`` whose goal, given an *env*, is
     a builder called on entry (a *rest* of None is a solution), and a list
     of choicepoints ``[trail mark, alternatives, rest]``: a native's
-    solution generator, whose solutions go on with *rest* (a native marked
-    ``once`` has none), or an iterator of frames (a call's other clauses, a
-    ``;``'s right branch).  On failure it undoes the trail to the newest
+    solution iterator, whose solutions go on with *rest* (a native that
+    returns True or False has none), or an iterator of frames (a call's
+    other clauses, a ``;``'s right branch).  On failure it undoes the trail to the newest
     mark, resumes that choicepoint (each alternative undoes its own
     bindings) and moves the mark up to the trail height.  ``!`` deletes the
     choicepoints above its clause's call-time height; ``call/N`` records a
@@ -520,7 +536,7 @@ class Solver:
     def _step(self) -> None:
         self.steps += 1
         limit = self.options.depth_limit
-        if limit is not None and self.steps > limit:
+        if self.steps > limit:
             raise ResourceLimitError("step limit of %d resolution steps exceeded" % limit)
 
     def _solve(self, goal: Term) -> Iterator[None]:
@@ -561,11 +577,11 @@ class Solver:
                             frame = (target, None, len(choicepoints), frame)
                             continue
                     elif (name, arity) in _BUILTINS:
-                        native = _BUILTINS[(name, arity)]
-                        if not getattr(native, "once", False):
-                            choicepoints.append([len(trail), native(self, args), frame])
-                        elif next(native(self, args), _EXHAUSTED) is not _EXHAUSTED:
+                        result = _BUILTINS[(name, arity)](self, args)
+                        if result is True:
                             continue
+                        if result is not False:
+                            choicepoints.append([len(trail), result, frame])
                     else:
                         clauses = self.program.candidates(name, arity, args)
                         if clauses is None:
@@ -619,17 +635,10 @@ class Solver:
         return (name, arity) in _BUILTINS
 
     def _call_goal(self, target: Term, extra: Sequence[Term]) -> Optional[Term]:
-        target = deref(target)
-        if isinstance(target, Atom):
-            if not extra:
-                return target
-            return Compound(target.name, tuple(extra))
-        if isinstance(target, Compound):
-            if not extra:
-                return target
-            return Compound(target.name, target.args + tuple(extra))
-        self.warn("call/N target is not callable: %s" % render_term(target))
-        return None
+        goal = call_goal(target, extra)
+        if goal is None:
+            self.warn("call/N target is not callable: %s" % render_term(target))
+        return goal
 
     # -- arithmetic / functor evaluation -------------------------------------
 
@@ -801,68 +810,57 @@ class Solver:
 # Native predicates
 
 
-@_builtin("true", 0, once=True)
-def _bi_true(solver: Solver, args) -> Iterator[None]:
-    yield
+@_builtin("true", 0)
+def _bi_true(solver: Solver, args) -> bool:
+    return True
 
 
-@_builtin("fail", 0, once=True)
-@_builtin("false", 0, once=True)
-def _bi_fail(solver: Solver, args) -> Iterator[None]:
-    return iter(())
+@_builtin("fail", 0)
+@_builtin("false", 0)
+def _bi_fail(solver: Solver, args) -> bool:
+    return False
 
 
-@_builtin("not", 1, once=True)
-def _bi_not(solver: Solver, args) -> Iterator[None]:
-    if not solver.solve_once(args[0]):
-        yield
+@_builtin("not", 1)
+def _bi_not(solver: Solver, args) -> bool:
+    return not solver.solve_once(args[0])
 
 
-@_builtin("findall", 3, once=True)
-def _bi_findall(solver: Solver, args) -> Iterator[None]:
+@_builtin("findall", 3)
+def _bi_findall(solver: Solver, args) -> bool:
     """findall(Template, Goal, List): a copy of Template per solution of Goal, in order.
 
     Goal runs on a machine of its own (a cut in it stays in it); its bindings are undone.
     """
     results = [copy_term(args[0], {}) for _ in solver._solve(args[1])]
-    if solver.unify(args[2], mk_list(results)):
-        yield
+    return solver.unify(args[2], mk_list(results))
 
 
-@_builtin("=", 2, once=True)
-def _bi_unify(solver: Solver, args) -> Iterator[None]:
-    if solver.unify(args[0], args[1]):
-        yield
+@_builtin("=", 2)
+def _bi_unify(solver: Solver, args) -> bool:
+    return solver.unify(args[0], args[1])
 
 
-@_builtin("\\=", 2, once=True)
-def _bi_not_unify(solver: Solver, args) -> Iterator[None]:
+@_builtin("\\=", 2)
+def _bi_not_unify(solver: Solver, args) -> bool:
     mark = len(solver.trail)
     unified = solver.unify(args[0], args[1])
     solver.undo_to(mark)
-    if not unified:
-        yield
+    return not unified
 
 
-@_builtin("==", 2, once=True)
-def _bi_identical(solver: Solver, args) -> Iterator[None]:
-    if term_equal(args[0], args[1]):
-        yield
+@_builtin("==", 2)
+def _bi_identical(solver: Solver, args) -> bool:
+    return term_equal(args[0], args[1])
 
 
-@_builtin("\\==", 2, once=True)
-def _bi_not_identical(solver: Solver, args) -> Iterator[None]:
-    if not term_equal(args[0], args[1]):
-        yield
+@_builtin("\\==", 2)
+def _bi_not_identical(solver: Solver, args) -> bool:
+    return not term_equal(args[0], args[1])
 
 
 def _type_test(predicate):
-    def test(solver: Solver, args) -> Iterator[None]:
-        if predicate(deref(args[0])):
-            yield
-
-    test.once = True
-    return test
+    return lambda solver, args: predicate(deref(args[0]))
 
 
 _BUILTINS[("var", 1)] = _type_test(lambda t: isinstance(t, Var))
@@ -877,29 +875,26 @@ _BUILTINS[("list", 1)] = _type_test(is_list)
 _BUILTINS[("ground", 1)] = _type_test(is_ground)
 
 
-@_builtin("is", 2, once=True)
-def _bi_is(solver: Solver, args) -> Iterator[None]:
+@_builtin("is", 2)
+def _bi_is(solver: Solver, args) -> bool:
     try:
         value = solver.eval_is(args[1])
     except EvalError as exc:
         solver.warn("is/2: %s" % exc)
-        return
-    if solver.unify(args[0], value):
-        yield
+        return False
+    return solver.unify(args[0], value)
 
 
 def _comparison(op):
-    def compare(solver: Solver, args) -> Iterator[None]:
+    def compare(solver: Solver, args) -> bool:
         try:
             left = solver._eval_number(args[0])
             right = solver._eval_number(args[1])
         except EvalError as exc:
             solver.warn("numeric comparison: %s" % exc)
-            return
-        if op(left, right):
-            yield
+            return False
+        return op(left, right)
 
-    compare.once = True
     return compare
 
 
@@ -909,32 +904,25 @@ _BUILTINS[("=<", 2)] = _comparison(lambda a, b: a <= b)
 _BUILTINS[(">=", 2)] = _comparison(lambda a, b: a >= b)
 
 
-@_builtin("atom_codes", 2, once=True)
-def _bi_atom_codes(solver: Solver, args) -> Iterator[None]:
+@_builtin("atom_codes", 2)
+def _bi_atom_codes(solver: Solver, args) -> bool:
     a = deref(args[0])
     if isinstance(a, Atom):
-        codes = mk_list([ord(c) for c in a.name])
-        if solver.unify(args[1], codes):
-            yield
-        return
+        return solver.unify(args[1], mk_list([ord(c) for c in a.name]))
     if isinstance(a, (int, float)):
-        codes = mk_list([ord(c) for c in Solver._num_text(a)])
-        if solver.unify(args[1], codes):
-            yield
-        return
+        return solver.unify(args[1], mk_list([ord(c) for c in Solver._num_text(a)]))
     items = list_items(args[1])
     if items is None:
         solver.warn("atom_codes/2 needs a bound atom or a proper code list")
-        return
+        return False
     chars = []
     for item in items:
         item = deref(item)
         if not isinstance(item, int) or not (0 <= item <= 0x10FFFF):
             solver.warn("atom_codes/2: invalid character code %s" % render_term(item))
-            return
+            return False
         chars.append(chr(item))
-    if solver.unify(args[0], Atom("".join(chars))):
-        yield
+    return solver.unify(args[0], Atom("".join(chars)))
 
 
 @_builtin("append", 3)
@@ -1039,24 +1027,23 @@ def _bi_length(solver: Solver, args) -> Iterator[None]:
     solver.warn("length/2 needs a proper list or an integer length")
 
 
-@_builtin("reverse", 2, once=True)
-def _bi_reverse(solver: Solver, args) -> Iterator[None]:
+@_builtin("reverse", 2)
+def _bi_reverse(solver: Solver, args) -> bool:
     for source, target in ((args[0], args[1]), (args[1], args[0])):
         items = list_items(source)
         if items is not None:
-            if solver.unify(target, mk_list(items[::-1])):
-                yield
-            return
+            return solver.unify(target, mk_list(items[::-1]))
     solver.warn("reverse/2 needs at least one proper list")
+    return False
 
 
-@_builtin("delete", 3, once=True)
-def _bi_delete(solver: Solver, args) -> Iterator[None]:
+@_builtin("delete", 3)
+def _bi_delete(solver: Solver, args) -> bool:
     pattern, source, result = args
     items = list_items(source)
     if items is None:
         solver.warn("delete/3 needs a proper list")
-        return
+        return False
     kept: list[Term] = []
     for item in items:
         mark = len(solver.trail)
@@ -1064,32 +1051,30 @@ def _bi_delete(solver: Solver, args) -> Iterator[None]:
         solver.undo_to(mark)
         if not matched:
             kept.append(item)
-    if solver.unify(result, mk_list(kept)):
-        yield
+    return solver.unify(result, mk_list(kept))
 
 
-@_builtin("write", 1, once=True)
-def _bi_write(solver: Solver, args) -> Iterator[None]:
+@_builtin("write", 1)
+def _bi_write(solver: Solver, args) -> bool:
     solver.write_out(render_term(deref(args[0]), quoted=False))
-    yield
+    return True
 
 
-@_builtin("canon", 2, once=True)
-def _bi_canon(solver: Solver, args) -> Iterator[None]:
+@_builtin("canon", 2)
+def _bi_canon(solver: Solver, args) -> bool:
     items = list_items(args[0])
     if items is None:
         solver.warn("canon/2 needs a proper attribute list")
-        return
+        return False
     keyed = []
     for item in items:
         attr = split_attr(item)
         if attr is None:
             solver.warn("canon/2: malformed attribute entry %s" % render_term(item))
-            return
+            return False
         keyed.append((attr[0], item))
     keyed.sort(key=lambda pair: pair[0])  # stable: equal ids keep order
-    if solver.unify(args[1], mk_list([item for _, item in keyed])):
-        yield
+    return solver.unify(args[1], mk_list([item for _, item in keyed]))
 
 
 @_builtin("attribute", 3)
@@ -1117,14 +1102,13 @@ def _bi_attribute(solver: Solver, args) -> Iterator[None]:
         solver.undo_to(mark)
 
 
-@_builtin("upcase", 2, once=True)
-def _bi_upcase(solver: Solver, args) -> Iterator[None]:
+@_builtin("upcase", 2)
+def _bi_upcase(solver: Solver, args) -> bool:
     word = deref(args[1])
     if not isinstance(word, Atom):
         solver.warn("upcase/2 is one-directional: second argument must be a bound atom")
-        return
-    if solver.unify(args[0], Atom(_ascii_upper(word.name))):
-        yield
+        return False
+    return solver.unify(args[0], Atom(_ascii_upper(word.name)))
 
 
 def _atom_pair(solver: Solver, args) -> Optional[tuple[str, str]]:
@@ -1139,18 +1123,16 @@ def _case_order_key(s: str, upper_rank: int) -> tuple:
     return (_ascii_lower(s), tuple(upper_rank if "A" <= c <= "Z" else 1 - upper_rank for c in s))
 
 
-@_builtin("upper_first", 2, once=True)
-def _bi_upper_first(solver: Solver, args) -> Iterator[None]:
+@_builtin("upper_first", 2)
+def _bi_upper_first(solver: Solver, args) -> bool:
     pair = _atom_pair(solver, args)
-    if pair and _case_order_key(pair[0], 0) <= _case_order_key(pair[1], 0):
-        yield
+    return pair is not None and _case_order_key(pair[0], 0) <= _case_order_key(pair[1], 0)
 
 
-@_builtin("lower_first", 2, once=True)
-def _bi_lower_first(solver: Solver, args) -> Iterator[None]:
+@_builtin("lower_first", 2)
+def _bi_lower_first(solver: Solver, args) -> bool:
     pair = _atom_pair(solver, args)
-    if pair and _case_order_key(pair[0], 1) <= _case_order_key(pair[1], 1):
-        yield
+    return pair is not None and _case_order_key(pair[0], 1) <= _case_order_key(pair[1], 1)
 
 
 def _class_key(s: str, upper_class_first: bool) -> tuple:
@@ -1159,29 +1141,25 @@ def _class_key(s: str, upper_class_first: bool) -> tuple:
     return (rank, s)
 
 
-@_builtin("first_upper", 2, once=True)
-def _bi_first_upper(solver: Solver, args) -> Iterator[None]:
+@_builtin("first_upper", 2)
+def _bi_first_upper(solver: Solver, args) -> bool:
     pair = _atom_pair(solver, args)
-    if pair and _class_key(pair[0], True) <= _class_key(pair[1], True):
-        yield
+    return pair is not None and _class_key(pair[0], True) <= _class_key(pair[1], True)
 
 
-@_builtin("first_lower", 2, once=True)
-def _bi_first_lower(solver: Solver, args) -> Iterator[None]:
+@_builtin("first_lower", 2)
+def _bi_first_lower(solver: Solver, args) -> bool:
     pair = _atom_pair(solver, args)
-    if pair and _class_key(pair[0], False) <= _class_key(pair[1], False):
-        yield
+    return pair is not None and _class_key(pair[0], False) <= _class_key(pair[1], False)
 
 
-@_builtin("contains", 2, once=True)
-def _bi_contains(solver: Solver, args) -> Iterator[None]:
+@_builtin("contains", 2)
+def _bi_contains(solver: Solver, args) -> bool:
     pair = _atom_pair(solver, args)
-    if pair and pair[1] in pair[0]:
-        yield
+    return pair is not None and pair[1] in pair[0]
 
 
-@_builtin("starts_with", 2, once=True)
-def _bi_starts_with(solver: Solver, args) -> Iterator[None]:
+@_builtin("starts_with", 2)
+def _bi_starts_with(solver: Solver, args) -> bool:
     pair = _atom_pair(solver, args)
-    if pair and pair[0].startswith(pair[1]):
-        yield
+    return pair is not None and pair[0].startswith(pair[1])

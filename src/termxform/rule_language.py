@@ -20,6 +20,7 @@ from .term_core import (
     Term,
     Var,
     fresh_var,
+    list_items,
     mk_list,
 )
 
@@ -439,8 +440,6 @@ def _apply_directive(directive: Term, table: OperatorTable, parser: _Parser) -> 
         if not isinstance(precedence, int) or not isinstance(fixity, Atom):
             raise parser.error("malformed op directive", token)
         name_terms = [names]
-        from .term_core import list_items
-
         listed = list_items(names)
         if listed is not None:
             name_terms = listed

@@ -25,9 +25,9 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
-from .logic_engine import Program, Solver, SolverOptions, _builtin
+from .logic_engine import DEFAULT_STEP_LIMIT, Program, Solver, SolverOptions, _builtin
 from .rule_language import parse_program
 from .term_core import (
     Atom,
@@ -66,7 +66,7 @@ class TransformOptions:
     keep_ws: bool = False
     pretty: bool = False
     unmatched_text: str = "drop"
-    depth_limit: Optional[int] = None
+    depth_limit: int = DEFAULT_STEP_LIMIT
     occurs_check: bool = False
 
 
@@ -90,10 +90,9 @@ def traverse(node: Term, program: Program, unmatched_text: str = "drop") -> list
     return _traverse(node, Solver(program), unmatched_text)
 
 
-@_builtin("traverse", 2, once=True)
-def _bi_traverse(solver: Solver, args) -> Iterator[None]:
-    if solver.unify(args[1], mk_list(_traverse(args[0], solver))):
-        yield
+@_builtin("traverse", 2)
+def _bi_traverse(solver: Solver, args) -> bool:
+    return solver.unify(args[1], mk_list(_traverse(args[0], solver)))
 
 
 def _traverse(node: Term, solver: Solver, unmatched_text: str = "drop") -> list[Term]:
@@ -172,10 +171,9 @@ def transform_file(
     )
     timings["rules"] = time.perf_counter() - started
 
-    solver_options = SolverOptions(occurs_check=options.occurs_check)
-    if options.depth_limit is not None:
-        solver_options.depth_limit = options.depth_limit
-    solver = Solver(program, solver_options)
+    solver = Solver(
+        program, SolverOptions(occurs_check=options.occurs_check, depth_limit=options.depth_limit)
+    )
 
     started = time.perf_counter()
     result_sets: list[list[Term]] = []

@@ -75,9 +75,6 @@ class Atom:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Atom) and other.name == self.name
 
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -120,9 +117,6 @@ class Compound:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Compound) and term_equal(self, other)
-
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
 
     __hash__ = None  # type: ignore[assignment]
 

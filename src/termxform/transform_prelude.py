@@ -23,10 +23,10 @@ facts (one relation row per child element).
 from __future__ import annotations
 
 import re
-from typing import Iterator, Optional
+from typing import Optional
 
 from .logic_engine import Clause, Program, Solver, _builtin
-from .rule_language import OperatorTable, parse_program
+from .rule_language import parse_program
 from .term_core import (
     EMPTY_LIST,
     Atom,
@@ -44,7 +44,6 @@ from .xml_io import ValidationError, _write
 __all__ = [
     "PRELUDE_SRC",
     "prelude_program",
-    "prelude_operators",
     "load_prelude",
     "tree_to_relation",
 ]
@@ -451,11 +450,6 @@ def prelude_program() -> Program:
     return _parsed_prelude().copy()
 
 
-def prelude_operators() -> OperatorTable:
-    """The operator table after loading the built-in rule set."""
-    return _parsed_prelude().operators.copy()
-
-
 def load_prelude(user: Optional[Program] = None) -> Program:
     """The built-in rules with *user* clauses appended after them."""
     combined = prelude_program()
@@ -475,8 +469,8 @@ def _sort_key(child: Compound, att: Optional[str]) -> Optional[str]:
     return None
 
 
-@_builtin("sortChildren", 3, once=True)
-def _bi_sort_children(solver: Solver, args) -> Iterator[None]:
+@_builtin("sortChildren", 3)
+def _bi_sort_children(solver: Solver, args) -> bool:
     """sortChildren(Children, Att, Sorted): the body of ``E sort Att``.
 
     Gives the order of ``quicksort/3`` with a comparator that holds when
@@ -495,18 +489,16 @@ def _bi_sort_children(solver: Solver, args) -> Iterator[None]:
     """
     children, att, sorted_out = args
     if isinstance(deref(children), Var):
-        if solver.unify(children, EMPTY_LIST) and solver.unify(sorted_out, EMPTY_LIST):
-            yield
-        return
+        return solver.unify(children, EMPTY_LIST) and solver.unify(sorted_out, EMPTY_LIST)
     items = list_items(children)
     if items is None or not is_ground(children):
-        return
+        return False
     nodes = [deref(item) for item in items]
     if not all(isinstance(n, Compound) and n.name == "element" and len(n.args) == 3 for n in nodes):
-        return
+        return False
     att = deref(att)
     if nodes and not is_ground(att) and not is_ground(sorted_out):
-        return
+        return False
     name = att.name if isinstance(att, Atom) else None
     keys = [_sort_key(node, name) for node in nodes]
     pending = sorted(
@@ -522,32 +514,30 @@ def _bi_sort_children(solver: Solver, args) -> Iterator[None]:
             while emitted < len(pending) and pending[emitted][0] <= key:
                 result.append(pending[emitted][1])
                 emitted += 1
-    if solver.unify(sorted_out, mk_list(result)):
-        yield
+    return solver.unify(sorted_out, mk_list(result))
 
 
-@_builtin("leStrings", 2, once=True)
-def _bi_le_strings(solver: Solver, args) -> Iterator[None]:
+@_builtin("leStrings", 2)
+def _bi_le_strings(solver: Solver, args) -> bool:
     """leStrings(S1, S2): atoms other than ``[]``, S1 at or before S2 in code-point order."""
     first, second = deref(args[0]), deref(args[1])
-    if (
+    return (
         isinstance(first, Atom)
         and isinstance(second, Atom)
         and EMPTY_LIST not in (first, second)
         and first.name <= second.name
-    ):
-        yield
+    )
 
 
-@_builtin("checkSerializable", 1, once=True)
-def _bi_check_serializable(solver: Solver, args) -> Iterator[None]:
+@_builtin("checkSerializable", 1)
+def _bi_check_serializable(solver: Solver, args) -> bool:
     """checkSerializable(Node): xml_io's verdict; a rejection writes its message and fails."""
     try:
         _write(args[0], [])
     except ValidationError as exc:
         solver.write_out("%s\n" % exc)
-        return
-    yield
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,27 @@ def test_last_of_an_open_list_enumerates_longer_lists(goal, answers):
     assert (done.returncode, re.sub(r"_\d+", "_", done.stdout), done.stderr) == (0, expected, "")
 
 
+@pytest.mark.parametrize("goal", ["X = f(X)", "X = f(X), Y = 1"])
+def test_a_cyclic_answer_is_an_input_error_that_names_its_variable(goal):
+    # A cyclic answer has no finite text, so printing one would never end; it
+    # is rejected before any of it is printed.  With the occurs check the
+    # unification fails instead.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(termxform.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    command = [sys.executable, "-m", "termxform.cli", "query", "--rules", "prelude-only", goal]
+    done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=20)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "binds X to a cyclic term" in done.stderr and "--occurs-check" in done.stderr
+    command.append("--occurs-check")
+    done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=20)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "NO\n", "")
+
+
+def test_shared_subterms_of_an_answer_are_not_cycles(capsys):
+    code = main(["query", "--rules", "prelude-only", "Y = f(a), X = g(Y, [Y, Y])"])
+    assert (code, capsys.readouterr().out) == (0, "YES.\nY/f(a)\nX/g(f(a),[f(a),f(a)])\n")
+
+
 def test_last_of_a_proper_list_has_one_answer(capsys):
     code = main(["query", "--rules", "prelude-only", "--max", "5", "last([a, b, c], X)"])
     assert (code, capsys.readouterr().out) == (0, "YES.\nX/c\n")

@@ -1,5 +1,6 @@
 """Tests for the resolution engine: control flow, natives, and evaluation."""
 
+import inspect
 import io
 import re
 
@@ -320,6 +321,21 @@ def test_control_goals_are_answered_by_one_registry():
         assert Solver.is_builtin(name, arity) and (name, arity) in _BUILTINS
     for name, arity in [("call", 0), ("true", 1), ("not", 2), ("findall", 2), (",", 3), ("foo", 0)]:
         assert not Solver.is_builtin(name, arity)
+
+
+def test_only_natives_that_can_succeed_again_are_generators():
+    # A native that succeeds at most once returns True or False, so its call
+    # pushes no choicepoint; written as a generator it would push one per call.
+    import termxform  # noqa: F401 - registers the template and prelude natives
+
+    generators = {key for key, native in _BUILTINS.items() if inspect.isgeneratorfunction(native)}
+    expected = {("append", 3), ("member", 2), ("length", 2), ("attribute", 3), ("attribute", 4)}
+    assert generators == expected
+    solver = make_solver()
+    for (name, arity), native in _BUILTINS.items():
+        if (name, arity) not in generators:
+            result = native(solver, [fresh_var("A") for _ in range(arity)])
+            assert result is True or result is False, (name, arity)
 
 
 def test_number_type_aliases_share_one_native():

@@ -5,9 +5,11 @@ of choicepoints.  Before it, two cooperating generator paths did the same
 work: ``_solve`` for ``;`` ``!`` ``call/N``, natives and the clause loop, and
 ``_solve_body`` for goal sequences, with cut barriers held in one-element
 lists.  That code is kept below as ``GeneratorSolver``, the oracle, changed
-only by a default barrier and by the machine's step rule, one step per goal
+only by a default barrier, by the machine's step rule, one step per goal
 entered other than ``,``: ``_solve_body`` takes no step of its own, and a
-fact, whose compiled body has no goals, succeeds at once.  It matches and
+fact, whose compiled body has no goals, succeeds at once, and by the native
+protocol: a native that returns True succeeds once, False fails, and
+anything else is its solution iterator.  It matches and
 builds clauses with the skeleton interpreter of ``skeleton_oracle``, which
 the generated clause code replaced, so it shares no clause code with the
 machine.  Both solvers
@@ -75,7 +77,11 @@ class GeneratorSolver(Solver):
 
             native = _BUILTINS.get((name, arity))
             if native is not None:
-                yield from native(self, args)
+                result = native(self, args)  # True, False or a solution iterator
+                if result is True:
+                    yield
+                elif result is not False:
+                    yield from result
                 return
 
             clauses = self.program.candidates(name, arity, args)

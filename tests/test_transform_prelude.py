@@ -16,7 +16,6 @@ from termxform.term_core import (
 from termxform.transform_prelude import (
     PRELUDE_SRC,
     load_prelude,
-    prelude_operators,
     prelude_program,
     tree_to_relation,
 )
@@ -529,8 +528,8 @@ def test_the_prelude_uses_the_default_operator_table():
     # which also parses user programs before the prelude is loaded.
     assert ":-op(" not in PRELUDE_SRC.replace(" ", "")
     default = OperatorTable()
-    assert prelude_operators().infix == default.infix
-    assert prelude_operators().prefix == default.prefix
+    assert load_prelude().operators.infix == default.infix
+    assert load_prelude().operators.prefix == default.prefix
 
 
 def test_user_rules_extend_prelude_and_keep_their_operators():

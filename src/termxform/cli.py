@@ -38,6 +38,7 @@ from .term_core import (
     Compound,
     Term,
     deref,
+    is_cyclic,
     list_items,
     render_term,
     term_equal,
@@ -214,28 +215,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _check_acyclic(name: str, term: Term) -> None:
-    """Raise ValueError if *term* contains itself, which no text can print.
-
-    A walk over an explicit stack keeps the compounds on the current path;
-    meeting one of them again is a cycle.
-    """
-    on_path: set[int] = set()
-    stack: list[tuple[Term, bool]] = [(term, False)]
-    while stack:
-        node, leaving = stack.pop()
-        if leaving:
-            on_path.discard(id(node))
-            continue
-        node = deref(node)
-        if isinstance(node, Compound):
-            if id(node) in on_path:
-                raise ValueError(
-                    "the answer binds %s to a cyclic term; --occurs-check makes such "
-                    "a unification fail" % name
-                )
-            on_path.add(id(node))
-            stack.append((node, True))
-            stack.extend((arg, False) for arg in node.args)
+    """Raise ValueError if *term* contains itself, which no text can print."""
+    if is_cyclic(term):
+        raise ValueError(
+            "the answer binds %s to a cyclic term; --occurs-check makes such "
+            "a unification fail" % name
+        )
 
 
 def _cmd_roundtrip(args: argparse.Namespace) -> int:

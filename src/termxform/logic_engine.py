@@ -16,8 +16,12 @@ call tries only the clauses in its first-argument bucket (see
 from the clause once, without copying the clause (see :class:`Clause`).
 
 One loop, :meth:`Solver._solve`, runs every goal on lists of its own, so rule
-recursion does not grow the Python stack.  A clause body runs goal by goal,
-each made by its generated builder: no ``,`` term is built or solved.
+recursion does not grow the Python stack.  A clause body runs site by site
+(see :meth:`Clause.compile`): a call site hands its callee the argument tuple
+its generated builder makes, and ``!`` and ``;`` in a body are sites too, so
+no goal term is built for them and no ``,`` term is built or solved.  A goal
+term (a query's, ``call/N``'s, a variable body goal's value) is read into the
+site it would compile to, and both run through the same code.
 
 Native predicates cover the term inspection, list, and arithmetic catalog
 (``append/3`` is fully nondeterministic, ``delete/3`` removes all unifying
@@ -48,6 +52,7 @@ from .term_core import (
     copy_term,
     deref,
     fresh_var,
+    is_cyclic,
     is_ground,
     is_list,
     list_items,
@@ -85,16 +90,28 @@ class EvalError(Exception):
     """Internal: arithmetic/functor evaluation failed (goal will fail)."""
 
 
+# The kinds of body-goal site (see :meth:`Clause.compile`).  A site is a tuple
+# whose first item is its kind:
+#   (CALL, build, name, arity, native)  build(e) is the callee's argument tuple;
+#                                       native is None for a program predicate
+#   (CUT,)
+#   (OR, left sites, right sites)       the branches of a ``;``, over the same slots
+#   (TERM, build)                       build(e) is a goal term, run as a query's goal is
+CALL, CUT, OR, TERM = "call", "!", ";", "term"
+
+
 class Clause:
     """One stored rule: a head term and a body term (``true`` for facts).
 
     The solver does not copy ``head`` and ``body`` on each call.  The first
     time the clause is tried it is compiled (see :meth:`compile`) into Python
-    code generated from its terms: a head matcher and one builder per goal of
+    code generated from its terms: a head matcher and one site per goal of
     the body's ``,`` chain, both over a list of numbered variable slots.  A
-    call runs the matcher on its goal's arguments and then the goal sequence,
-    each goal built from the same slots when it is entered.  A fact runs no
-    goals.
+    call runs the matcher on its goal's arguments and then the site sequence.
+    A call site builds only its callee's argument tuple from the slots, when
+    it is entered, and names its callee by name and arity: the program that
+    runs the clause finds the clauses, so one clause object may serve several
+    programs.  A fact runs no sites.
     """
 
     __slots__ = ("head", "body", "code")
@@ -105,14 +122,20 @@ class Clause:
         self.code: Optional[tuple[int, Callable, tuple]] = None
 
     def compile(self) -> tuple[int, Callable, tuple]:
-        """(slot count, head matcher, body goal builders), made once.
+        """(slot count, head matcher, body sites), made once.
 
         One Python source, generated from the clause's terms and run with
         ``exec``, defines ``match(args, e, solver)``, which matches the goal's
         arguments left to right into the slot list *e* (false on a clash), and
-        ``g<i>(e)``, which builds body goal i.  Ground subterms are namespace
-        constants shared by every call and names are ``repr`` literals: no rule
-        text becomes code.  A body ``true`` (a fact, or ``p :- true``) has no goals.
+        one ``g<i>(e)`` per site that builds anything.  A goal ``p(T1..Tn)``
+        becomes a CALL site whose ``g<i>`` returns ``(T1, ..., Tn)``, with the
+        native of p/n, if any, looked up now; every native registers when
+        :mod:`termxform` is imported.  ``!`` becomes a CUT site and ``;`` an
+        OR site of its two branches' sites.  Any other goal (a variable, a
+        number, ``call/N``, a nested ``,``) is a TERM site whose ``g<i>``
+        builds the goal term.  Ground subterms are namespace constants shared
+        by every call and names are ``repr`` literals: no rule text becomes
+        code.  A body ``true`` (a fact, or ``p :- true``) has no sites.
         """
         head = deref(self.head)
         body = deref(self.body)
@@ -154,15 +177,52 @@ class _ClauseCode:
             self.match(arg, "x%d" % i, lines)
         self.function("match(args, e, solver)", lines, "True")
         self.in_body = True
-        for i, goal in enumerate(goals):
-            lines = []
-            self.function("g%d(e)" % i, lines, self.build(goal, lines))
+        sites = self.sites(goals)
         exec("".join(self.functions), self.names)
-        return len(self.slots), self.names["match"], tuple(self.names["g%d" % i] for i in range(len(goals)))
+        return len(self.slots), self.names["match"], self.link(sites)
 
     def function(self, signature: str, lines: list[str], result: str) -> None:
         body = "".join(line + "\n" for line in lines)
         self.functions.append("def %s:\n%s    return %s\n" % (signature, body, result))
+
+    def sites(self, goals: Sequence[Term]) -> tuple:
+        """The sites of a goal sequence, each naming its builder until :meth:`link`."""
+        return tuple(self.site(goal) for goal in goals)
+
+    def site(self, goal: Term) -> tuple:
+        goal = deref(goal)
+        name = goal.name if isinstance(goal, (Atom, Compound)) else None
+        args = goal.args if isinstance(goal, Compound) else ()
+        if name == "!" and not args:
+            return (CUT,)
+        if name == ";" and len(args) == 2:
+            # Either branch may run without the other, so each starts from the
+            # slots filled before the ``;``, and only the slots both fill stay filled.
+            before = self.filled
+            self.filled = set(before)
+            left = self.sites(_conjuncts(args[0]))
+            left_filled, self.filled = self.filled, set(before)
+            right = self.sites(_conjuncts(args[1]))
+            self.filled &= left_filled
+            return (OR, left, right)
+        function = "g%d" % next(self.count)
+        lines: list[str] = []
+        if name is None or (name == "," and len(args) == 2) or (name == "call" and args):
+            self.function(function + "(e)", lines, self.build(goal, lines))
+            return (TERM, function)
+        self.function(function + "(e)", lines, self.build_args(args, lines))
+        return (CALL, function, name, len(args), _BUILTINS.get((name, len(args))))
+
+    def link(self, sites: tuple) -> tuple:
+        """*sites* with each builder's name replaced by the function ``exec`` made."""
+        linked = []
+        for site in sites:
+            if site[0] is OR:
+                site = (OR, self.link(site[1]), self.link(site[2]))
+            elif site[0] is not CUT:
+                site = (site[0], self.names[site[1]]) + site[2:]
+            linked.append(site)
+        return tuple(linked)
 
     def is_constant(self, t: Term) -> bool:
         t = deref(t)
@@ -237,17 +297,23 @@ class _ClauseCode:
             return "e[%d]" % slot
         if self.is_constant(t):
             return self.constant(t)
-        args = []
-        for arg in t.args:  # inner compounds go to locals: the source nests no deeper than the term
+        return "Compound(%r, %s)" % (t.name, self.build_args(t.args, lines))
+
+    def build_args(self, args: Sequence[Term], lines: list[str]) -> str:
+        """An expression for the tuple of clause terms *args* (see :meth:`build`)."""
+        if all(self.is_constant(arg) for arg in args):
+            return self.constant(tuple(deref(arg) for arg in args))
+        built = []
+        for arg in args:  # inner compounds go to locals: the source nests no deeper than the term
             arg = deref(arg)
             if isinstance(arg, Compound) and not self.is_constant(arg):
-                built = self.build(arg, lines) if self.in_body else self.builder(arg) + "(e)"
+                expression = self.build(arg, lines) if self.in_body else self.builder(arg) + "(e)"
                 arg_local = "v%d" % next(self.count)
-                lines.append("    %s = %s" % (arg_local, built))
-                args.append(arg_local)
+                lines.append("    %s = %s" % (arg_local, expression))
+                built.append(arg_local)
             else:
-                args.append(self.build(arg, lines))
-        return "Compound(%r, (%s))" % (t.name, "".join(arg + ", " for arg in args))
+                built.append(self.build(arg, lines))
+        return "(%s)" % "".join(arg + ", " for arg in built)
 
 
 def _bind_built(solver: "Solver", var: Var, term: Term) -> Optional[Term]:
@@ -358,14 +424,11 @@ class Program:
 
         A goal whose first argument is unbound gets every clause.
         """
-        clauses = self.clauses.get((name, arity))
-        if clauses is None or not args:
-            return clauses
-        first = _index_key(args[0])
+        first = _index_key(args[0]) if args else None
         if first is None:
-            return clauses
-        buckets, unkeyed = self.index[(name, arity)]
-        return buckets.get(first, unkeyed)
+            return self.clauses.get((name, arity))
+        index = self.index.get((name, arity))
+        return None if index is None else index[0].get(first, index[1])
 
     def defines(self, name: str, arity: int) -> bool:
         return (name, arity) in self.clauses
@@ -398,7 +461,8 @@ class SolverOptions:
 # A native is called as ``native(solver, args)``.  One that succeeds at most
 # once returns True or False and pushes no choicepoint; one that can succeed
 # again is a generator function, and the iterator it returns, one item per
-# solution, becomes a choicepoint.
+# solution, becomes a choicepoint.  A clause's call site looks its native up
+# when the clause compiles; a goal term looks it up when it runs.
 _BUILTINS: dict[tuple[str, int], Callable] = {}
 
 
@@ -426,18 +490,24 @@ class Solver:
     copy) anything you need *before* advancing or abandoning it.
 
     :meth:`_solve` is one loop over the goals still to run, a linked list of
-    frames ``(goal, env, cut height, rest)`` whose goal, given an *env*, is
-    a builder called on entry (a *rest* of None is a solution), and a list
-    of choicepoints ``[trail mark, alternatives, rest]``: a native's
-    solution iterator, whose solutions go on with *rest* (a native that
-    returns True or False has none), or an iterator of frames (a call's
-    other clauses, a ``;``'s right branch).  On failure it undoes the trail to the newest
-    mark, resumes that choicepoint (each alternative undoes its own
-    bindings) and moves the mark up to the trail height.  ``!`` deletes the
-    choicepoints above its clause's call-time height; ``call/N`` records a
-    new height.  A call with one candidate clause pushes none.  Steps: one per
-    goal entered other than ``,``, so a fact's call is one step and a clause
-    body of k goals adds k.
+    frames ``(site, env, cut height, rest)`` (a *rest* of None is a
+    solution), and a list of choicepoints ``[trail mark, alternatives,
+    rest]``.  With an *env*, the clause's slot list, the frame's site is a
+    compiled body site (see :meth:`Clause.compile`); without one it is a goal
+    term, read into the site it would compile to.  Entering a call site takes
+    one step, builds the argument tuple from *env* and calls the native, or
+    the clauses that ``self.program`` holds for the name and arity: a site
+    never holds clauses, so a clause shared by two programs calls each one's
+    own.  Alternatives are a native's solution iterator, whose solutions go
+    on with *rest* (a native that returns True or False has none), or an
+    iterator of frames (a call's other clauses, a ``;``'s right branch).  On
+    failure it undoes the trail to the newest mark, resumes that choicepoint
+    (each alternative undoes its own bindings) and moves the mark up to the
+    trail height.  ``!`` deletes the choicepoints above its clause's
+    call-time height, and a ``;`` branch keeps its clause's; ``call/N``
+    records a new height.  A call with one candidate clause pushes none.
+    Steps: one per goal entered other than ``,``, so a fact's call is one
+    step and a clause body of k goals adds k.
     """
 
     def __init__(self, program: Program, options: Optional[SolverOptions] = None) -> None:
@@ -484,40 +554,48 @@ class Solver:
         return False
 
     def unify(self, a: Term, b: Term) -> bool:
-        """Destructively unify; returns success. Caller undoes via the trail."""
-        occurs_check = self.options.occurs_check
-        stack = [(a, b)]
-        while stack:
-            x, y = stack.pop()
-            x = deref(x)
-            y = deref(y)
-            if x is y:
-                continue
-            if isinstance(x, Var):
-                if occurs_check and self._occurs(x, y):
+        """Destructively unify; returns success. Caller undoes via the trail.
+
+        Pairs of arguments wait on a stack, made at the first compound pair,
+        and the last pair is unified first.  Numbers are ``int`` and ``float``,
+        and ``1`` does not unify with ``1.0``.
+        """
+        trail = self.trail
+        stack = None
+        while True:
+            while type(a) is Var and a.ref is not None:
+                a = a.ref
+            while type(b) is Var and b.ref is not None:
+                b = b.ref
+            if a is not b:
+                kind = type(a)
+                if kind is Var:
+                    if self.options.occurs_check and self._occurs(a, b):
+                        return False
+                    a.ref = b
+                    trail.append(a)
+                elif type(b) is Var:
+                    if self.options.occurs_check and self._occurs(b, a):
+                        return False
+                    b.ref = a
+                    trail.append(b)
+                elif kind is Compound:
+                    if type(b) is not Compound or a.name != b.name or len(a.args) != len(b.args):
+                        return False
+                    if stack is None:
+                        stack = []
+                    stack.extend(zip(a.args, b.args))
+                elif kind is Atom:
+                    if type(b) is not Atom or a.name != b.name:
+                        return False
+                elif kind is int or kind is float:
+                    if type(b) is not kind or a != b:
+                        return False
+                else:  # pragma: no cover - defensive
                     return False
-                self.bind(x, y)
-            elif isinstance(y, Var):
-                if occurs_check and self._occurs(y, x):
-                    return False
-                self.bind(y, x)
-            elif isinstance(x, Atom):
-                if not (isinstance(y, Atom) and y.name == x.name):
-                    return False
-            elif isinstance(x, (int, float)):
-                if type(x) is not type(y) or x != y:
-                    return False
-            elif isinstance(x, Compound):
-                if (
-                    not isinstance(y, Compound)
-                    or y.name != x.name
-                    or len(y.args) != len(x.args)
-                ):
-                    return False
-                stack.extend(zip(x.args, y.args))
-            else:  # pragma: no cover - defensive
-                return False
-        return True
+            if not stack:
+                return True
+            a, b = stack.pop()
 
     # -- solving ------------------------------------------------------------
 
@@ -550,50 +628,66 @@ class Solver:
                 if frame is None:
                     yield
                 else:
-                    goal, env, cut, frame = frame
-                    goal = deref(goal if env is None else goal(env))
-                    kind = type(goal)
-                    name = goal.name if kind is Compound or kind is Atom else None
-                    args = goal.args if kind is Compound else ()
-                    arity = len(args)
-                    if name == "," and arity == 2:
-                        frame = _sequence(_conjuncts(goal), None, cut, frame)
-                        continue
+                    site, env, cut, frame = frame
+                    if env is not None and site[0] is CALL:
+                        kind, build, name, arity, native = site
+                        args = build(env)
+                    elif env is not None and site[0] is not TERM:
+                        kind = site[0]
+                    else:  # a goal term runs as the site it would compile to
+                        goal = deref(site if env is None else site[1](env))
+                        env = None
+                        name = goal.name if type(goal) is Compound or type(goal) is Atom else None
+                        args = goal.args if type(goal) is Compound else ()
+                        arity = len(args)
+                        if name == "," and arity == 2:
+                            frame = _sequence(_conjuncts(goal), None, cut, frame)
+                            continue
+                        if name is None or (name == "call" and arity >= 1):
+                            kind = TERM
+                        elif name == "!" and arity == 0:
+                            kind = CUT
+                        elif name == ";" and arity == 2:
+                            kind, site = OR, (OR, args[:1], args[1:])
+                        else:
+                            kind, native = CALL, _BUILTINS.get((name, arity))
                     self._step()
-                    if kind is Var:
-                        self.warn("unbound variable called as a goal")
-                    elif name is None:
-                        self.warn("number called as a goal: %s" % render_term(goal))
-                    elif name == "!" and arity == 0:
+                    if kind is CALL:
+                        if native is not None:
+                            result = native(self, args)
+                            if result is True:
+                                continue
+                            if result is not False:
+                                choicepoints.append([len(trail), result, frame])
+                        else:
+                            clauses = self.program.candidates(name, arity, args)
+                            if clauses is None:
+                                self.warn("unknown predicate %s/%d (goal fails)" % (name, arity))
+                            elif len(clauses) == 1:  # no choice: no choicepoint
+                                body = self._enter(clauses[0], args, len(choicepoints), frame)
+                                if body is not _EXHAUSTED:
+                                    frame = body
+                                    continue
+                            elif clauses:
+                                alternatives = self._clauses(clauses, args, len(choicepoints), frame)
+                                choicepoints.append([len(trail), alternatives, frame])
+                    elif kind is CUT:
                         del choicepoints[cut:]
                         continue
-                    elif name == ";" and arity == 2:
-                        choicepoints.append([len(trail), iter([(args[1], None, cut, frame)]), frame])
-                        frame = (args[0], None, cut, frame)
+                    elif kind is OR:
+                        right = _sequence(site[2], env, cut, frame)
+                        choicepoints.append([len(trail), iter((right,)), frame])
+                        frame = _sequence(site[1], env, cut, frame)
                         continue
-                    elif name == "call" and arity >= 1:
+                    elif name is not None:  # call/N
                         target = self._call_goal(args[0], args[1:])
                         if target is not None:
                             frame = (target, None, len(choicepoints), frame)
                             continue
-                    elif (name, arity) in _BUILTINS:
-                        result = _BUILTINS[(name, arity)](self, args)
-                        if result is True:
-                            continue
-                        if result is not False:
-                            choicepoints.append([len(trail), result, frame])
+                    elif type(goal) is Var:
+                        self.warn("unbound variable called as a goal")
                     else:
-                        clauses = self.program.candidates(name, arity, args)
-                        if clauses is None:
-                            self.warn("unknown predicate %s/%d (goal fails)" % (name, arity))
-                        elif len(clauses) == 1:  # no choice: no choicepoint
-                            body = self._enter(clauses[0], args, len(choicepoints), frame)
-                            if body is not _EXHAUSTED:
-                                frame = body
-                                continue
-                        elif clauses:
-                            alternatives = self._clauses(clauses, args, len(choicepoints), frame)
-                            choicepoints.append([len(trail), alternatives, frame])
+                        self.warn("number called as a goal: %s" % render_term(goal))
                 # Fail: resume the newest choicepoint that has an alternative left.
                 while choicepoints:
                     point = choicepoints[-1]
@@ -941,7 +1035,8 @@ def _append(solver: Solver, a: Term, b: Term, c: Term) -> Iterator[None]:
         if isinstance(deref(a), Var):
             c_items = list_items(c)
             if c_items is not None:
-                # Enumerate the |c|+1 splits, sharing the suffix spine.
+                # Enumerate the |c|+1 splits, sharing the suffix spine; a
+                # prefix is built only for a split whose suffix unified.
                 spine: list[Term] = [deref(c)]
                 node = deref(c)
                 while isinstance(node, Compound) and node.name == CONS:
@@ -949,7 +1044,7 @@ def _append(solver: Solver, a: Term, b: Term, c: Term) -> Iterator[None]:
                     spine.append(node)
                 for i in range(len(c_items) + 1):
                     mark = len(solver.trail)
-                    if solver.unify(a, mk_list(c_items[:i])) and solver.unify(b, spine[i]):
+                    if solver.unify(b, spine[i]) and solver.unify(a, mk_list(c_items[:i])):
                         yield
                     solver.undo_to(mark)
                 break
@@ -1056,6 +1151,9 @@ def _bi_delete(solver: Solver, args) -> bool:
 
 @_builtin("write", 1)
 def _bi_write(solver: Solver, args) -> bool:
+    if is_cyclic(args[0]):  # no finite text: rendering it would never end
+        solver.warn("write/1 cannot print a cyclic term (goal fails)")
+        return False
     solver.write_out(render_term(deref(args[0]), quoted=False))
     return True
 

@@ -55,6 +55,7 @@ __all__ = [
     "copy_term",
     "render_term",
     "term_variables",
+    "is_cyclic",
     "is_ground",
 ]
 
@@ -343,6 +344,29 @@ def term_variables(t: Term) -> list[Var]:
         elif isinstance(node, Compound):
             stack.extend(reversed(node.args))
     return result
+
+
+def is_cyclic(t: Term) -> bool:
+    """True iff *t* contains itself, as ``X = f(X)`` without the occurs check makes.
+
+    A cyclic term has no finite text.  A walk over an explicit stack keeps
+    the compounds on the current path; meeting one of them again is a cycle.
+    """
+    on_path: set[int] = set()
+    stack: list[tuple[Term, bool]] = [(t, False)]
+    while stack:
+        node, leaving = stack.pop()
+        if leaving:
+            on_path.discard(id(node))
+            continue
+        node = deref(node)
+        if isinstance(node, Compound):
+            if id(node) in on_path:
+                return True
+            on_path.add(id(node))
+            stack.append((node, True))
+            stack.extend((arg, False) for arg in node.args)
+    return False
 
 
 def is_ground(t: Term) -> bool:

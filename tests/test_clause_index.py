@@ -15,7 +15,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from termxform.logic_engine import Clause, Program, ResourceLimitError, Solver, SolverOptions
+from termxform.logic_engine import TERM, Clause, Program, ResourceLimitError, Solver, SolverOptions
 from termxform.rule_language import parse_program, parse_query
 from termxform.term_core import (
     TRUE,
@@ -71,6 +71,25 @@ def test_copy_gives_an_independent_index():
     assert answers(original, "p(b, X)") == ["2", "5"]
     assert answers(dup, "p(a, X)") == ["1", "2", "3", "4"]
     assert answers(dup, "p(b, X)") == ["2", "4"]
+
+
+def test_a_clause_shared_by_programs_calls_the_callee_of_the_program_that_runs_it():
+    # copy() and extend() share Clause objects, and a compiled call site names
+    # its callee only by name and arity, so each program finds its own q/0.
+    base = parse_program("p(X) :- q, X = yes.")
+    with_q = base.copy()
+    with_q.extend(parse_program("q."))
+    failing_q = parse_program("q :- fail.")
+    failing_q.extend(base)
+    shared = base.clauses[("p", 1)][0]
+    assert with_q.clauses[("p", 1)] == [shared] and failing_q.clauses[("p", 1)] == [shared]
+    for _ in range(2):  # compiled by the first solve, reused by the others
+        assert answers(with_q, "p(X)") == ["yes"]
+        assert answers(failing_q, "p(X)") == []
+        solver = Solver(base, SolverOptions(diagnostics=io.StringIO()))
+        assert list(solver.solve(parse_query("p(X)").goal)) == []
+        assert solver.options.diagnostics.getvalue() == "warning: unknown predicate q/0 (goal fails)\n"
+    assert shared.code is not None
 
 
 def test_a_variable_first_argument_keeps_its_text_position():
@@ -165,8 +184,8 @@ def _copied(self):
     """The clause as calls used to try it: head and body copied on every call.
 
     With no slots, the matcher unifies each copied head argument with the
-    goal's, and the copied body is called as one goal, so a conjunction runs
-    as a ``,`` goal rather than as the compiled goal sequence.  A body
+    goal's, and the copied body is one goal-term site, so a conjunction runs
+    as a ``,`` goal rather than as the compiled site sequence.  A body
     ``true`` is no goal, as in the compiled clause.
     """
     mapping = {}
@@ -178,7 +197,7 @@ def _copied(self):
     def match(goal_args, env, solver):
         return all(solver.unify(arg, goal_arg) for arg, goal_arg in zip(args, goal_args))
 
-    return 0, match, tuple((lambda env, goal=goal: goal) for goal in goals)
+    return 0, match, tuple((TERM, lambda env, goal=goal: goal) for goal in goals)
 
 
 def _render(term):

@@ -243,6 +243,19 @@ def test_a_cyclic_answer_is_an_input_error_that_names_its_variable(goal):
     assert (done.returncode, done.stdout, done.stderr) == (1, "NO\n", "")
 
 
+def test_write_of_a_cyclic_term_warns_and_fails():
+    # write/1 shares the answer printer's check, so it does not render for ever.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(termxform.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    goal = "X = f(X, a), (write(X) ; write(done))"
+    command = [sys.executable, "-m", "termxform.cli", "query", "--rules", "prelude-only", goal]
+    done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=20)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith(
+        "warning: write/1 cannot print a cyclic term (goal fails)\ndone"
+    ), done.stderr
+
+
 def test_shared_subterms_of_an_answer_are_not_cycles(capsys):
     code = main(["query", "--rules", "prelude-only", "Y = f(a), X = g(Y, [Y, Y])"])
     assert (code, capsys.readouterr().out) == (0, "YES.\nY/f(a)\nX/g(f(a),[f(a),f(a)])\n")

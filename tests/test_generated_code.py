@@ -1,13 +1,14 @@
 """Generated clause code against the skeleton interpreter it replaced.
 
 ``Clause.compile`` writes each clause as Python: a head matcher and one
-builder per body goal.  ``skeleton_oracle`` keeps the interpreter that ran
+site per body goal.  ``skeleton_oracle`` keeps the interpreter that ran
 clauses before.  For every clause and goal below, both run on the same goal
 arguments, each from an empty slot list, and the tests compare whether the
 head matched, the goal arguments, slots and built goals (rendered together,
 so that shared variables show, and with the order in which fresh variables
-were made), and how many bindings went on the trail.  Every comparison runs
-with ``occurs_check`` off and on.
+were made), and how many bindings went on the trail.  A site's goal is
+rebuilt from what it holds (see ``site_goal``).  Every comparison runs with
+``occurs_check`` off and on.
 """
 
 import io
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skeleton_oracle import _build, _match, skeletons
-from termxform.logic_engine import Clause, ResourceLimitError, Solver, SolverOptions
+from termxform.logic_engine import CALL, CUT, OR, Clause, ResourceLimitError, Solver, SolverOptions
 from termxform.rule_language import parse_program, parse_query
 from termxform.term_core import Atom, Compound, copy_term, deref, fresh_var, mk_list, term_variables
 from termxform.transform_prelude import load_prelude
@@ -29,15 +30,43 @@ from xmlgen import elements, elements_of
 UNFILLED = Atom("$unfilled")
 
 
+def site_goal(site, env):
+    """The goal term *site* stands for, its arguments built from *env* as entering it builds them.
+
+    A call site's goal is its name over its built arguments, a cut site's
+    is ``!``, and a ``;`` site's is the ``;`` of its branches' goals, left
+    branch first, each branch one goal or a right-nested ``,`` chain.
+    """
+    kind = site[0]
+    if kind is CALL:
+        _, build, name, arity, _ = site
+        args = build(env)
+        assert len(args) == arity
+        return Compound(name, args) if args else Atom(name)
+    if kind is CUT:
+        return Atom("!")
+    if kind is OR:
+        return Compound(";", (_conjunction(site[1], env), _conjunction(site[2], env)))
+    return site[1](env)
+
+
+def _conjunction(sites, env):
+    goals = [site_goal(site, env) for site in sites]
+    conjunction = goals.pop()
+    while goals:
+        conjunction = Compound(",", (goals.pop(), conjunction))
+    return conjunction
+
+
 def _run(solver, clause, args, generated):
     """(matched, rendered state, fresh-variable order, trail entries) of one match and build."""
     mark = len(solver.trail)
     first_id = fresh_var().id
     if generated:
-        count, match, builders = clause.code or clause.compile()
+        count, match, sites = clause.code or clause.compile()
         env = [None] * count
         matched = match(args, env, solver)
-        goals = [build(env) for build in builders * 2] if matched else []
+        goals = [site_goal(site, env) for site in sites * 2] if matched else []
     else:
         count, head, body = skeletons(clause)
         env = [None] * count
@@ -216,12 +245,12 @@ def test_hostile_names_match_and_build_as_skeletons_do(number):
     for args in _goal_args(clause, [Atom(name), Atom(other), Compound(name, (Atom(other),))]):
         assert_same_as_skeletons(solver, clause, args)
     # The names come back as they were written.
-    count, match, builders = clause.code
+    count, match, sites = clause.code
     env = [None] * count
     out = fresh_var("Out")
     assert match((Atom(other), out, fresh_var()), env, solver)
     assert deref(out).name == other and deref(out).args[1].name == name
-    goals = [build(env) for build in builders]
+    goals = [site_goal(site, env) for site in sites]
     assert [goal.name for goal in goals] == [other, name]
     assert deref(goals[0].args[1].args[0]).name == name
 

@@ -5,8 +5,9 @@ import io
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from termxform import logic_engine
 from termxform.logic_engine import (
     _BUILTINS,
     EvalError,
@@ -17,6 +18,7 @@ from termxform.logic_engine import (
 )
 from termxform.rule_language import parse_program, parse_query
 from termxform.term_core import (
+    EMPTY_LIST,
     Atom,
     Compound,
     Var,
@@ -26,6 +28,9 @@ from termxform.term_core import (
     mk_list,
     render_term,
 )
+from termxform.transform_prelude import load_prelude
+from test_clause_index import _outcome
+from xmlgen import elements, elements_of
 
 
 def make_solver(program_text="", **options):
@@ -545,6 +550,54 @@ def test_append_on_open_lists_keeps_its_solution_order(goal, monkeypatch):
         _BUILTINS, ("append", 3), lambda solver, args: _recursive_append(solver, *args)
     )
     assert looped == _first_answers(goal)
+
+
+def _slash_goal(children):
+    element = Compound("element", (Atom("e"), mk_list([]), mk_list(children)))
+    return Compound("transform", (Compound("/", (element, Atom("z"))), fresh_var("Y")))
+
+
+@pytest.mark.parametrize("n", [250, 500, 1000])
+def test_append_builds_only_the_prefix_of_a_split_whose_suffix_unified(n, monkeypatch):
+    # E / z with z the last of n children: append(_, [element(z, A, C)|_], Children)
+    # tries n + 1 splits.  Building every split's prefix made n * (n + 1) / 2 cells.
+    cells = []
+
+    def counting_mk_list(items, tail=EMPTY_LIST):
+        items = list(items)
+        cells.append(len(items))
+        return mk_list(items, tail)
+
+    children = [Compound("element", (Atom("a"), mk_list([]), mk_list([]))) for _ in range(n - 1)]
+    children.append(Compound("element", (Atom("z"), mk_list([]), mk_list([]))))
+    solver = Solver(load_prelude(), SolverOptions(diagnostics=io.StringIO()))
+    monkeypatch.setattr(logic_engine, "mk_list", counting_mk_list)
+    assert len(list(solver.solve(_slash_goal(children)))) == 1
+    assert sum(cells) == n - 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(elements(max_depth=2))
+def test_append_splits_give_what_building_every_prefix_first_gave(tree):
+    # The splits of a proper list against the order oracle, which unifies
+    # each split's prefix before its suffix: solutions, warnings and steps.
+    program = load_prelude()
+    goals = []
+    for element in elements_of(tree)[:3]:
+        children = list_parts(element.args[2])[0]
+        for child in children[:2] + [Compound("text", (Atom("new"),))]:
+            goals.append(Compound("append", (fresh_var("P"), mk_list([child], fresh_var("T")), element.args[2])))
+            for name in ("insertBefore", "insertAfter"):
+                goals.append(Compound(name, (element, Compound("text", (Atom("n"),)), child, fresh_var("Y"))))
+        for name in [Atom("z0")] + [child.args[0] for child in elements_of(element)[1:3]]:
+            goals.append(Compound("transform", (Compound("/", (element, name)), fresh_var("Y"))))
+        goals.append(Compound("append", (fresh_var("X"), fresh_var("Y"), element.args[2])))
+    for goal in goals:
+        suffix_first = _outcome(program, goal, goal, 5000)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(logic_engine, "_append", _recursive_append)
+            prefix_first = _outcome(program, goal, goal, 5000)
+        assert suffix_first == prefix_first, render_term(goal)
 
 
 def test_member_modes():

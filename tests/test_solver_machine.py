@@ -210,6 +210,18 @@ PROGRAMS = [
     ("t(X) :- (X = 1 ; X = 2), !.\nt(3).", "t(X)"),
     ("t(X) :- (fail ; !, X = 2 ; X = 3).\nt(4).", "t(X)"),
     ("t(X) :- ((X = 1 ; X = 2), X > 1 ; X = 5).", "t(X)"),
+    # A nested `,` body goal runs as a term, its cut the clause's; `true` as a
+    # branch; a clause variable that one branch makes and the other does not;
+    # an unknown predicate in a branch; a variable goal bound to a `;` that
+    # holds a cut.
+    ("p(X, Y) :- (member(X, [1, 2]), member(Y, [a, b])), Y \\= a.", "p(X, Y)"),
+    ("p(X) :- (member(X, [1, 2, 3]), !), X > 0.\np(9).", "p(X)"),
+    ("t(X) :- (true ; X = 2), (X = 1 ; true).", "t(X)"),
+    ("t(R) :- (fail, X = 1 ; X = 2), R = X.", "t(R)"),
+    ("t(R) :- (true ; X = 1), R = f(X).", "t(R)"),
+    ("u(X) :- (nope(X) ; X = 1 ; nope).\nu(2).", "u(X)"),
+    ("v(G) :- G.\nv(_).", "v((member(X, [1, 2]), ! ; X = 3))"),
+    ("v(G, X) :- G, X > 1.\nv(_, 9).", "v((fail ; member(X, [1, 2, 3]), !), X)"),
     # call/N: extra arguments, a cut inside stays inside; a variable body
     # goal is transparent to cut, as before.
     ("c(X) :- call(member, X, [a, b]).", "c(X)"),

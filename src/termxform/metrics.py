@@ -118,16 +118,7 @@ def halstead(counts: HalsteadCounts) -> HalsteadReport:
 
 _STRUCTURAL = {":-", ",", ".", "(", ")", "[", "]", "|", "!", ";"}
 
-_PUNCT_NAMES = {
-    "open": "(",
-    "open_func": "(",
-    "close": ")",
-    "open_list": "[",
-    "close_list": "]",
-    "comma": ",",
-    "bar": "|",
-    "end": ".",
-}
+_PUNCT_NAMES = {"open", "open_func", "close", "open_list", "close_list", "comma", "bar", "end"}
 
 
 @dataclass(frozen=True)
@@ -185,7 +176,7 @@ def tokenize_classify(text: str, config: Optional[ClassifierConfig] = None) -> H
 
     for token in tokenize(text):
         if token.kind in _PUNCT_NAMES:
-            _bump(operators, _PUNCT_NAMES[token.kind])
+            _bump(operators, token.value)
         elif token.kind == "atom" and not token.quoted and token.value in (":-", "!", ";"):
             _bump(operators, str(token.value))
 

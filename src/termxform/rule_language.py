@@ -1,20 +1,26 @@
 """Reader for the textual rule language.
 
 Programs are sequences of clauses terminated by ``.``; ``%`` starts a line
-comment.  Terms are built by an operator-precedence parser over a
-user-extensible operator table (``:-op(Precedence, Fixity, Name)`` directives
-take effect for all following clauses).  Quoted atoms escape an embedded
-single quote by doubling it.  Variables start with an uppercase letter or
-``_``; the bare ``_`` is fresh at every occurrence.  File extension: ``.tx``.
+comment.  ``tokenize`` lexes by one compiled pattern with a named
+alternative per token class (blank or comment, quoted atom, number, name,
+punctuation, end, symbol run); its symbol characters are
+``term_core.SYMBOL_CHAR``, the class the renderer quotes by.  Terms are built
+by an operator-precedence parser over a user-extensible operator table
+(``:-op(Precedence, Fixity, Name)`` directives take effect for all following
+clauses).  Quoted atoms escape an embedded single quote by doubling it.
+Variables start with an uppercase letter or ``_``; the bare ``_`` is fresh at
+every occurrence.  File extension: ``.tx``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .logic_engine import Program
 from .term_core import (
+    SYMBOL_CHAR,
     Atom,
     Compound,
     Term,
@@ -134,7 +140,19 @@ class OperatorTable:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_SYMBOL_CHARS = set("+-*/\\^<>=~:?@#&$")
+# One named alternative per token class, tried in this order; a group named
+# after a token kind gives that kind.  A name is any run of word characters,
+# so ``tokenize`` checks its start: ``\w`` also admits numerals such as ``²``.
+# ``.`` ends a clause only before a blank, a comment or the end of the text.
+_TOKEN_RE = re.compile(
+    r"(?P<blank>[ \t\r\n]+|%[^\n]*)"
+    r"|(?P<quoted>'(?:[^']|'')*'(?!'))"
+    r"|(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>\w+)"
+    r"|(?P<open>\()|(?P<close>\))|(?P<open_list>\[)|(?P<close_list>\])|(?P<comma>,)|(?P<bar>\|)"
+    r"|(?P<end>\.(?![^ \t\r\n%]))"
+    r"|(?P<atom>[!;]|" + SYMBOL_CHAR + r"+)"
+)
 
 
 @dataclass(frozen=True)
@@ -144,134 +162,48 @@ class Token:
     line: int
     col: int
     quoted: bool = False
-    end: int = -1  # offset just past the token in the source text
 
 
 def tokenize(text: str) -> list[Token]:
     """Lex rule-language source into tokens (including the final eof marker)."""
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    line_start = 0
-    n = len(text)
-
-    def pos() -> tuple[int, int]:
-        return line, i - line_start + 1
-
-    def err(message: str, expected: str = "", found: str = "") -> ParseError:
-        l, c = pos()
-        return ParseError(message, l, c, expected, found)
-
-    def emit(kind: str, value: object, l: int, c: int, quoted: bool = False) -> None:
-        tokens.append(Token(kind, value, l, c, quoted, i))
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            line_start = i
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        l, c = pos()
-        if ch == "'":
-            i += 1
-            parts: list[str] = []
-            while True:
-                if i >= n:
-                    raise ParseError("unterminated quoted atom", l, c, "'", "end of input")
-                if text[i] == "'":
-                    if i + 1 < n and text[i + 1] == "'":
-                        parts.append("'")
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                if text[i] == "\n":
-                    line += 1
-                    line_start = i + 1
-                parts.append(text[i])
-                i += 1
-            emit("atom", "".join(parts), l, c, quoted=True)
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            is_float = False
-            if i + 1 < n and text[i] == "." and text[i + 1].isdigit():
-                is_float = True
-                i += 1
-                while i < n and text[i].isdigit():
-                    i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j].isdigit():
-                    is_float = True
-                    i = j
-                    while i < n and text[i].isdigit():
-                        i += 1
-            lexeme = text[start:i]
-            if is_float:
-                emit("float", float(lexeme), l, c)
-            else:
-                emit("int", int(lexeme), l, c)
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            if word[0] == "_" or word[0].isupper():
-                emit("var", word, l, c)
-            else:
-                emit("atom", word, l, c)
-            continue
-        if ch == "(":
-            prev = tokens[-1] if tokens else None
-            adjacent = prev is not None and prev.kind == "atom" and prev.end == i
-            if prev is not None and prev.kind == "var" and prev.end == i:
-                raise err("a variable cannot be applied to arguments", found="(")
-            i += 1
-            emit("open_func" if adjacent else "open", "(", l, c)
-            continue
-        if ch in "()[],|!;":
-            i += 1
-            kind = {
-                "(": "open",
-                ")": "close",
-                "[": "open_list",
-                "]": "close_list",
-                ",": "comma",
-                "|": "bar",
-                "!": "atom",
-                ";": "atom",
-            }[ch]
-            emit(kind, ch, l, c)
-            continue
-        if ch == ".":
-            nxt = text[i + 1] if i + 1 < n else ""
-            if nxt == "" or nxt in " \t\r\n%":
-                i += 1
-                emit("end", ".", l, c)
-                continue
-            raise err("unexpected '.'", found=repr(text[i : i + 2]))
-        if ch in _SYMBOL_CHARS:
-            start = i
-            while i < n and text[i] in _SYMBOL_CHARS:
-                i += 1
-            emit("atom", text[start:i], l, c)
-            continue
-        raise err("unexpected character", found=repr(ch))
-    tokens.append(Token("eof", None, line, n - line_start + 1, False, n))
+    line, line_start, pos = 1, 0, 0
+    glued = ""  # kind of the token that ends where the next match starts
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        kind = match.lastgroup if match else None
+        col = pos - line_start + 1
+        if kind == "name" and not (text[pos] == "_" or text[pos].isalpha()):
+            kind = None
+        if kind is None:
+            if text[pos] == "'":
+                raise ParseError("unterminated quoted atom", line, col, "'", "end of input")
+            if text[pos] == ".":
+                raise ParseError("unexpected '.'", line, col, found=repr(text[pos : pos + 2]))
+            raise ParseError("unexpected character", line, col, found=repr(text[pos]))
+        lexeme = match.group()
+        if kind == "blank":
+            glued = ""
+        else:
+            value: object = lexeme
+            quoted = kind == "quoted"
+            if quoted:
+                kind, value = "atom", lexeme[1:-1].replace("''", "'")
+            elif kind == "number":
+                kind, value = ("int", int(lexeme)) if lexeme.isdecimal() else ("float", float(lexeme))
+            elif kind == "name":
+                kind = "var" if lexeme[0] == "_" or lexeme[0].isupper() else "atom"
+            elif kind == "open" and glued == "var":
+                raise ParseError("a variable cannot be applied to arguments", line, col, found="(")
+            elif kind == "open" and glued == "atom":
+                kind = "open_func"
+            tokens.append(Token(kind, value, line, col, quoted))
+            glued = kind
+        if "\n" in lexeme:
+            line += lexeme.count("\n")
+            line_start = pos + lexeme.rindex("\n") + 1
+        pos = match.end()
+    tokens.append(Token("eof", None, line, len(text) - line_start + 1))
     return tokens
 
 
@@ -286,9 +218,8 @@ class _Parser:
         self.table = table
         self.var_map: dict[str, Var] = {}
 
-    def peek(self, ahead: int = 0) -> Token:
-        index = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         token = self.peek()

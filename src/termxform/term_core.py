@@ -384,8 +384,13 @@ def is_ground(t: Term) -> bool:
 # ---------------------------------------------------------------------------
 # Rendering
 
+#: One character of a symbolic atom such as ``:-`` or ``\==``, as a pattern
+#: class.  A run of them reads as one atom, so the rule reader's lexer and
+#: ``atom_needs_quotes`` both build on it.
+SYMBOL_CHAR = r"[+\-*/\\^<>=~:?@#&$]"
+
 _UNQUOTED_ALPHA = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
-_UNQUOTED_SYMBOLIC = re.compile(r"[+\-*/\\^<>=~:?@#&$]+\Z")
+_UNQUOTED_SYMBOLIC = re.compile(SYMBOL_CHAR + r"+\Z")
 
 
 def atom_needs_quotes(name: str) -> bool:

@@ -55,8 +55,7 @@ PRELUDE_SRC = """\
 
 transform(E1 / Child,element(Child,A,C)):-
   E1=element(Name,AttList,Children),
-  append(_,[(element(Child,A,C))|_],
-         Children).
+  member(element(Child,A,C),Children).
 transform(X / Child,Y):-transform(X,X2),
   transform(X2 / Child,Y).
 

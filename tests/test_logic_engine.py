@@ -552,15 +552,8 @@ def test_append_on_open_lists_keeps_its_solution_order(goal, monkeypatch):
     assert looped == _first_answers(goal)
 
 
-def _slash_goal(children):
-    element = Compound("element", (Atom("e"), mk_list([]), mk_list(children)))
-    return Compound("transform", (Compound("/", (element, Atom("z"))), fresh_var("Y")))
-
-
-@pytest.mark.parametrize("n", [250, 500, 1000])
-def test_append_builds_only_the_prefix_of_a_split_whose_suffix_unified(n, monkeypatch):
-    # E / z with z the last of n children: append(_, [element(z, A, C)|_], Children)
-    # tries n + 1 splits.  Building every split's prefix made n * (n + 1) / 2 cells.
+def _counting_mk_list(monkeypatch):
+    """Count the list cells the engine builds from here on, per call."""
     cells = []
 
     def counting_mk_list(items, tail=EMPTY_LIST):
@@ -568,12 +561,65 @@ def test_append_builds_only_the_prefix_of_a_split_whose_suffix_unified(n, monkey
         cells.append(len(items))
         return mk_list(items, tail)
 
+    monkeypatch.setattr(logic_engine, "mk_list", counting_mk_list)
+    return cells
+
+
+@pytest.mark.parametrize("n", [250, 500, 1000])
+def test_append_builds_only_the_prefix_of_a_split_whose_suffix_unified(n, monkeypatch):
+    # append(_, [element(z, A, C)|_], Children) with z the last of n children
+    # tries n + 1 splits.  Building every split's prefix made n * (n + 1) / 2 cells.
     children = [Compound("element", (Atom("a"), mk_list([]), mk_list([]))) for _ in range(n - 1)]
     children.append(Compound("element", (Atom("z"), mk_list([]), mk_list([]))))
+    wanted = Compound("element", (Atom("z"), fresh_var("A"), fresh_var("C")))
+    goal = Compound("append", (fresh_var("_"), mk_list([wanted], fresh_var("_")), mk_list(children)))
     solver = Solver(load_prelude(), SolverOptions(diagnostics=io.StringIO()))
-    monkeypatch.setattr(logic_engine, "mk_list", counting_mk_list)
-    assert len(list(solver.solve(_slash_goal(children)))) == 1
+    cells = _counting_mk_list(monkeypatch)
+    assert len(list(solver.solve(goal))) == 1
     assert sum(cells) == n - 1
+
+
+@pytest.mark.parametrize("n", [250, 1000, 4000])
+def test_slash_gives_every_same_named_child_in_order_and_builds_no_list_cells(n, monkeypatch):
+    # E / a runs member/2 over the children.  Through append/3 it built the
+    # prefix of every matching split: n * (n - 1) / 2 cells in all.
+    children = [
+        Compound("element", (Atom("a"), mk_list([]), mk_list([Compound("text", (Atom(str(i)),))])))
+        for i in range(n)
+    ]
+    element = Compound("element", (Atom("e"), mk_list([]), mk_list(children)))
+    answer = fresh_var("Y")
+    goal = Compound("transform", (Compound("/", (element, Atom("a"))), answer))
+    solver = Solver(load_prelude(), SolverOptions(diagnostics=io.StringIO()))
+    cells = _counting_mk_list(monkeypatch)
+    answers = [render_term(deref(answer)) for _ in solver.solve(goal)]
+    assert answers == [render_term(child) for child in children]
+    assert cells == []
+    assert solver.steps == 4
+
+
+def test_slash_over_a_partial_child_list_gives_the_answers_append_gave_in_fewer_steps():
+    # member/2 extends the open tail as append/3 did, so the answers and their
+    # order hold; append/3 took 4, 6 and 7 steps to reach them.
+    program = load_prelude()
+    solver = Solver(program, SolverOptions(diagnostics=io.StringIO()))
+    query = parse_query("transform(element(e,[],[element(a,[],[]),text(x)|T]) / a, Y)", program.operators)
+    answers = []
+    for _ in solver.solve(query.goal):
+        text = render_term(query.goal)
+        names = {}
+        answers.append((re.sub(r"_\w+", lambda m: names.setdefault(m.group(0), "V%d" % len(names)), text),
+                        solver.steps))
+        if len(answers) == 3:
+            break
+    # The cell skipped before the third answer is member/2's fresh _<n>, where
+    # append/3 gave _H<n>.
+    assert re.search(r",text\(x\),_\d+,element\(a,", text)
+    assert answers == [
+        ("transform(/(element(e,[],[element(a,[],[]),text(x)|V0]),a),element(a,[],[]))", 3),
+        ("transform(/(element(e,[],[element(a,[],[]),text(x),element(a,V0,V1)|V2]),a),element(a,V0,V1))", 4),
+        ("transform(/(element(e,[],[element(a,[],[]),text(x),V0,element(a,V1,V2)|V3]),a),element(a,V1,V2))", 5),
+    ]
 
 
 @settings(max_examples=20, deadline=None)

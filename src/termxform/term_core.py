@@ -67,17 +67,16 @@ class TermError(ValueError):
 class Atom:
     """A symbolic constant, identified by its name."""
 
-    __slots__ = ("name", "_hash")
+    __slots__ = ("name",)
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._hash = hash(("atom", name))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Atom) and other.name == self.name
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(("atom", self.name))
 
     def __repr__(self) -> str:
         return render_term(self)
@@ -136,7 +135,8 @@ TRUE = Atom("true")
 _var_ids = itertools.count(1)
 
 #: Names accepted for elements and attribute identifiers.  Unanchored, so
-#: the XML parser matches it in place and agrees with construction.
+#: the XML parser builds its token pattern from it and agrees with
+#: construction.
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.-]*")
 
 

@@ -15,20 +15,19 @@ instructions outside the root element are likewise discarded.
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from .term_core import (
+    CONS,
     EMPTY_LIST,
     Atom,
     Compound,
     Term,
+    Var,
     _NAME_RE,
-    attr_atom,
     deref,
     is_valid_name,
-    list_items,
-    mk_list,
-    mk_text,
     render_term,
     split_attr,
 )
@@ -68,192 +67,212 @@ class ValidationError(ValueError):
         super().__init__("%s (at path %s)" % (message, path))
 
 
-class _Scanner:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.i = 0
-        self.n = len(text)
-
-    def error(self, message: str, expected: str = "", at: Optional[int] = None) -> ParseError:
-        index = self.i if at is None else at
-        line = self.text.count("\n", 0, index) + 1
-        col = index - self.text.rfind("\n", 0, index)
-        found = self.text[index] if index < self.n else "end of input"
-        return ParseError(message, line, col, expected, repr(found))
-
-    def at_end(self) -> bool:
-        return self.i >= self.n
-
-    def peek(self) -> str:
-        return self.text[self.i] if self.i < self.n else ""
-
-    def startswith(self, prefix: str) -> bool:
-        return self.text.startswith(prefix, self.i)
-
-    def skip_ws(self) -> None:
-        while self.i < self.n and self.text[self.i] in " \t\r\n":
-            self.i += 1
-
-    def read_name(self, what: str) -> str:
-        match = _NAME_RE.match(self.text, self.i)
-        if match is None:
-            raise self.error("expected %s" % what, expected="name")
-        self.i = match.end()
-        return match.group()
-
-    def expect(self, literal: str) -> None:
-        if not self.startswith(literal):
-            raise self.error("expected %r" % literal, expected=literal)
-        self.i += len(literal)
+# The token pattern.  Tag whitespace is space, tab, CR and LF only, and a
+# name is never followed by a name character: without that lookahead
+# ``<ab="1"/>`` could match as element ``a`` with attribute ``b``, and a long
+# name followed by ``=`` would backtrack quadratically (there are no
+# possessive quantifiers before Python 3.11).  Text takes every character
+# but "<", so the one-character catch-all ``bad`` matches a "<" that starts
+# no well-formed token.
+_WS = "[ \t\r\n]*"
+_NAME = "(?:%s)(?![A-Za-z0-9_.-])" % _NAME_RE.pattern
+_ATTR = _WS + "(" + _NAME + ")" + _WS + "=" + _WS + "(\"[^\"<]*\"|'[^'<]*')"
+_ATTR_RE = re.compile(_ATTR)
+_TOKEN_RE = re.compile(
+    r"(?P<text>[^<]+)"
+    r"|<(?P<name>" + _NAME + ")(?P<attrs>(?:" + _ATTR + ")*)" + _WS + r"(?P<tag>/?>)"
+    r"|</(?P<end>" + _NAME + ")" + _WS + ">"
+    r"|<!--(?P<comment>.*?)-->"
+    r"|<\?(?P<pi>[^>]*)>"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
+_REF_RE = re.compile("&(%s);" % "|".join(_ENTITIES))
+_BAD_REF_RE = re.compile("&(?!(?:%s);)" % "|".join(_ENTITIES))
 
 
 def parse_document(text: str, keep_ws: bool = False) -> Term:
     """Parse an XML document into its element term.
 
     Raises ParseError on malformed input (including DOCTYPE and CDATA,
-    which this dialect does not support).  One loop reads the whole text;
-    open elements wait on an explicit stack, so nesting depth is bounded
-    by memory alone.
+    which this dialect does not support).  One loop takes the matches of
+    one token pattern in turn; open elements wait on an explicit stack, so
+    nesting depth is bounded by memory alone.  A token the loop cannot take
+    goes to ``_error``, which re-reads it for the message.
     """
-    scanner = _Scanner(text.lstrip("\ufeff"))
-    # Open elements as (name, attributes, children); empty in prolog and epilog.
-    stack: list[tuple[str, list[Atom], list[Term]]] = []
+    return _parse(text.lstrip("\ufeff"), 0, keep_ws, True)
+
+
+def _parse(text: str, start: int, keep_ws: bool, decl: bool) -> Term:
+    """Parse *text* from *start*; *decl* is true while an XML declaration may come."""
+    # Open elements as (name, attribute list, children); kids is the
+    # innermost one's children, None in prolog and epilog.
+    stack: list[tuple[Atom, Term, list[Term]]] = []
+    kids: Optional[list[Term]] = None
     root: Optional[Term] = None
-    seen_decl = False
-    while True:
-        if stack:
-            if scanner.at_end():
-                raise scanner.error("unterminated element %r" % stack[-1][0])
+    # One atom per element name: a document has few distinct names, and
+    # fewer objects also mean fewer passes of the cyclic garbage collector.
+    names: dict[str, Atom] = {}
+    for m in _TOKEN_RE.finditer(text, start):
+        kind = m.lastgroup
+        if kind == "text":
+            raw = m.group()
+            if kids is None:
+                rest = raw.lstrip(" \t\r\n")
+                if rest:
+                    raise _error(text, m.end() - len(rest), stack, root, decl)
+            elif keep_ws or raw.strip():
+                if "&" in raw:
+                    raw = _decode(raw)
+                    if raw is None:
+                        raise _error(text, m.start(), stack, root, decl)
+                kids.append(Compound("text", (Atom(raw),)))
+        elif kind == "tag":
+            if kids is None and root is not None:
+                raise _error(text, m.start(), stack, root, decl)
+            name, attrs, tag = m.group("name", "attrs", "tag")
+            atom = names.get(name)
+            if atom is None:
+                atom = names[name] = Atom(name)
+            attr_list = EMPTY_LIST
+            if attrs:
+                for attr_name, quoted in reversed(_ATTR_RE.findall(attrs)):
+                    value = quoted[1:-1]
+                    if "&" in value:
+                        value = _decode(value)
+                        if value is None:
+                            raise _error(text, m.start(), stack, root, decl)
+                    attr_list = Compound(CONS, (Atom('%s="%s"' % (attr_name, value)), attr_list))
+            if len(tag) == 1:
+                kids = []
+                stack.append((atom, attr_list, kids))
+                continue
+            node = Compound("element", (atom, attr_list, EMPTY_LIST))
+            if kids is None:
+                root = node
+            else:
+                kids.append(node)
+        elif kind == "end":
+            if kids is None or m.group("end") != stack[-1][0].name:
+                raise _error(text, m.start(), stack, root, decl)
+            atom, attr_list, children = stack.pop()
+            cell = EMPTY_LIST
+            for child in reversed(children):
+                cell = Compound(CONS, (child, cell))
+            node = Compound("element", (atom, attr_list, cell))
+            if stack:
+                kids = stack[-1][2]
+                kids.append(node)
+            else:
+                kids = None
+                root = node
+        elif kind == "comment":
+            if kids is not None:
+                kids.append(Compound("comment", (Atom(m.group("comment").strip()),)))
+        elif kind == "pi":
+            content = m.group("pi")
+            if kids is None and root is None and decl and content.startswith("xml"):
+                # The declaration ends at "?>", which may lie past this
+                # token's ">".  Nothing is open or built yet, so the parse
+                # starts over after it.
+                close = text.find("?>", m.start())
+                if close < 0:
+                    raise _error(text, m.start(), stack, root, decl)
+                return _parse(text, close + 2, keep_ws, False)
+            if kids is not None:
+                if content.endswith("?"):
+                    content = content[:-1]
+                kids.append(Compound("pi", (Atom(content.strip()),)))
         else:
-            scanner.skip_ws()
-            if root is None and not seen_decl and scanner.startswith("<?xml"):
-                end = scanner.text.find("?>", scanner.i)
-                if end < 0:
-                    raise scanner.error("unterminated XML declaration")
-                scanner.i = end + 2
-                seen_decl = True
-                continue
-        if scanner.startswith("<!--"):
-            node = _parse_comment(scanner)
-        elif scanner.startswith("<!"):
-            raise scanner.error("DOCTYPE and CDATA sections are not supported")
-        elif scanner.startswith("<?"):
-            node = _parse_pi(scanner)
-        elif not stack and root is not None:
-            if not scanner.at_end():
-                raise scanner.error("unexpected content after the root element")
-            return root
-        elif not stack and scanner.peek() != "<":
-            raise scanner.error("expected the root element", expected="<")
-        elif stack and scanner.startswith("</"):
-            scanner.i += 2
-            name, attrs, children = stack[-1]
-            closing = scanner.read_name("the closing element name")
-            if closing != name:
-                raise scanner.error(
-                    "mismatched closing tag %r for element %r" % (closing, name),
-                    expected=name,
-                )
-            scanner.skip_ws()
-            scanner.expect(">")
-            stack.pop()
-            node = Compound("element", (Atom(name), mk_list(attrs), mk_list(children)))
-        elif scanner.peek() == "<":
-            scanner.i += 1
-            name = scanner.read_name("an element name")
-            attrs = _parse_attributes(scanner)
-            if not scanner.startswith("/>"):
-                scanner.expect(">")
-                stack.append((name, attrs, []))
-                continue
-            scanner.i += 2
-            node = Compound("element", (Atom(name), mk_list(attrs), EMPTY_LIST))
-        else:
-            start = scanner.i
-            next_lt = scanner.text.find("<", start)
-            if next_lt < 0:
-                next_lt = scanner.n
-            raw = scanner.text[start:next_lt]
-            scanner.i = next_lt
-            if raw.strip() == "" and not keep_ws:
-                continue
-            node = mk_text(_decode_text(scanner, raw, start))
-        if stack:
-            stack[-1][2].append(node)
-        elif node.name == "element":
-            root = node  # comments and PIs outside the root are dropped
+            raise _error(text, m.start(), stack, root, decl)
+    if stack or root is None:
+        raise _error(text, len(text), stack, root, decl)
+    return root
 
 
-def _parse_comment(scanner: _Scanner) -> Term:
-    start = scanner.i
-    scanner.i += 4
-    end = scanner.text.find("-->", scanner.i)
-    if end < 0:
-        raise scanner.error("unterminated comment", at=start)
-    content = scanner.text[scanner.i : end].strip()
-    scanner.i = end + 3
-    return Compound("comment", (Atom(content),))
+def _decode(raw: str) -> Optional[str]:
+    """*raw* with its entity references replaced; None if an ``&`` starts none."""
+    value, count = _REF_RE.subn(_ref_char, raw)
+    return value if count == raw.count("&") else None
 
 
-def _parse_pi(scanner: _Scanner) -> Term:
-    start = scanner.i
-    scanner.i += 2
-    end = scanner.text.find(">", scanner.i)
-    if end < 0:
-        raise scanner.error("unterminated processing instruction", at=start)
-    stop = end
-    if scanner.text[end - 1] == "?" and end - 1 >= scanner.i:
-        stop = end - 1
-    content = scanner.text[scanner.i : stop].strip()
-    scanner.i = end + 1
-    return Compound("pi", (Atom(content),))
+def _ref_char(ref: re.Match) -> str:
+    return _ENTITIES[ref.group(1)]
 
 
-def _decode_text(scanner: _Scanner, raw: str, at: int) -> str:
-    if "&" not in raw:
-        return raw
-    out: list[str] = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch != "&":
-            out.append(ch)
+def _error(
+    text: str, pos: int, stack: list, root: Optional[Term], decl: bool
+) -> ParseError:
+    """The ParseError for the construct at *pos*, which the token loop rejected.
+
+    The construct is re-read one step at a time from *pos*, so the message,
+    line, column, ``expected`` and ``found`` name the first fault in it.
+    *stack*, *root* and *decl* are the loop's state at *pos*.
+    """
+
+    def fail(message: str, at: int, expected: str = "") -> ParseError:
+        line = text.count("\n", 0, at) + 1
+        col = at - text.rfind("\n", 0, at)
+        found = text[at] if at < len(text) else "end of input"
+        return ParseError(message, line, col, expected, repr(found))
+
+    def skip_ws(i: int) -> int:
+        while text[i : i + 1] in (" ", "\t", "\r", "\n"):
             i += 1
-            continue
-        semi = raw.find(";", i + 1)
-        name = raw[i + 1 : semi] if semi > 0 else ""
-        if semi < 0 or name not in _ENTITIES:
-            raise scanner.error("unknown or malformed entity reference", at=at + i)
-        out.append(_ENTITIES[name])
-        i = semi + 1
-    return "".join(out)
+        return i
 
-
-def _parse_attributes(scanner: _Scanner) -> list[Atom]:
-    attrs: list[Atom] = []
-    while True:
-        scanner.skip_ws()
-        ch = scanner.peek()
-        if ch in (">", "/", "?", ""):
-            return attrs
-        name = scanner.read_name("an attribute name")
-        scanner.skip_ws()
-        scanner.expect("=")
-        scanner.skip_ws()
-        quote = scanner.peek()
+    if pos == len(text):
+        if stack:
+            return fail("unterminated element %r" % stack[-1][0].name, pos)
+        return fail("expected the root element", pos, "<")
+    if text.startswith("<!--", pos):
+        return fail("unterminated comment", pos)
+    if text.startswith("<!", pos):
+        return fail("DOCTYPE and CDATA sections are not supported", pos)
+    if text.startswith("<?", pos):
+        if decl and not stack and root is None and text.startswith("<?xml", pos):
+            return fail("unterminated XML declaration", pos)
+        return fail("unterminated processing instruction", pos)
+    if not stack and root is not None:
+        return fail("unexpected content after the root element", pos)
+    if not stack and text[pos] != "<":
+        return fail("expected the root element", pos, "<")
+    if stack and text.startswith("</", pos):
+        name = _NAME_RE.match(text, pos + 2)
+        if name is None:
+            return fail("expected the closing element name", pos + 2, "name")
+        opened = stack[-1][0].name
+        if name.group() != opened:
+            return fail("mismatched closing tag %r for element %r" % (name.group(), opened), name.end(), opened)
+        return fail("expected '>'", skip_ws(name.end()), ">")
+    if text[pos] != "<":  # a text with a bad entity reference
+        return fail("unknown or malformed entity reference", _BAD_REF_RE.search(text, pos).start())
+    name = _NAME_RE.match(text, pos + 1)
+    if name is None:
+        return fail("expected an element name", pos + 1, "name")
+    i = skip_ws(name.end())
+    while text[i : i + 1] not in ("", ">", "/", "?"):
+        name = _NAME_RE.match(text, i)
+        if name is None:
+            return fail("expected an attribute name", i, "name")
+        i = skip_ws(name.end())
+        if not text.startswith("=", i):
+            return fail("expected '='", i, "=")
+        i = skip_ws(i + 1)
+        quote = text[i : i + 1]
         if quote not in ("'", '"'):
-            raise scanner.error("expected a quoted attribute value", expected='"')
-        scanner.i += 1
-        start = scanner.i
-        end = scanner.text.find(quote, start)
-        if end < 0:
-            raise scanner.error("unterminated attribute value", at=start)
-        raw = scanner.text[start:end]
+            return fail("expected a quoted attribute value", i, '"')
+        close = text.find(quote, i + 1)
+        if close < 0:
+            return fail("unterminated attribute value", i + 1)
+        raw = text[i + 1 : close]
         if "<" in raw:
-            raise scanner.error("'<' is not allowed in attribute values", at=start + raw.index("<"))
-        value = _decode_text(scanner, raw, start)
-        scanner.i = end + 1
-        attrs.append(attr_atom(name, value))
+            return fail("'<' is not allowed in attribute values", i + 1 + raw.index("<"))
+        ref = _BAD_REF_RE.search(raw)
+        if ref is not None:
+            return fail("unknown or malformed entity reference", i + 1 + ref.start())
+        i = skip_ws(close + 1)
+    return fail("expected '>'", i, ">")
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +307,7 @@ def serialize_fragment(terms: list[Term]) -> str:
 # at the root.  The index list is built only for a ValidationError.
 _Path = Optional[tuple[int, "_Path"]]
 _UNEXPECTED = "Error: %s was not expected here!"
+_BAD_ATTRS = "Error in remaining attributes list: %s"
 
 
 def _write(
@@ -314,17 +334,33 @@ def _write(
             name, attrs, children = deref(node.args[0]), deref(node.args[1]), deref(node.args[2])
             if not isinstance(name, Atom) or not is_valid_name(name.name):
                 raise _reject(path, name)
-            attr_items = list_items(attrs)
-            if attr_items is None:
-                raise _reject(path, attrs, "Error in remaining attributes list: %s")
+            # Both lists are read cell by cell where they are.  An improper
+            # attribute list is reported before a bad entry in it.
             pieces = [name.name]
-            for attr in attr_items:
-                pair = split_attr(attr)
-                if pair is None:
-                    raise _reject(path, attr, "Error in remaining attributes list: %s")
-                pieces.append('%s="%s"' % (pair[0], _escape_attr(pair[1])))
-            child_items = list_items(children)
-            if child_items is None:
+            bad = None
+            cell = attrs
+            while type(cell) is Compound and cell.name == CONS and len(cell.args) == 2:
+                if bad is None:
+                    pair = split_attr(cell.args[0])
+                    if pair is None:
+                        bad = cell.args[0]
+                    else:
+                        pieces.append('%s="%s"' % (pair[0], _escape_attr(pair[1])))
+                cell = cell.args[1]
+                if type(cell) is Var:
+                    cell = deref(cell)
+            if not (type(cell) is Atom and cell.name == "[]"):
+                raise _reject(path, attrs, _BAD_ATTRS)
+            if bad is not None:
+                raise _reject(path, bad, _BAD_ATTRS)
+            child_items = []
+            cell = children
+            while type(cell) is Compound and cell.name == CONS and len(cell.args) == 2:
+                child_items.append(cell.args[0])
+                cell = cell.args[1]
+                if type(cell) is Var:
+                    cell = deref(cell)
+            if not (type(cell) is Atom and cell.name == "[]"):
                 raise _reject(path, children)
             if not child_items:
                 out.append("<%s/>" % " ".join(pieces))

@@ -480,6 +480,21 @@ def test_prolog_and_epilog_edge_cases_parse_as_the_recursive_parser_did():
         "<a/ >",
         "<1a/>",
         "<a>\n  <b/>\n</a>\n<!-- tail -->\n",
+        # Cases a token pattern can get wrong: a name must not end early,
+        # tag whitespace is only space, tab, CR and LF, names are ASCII, and
+        # a whitespace-only text is what str.strip says it is.
+        '<ab="1"/>',
+        '<a\xa0x="1"/>',
+        '<a x="1"\x0cy="2"/>',
+        "<a>\xa0</a>",
+        "<a1\u0661/>",
+        "<\xe9/>",
+        '<a x="a>b"/>',
+        "<a x = '1' />",
+        "<a><!----></a>",
+        "<a><!-- a--b --></a>",
+        "<a><!-- one\n  two --></a>",
+        "<a><?p x?y></a>",
     ):
         assert_parses_alike(text)
 
@@ -489,6 +504,44 @@ def test_prolog_and_epilog_edge_cases_parse_as_the_recursive_parser_did():
 def test_serialized_random_trees_parse_as_the_recursive_parser_did(tree):
     for pretty in (False, True):
         assert_parses_alike(serialize_document(tree, pretty=pretty))
+
+
+_TAG_WS = st.text(alphabet=" \t\r\n", max_size=3)
+
+
+def _write_loosely(draw, node: Term) -> str:
+    """*node* as XML with a random quote style per attribute and random
+    whitespace inside its tags, which the serializer never writes."""
+    node = deref(node)
+    if node.name != "element":
+        content = deref(node.args[0]).name
+        return {"text": _escape_text(content), "comment": "<!--%s-->" % content, "pi": "<?%s?>" % content}[node.name]
+    name = deref(node.args[0]).name
+    out = ["<" + name]
+    for index, attr in enumerate(list_items(node.args[1])):
+        attr_id, value = split_attr(attr)
+        quote = draw(st.sampled_from("\"'"))
+        value = value.replace("&", "&amp;").replace("<", "&lt;")
+        value = value.replace(quote, "&quot;" if quote == '"' else "&apos;")
+        # Only whitespace can part the element name from the first attribute.
+        before = draw(_TAG_WS.filter(bool)) if index == 0 else draw(_TAG_WS)
+        out.append("%s%s%s=%s%s%s%s" % (before, attr_id, draw(_TAG_WS), draw(_TAG_WS), quote, value, quote))
+    out.append(draw(_TAG_WS))
+    children = list_items(node.args[2])
+    if not children and draw(st.booleans()):
+        return "".join(out) + "/>"
+    out.append(">")
+    out.extend(_write_loosely(draw, child) for child in children)
+    out.append("</%s%s>" % (name, draw(_TAG_WS)))
+    return "".join(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements(), st.data())
+def test_loosely_written_random_trees_parse_as_the_recursive_parser_did(tree, data):
+    text = _write_loosely(data.draw, tree)
+    assert_parses_alike(text)
+    assert render_term(parse_document(text)) == render_term(tree)
 
 
 # ---------------------------------------------------------------------------

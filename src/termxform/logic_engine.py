@@ -30,8 +30,10 @@ and the string/node functor family (``cat``, ``substring``, ``translate``,
 ``plus`` over single-text elements, ...).  Evaluation errors make the goal
 fail with a diagnostic warning rather than raising.  A native that succeeds
 at most once returns True or False, so its call leaves no choicepoint; the
-ones that can succeed again (``append/3``, ``member/2``, ``length/2`` and
-``attribute/3,4``) are generators, one item per solution.
+ones that can succeed again (``append/3``, ``member/2`` and ``length/2``)
+are generators, one item per solution.  ``attribute/3,4`` is either: True
+or False when Id is an atom that names at most one entry, and a generator
+otherwise.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .term_core import (
     is_cyclic,
     is_ground,
     is_list,
+    is_valid_name,
     list_items,
     list_parts,
     mk_list,
@@ -488,26 +491,33 @@ class Solver:
     ``solve`` is a generator yielding once per solution; bindings live in the
     query's variables while the generator is suspended, so capture (render or
     copy) anything you need *before* advancing or abandoning it.
+    :meth:`first` takes the first solution and keeps its bindings.
 
     :meth:`_solve` is one loop over the goals still to run, a linked list of
     frames ``(site, env, cut height, rest)`` (a *rest* of None is a
-    solution), and a list of choicepoints ``[trail mark, alternatives,
-    rest]``.  With an *env*, the clause's slot list, the frame's site is a
-    compiled body site (see :meth:`Clause.compile`); without one it is a goal
-    term, read into the site it would compile to.  Entering a call site takes
-    one step, builds the argument tuple from *env* and calls the native, or
-    the clauses that ``self.program`` holds for the name and arity: a site
-    never holds clauses, so a clause shared by two programs calls each one's
-    own.  Alternatives are a native's solution iterator, whose solutions go
-    on with *rest* (a native that returns True or False has none), or an
-    iterator of frames (a call's other clauses, a ``;``'s right branch).  On
-    failure it undoes the trail to the newest mark, resumes that choicepoint
-    (each alternative undoes its own bindings) and moves the mark up to the
-    trail height.  ``!`` deletes the choicepoints above its clause's
-    call-time height, and a ``;`` branch keeps its clause's; ``call/N``
-    records a new height.  A call with one candidate clause pushes none.
-    Steps: one per goal entered other than ``,``, so a fact's call is one
-    step and a clause body of k goals adds k.
+    solution), and a list of choicepoints.  With an *env*, the clause's slot
+    list, the frame's site is a compiled body site (see
+    :meth:`Clause.compile`); without one it is a goal term, read into the
+    site it would compile to.  Entering a call site takes one step, builds
+    the argument tuple from *env* and calls the native, or the clauses that
+    ``self.program`` holds for the name and arity: a site never holds
+    clauses, so a clause shared by two programs calls each one's own.
+
+    A choicepoint exists only while a choice remains.  A call's is data,
+    ``[trail mark, clauses, rest, next index, args]``: :meth:`_select`
+    enters the first candidate whose head matches, and pushes one only when
+    a later candidate remains, so the last candidate runs with none (Warren's
+    try / retry / trust).  Any other is ``[trail mark, alternatives, rest]``:
+    a native's solution iterator, whose solutions go on with *rest* (a
+    native that returns True or False has none), or the frames of a ``;``'s
+    right branch.  On failure the machine undoes the trail to the newest
+    mark and resumes that choicepoint: a call's goes back to
+    :meth:`_select`, and an iterator's next alternative (which undoes its
+    own bindings) moves the mark up to the trail height.  ``!`` deletes the
+    choicepoints above its clause's call-time height, and a ``;`` branch
+    keeps its clause's; ``call/N`` records a new height.  Steps: one per goal
+    entered other than ``,``, so a fact's call is one step and a clause body
+    of k goals adds k.
     """
 
     def __init__(self, program: Program, options: Optional[SolverOptions] = None) -> None:
@@ -515,6 +525,8 @@ class Solver:
         self.options = options or SolverOptions()
         self.trail: list[Var] = []
         self.steps = 0
+        self._machines = 0  # _solve generators started and not yet finished
+        self._commit = False  # set by first() just before it resumes its solve
         self._warned: set[str] = set()
         if sys.getrecursionlimit() < _MIN_RECURSION_LIMIT:
             sys.setrecursionlimit(_MIN_RECURSION_LIMIT)
@@ -600,8 +612,12 @@ class Solver:
     # -- solving ------------------------------------------------------------
 
     def solve(self, goal: Term) -> Iterator[None]:
-        """Enumerate solutions of *goal* (yields once per solution)."""
-        yield from self._solve(goal)
+        """Enumerate solutions of *goal* (yields once per solution).
+
+        This is the machine's own generator: a ``yield from`` layer around it
+        would add a generator to every solve, resume and close.
+        """
+        return self._solve(goal)
 
     def solve_once(self, goal: Term) -> bool:
         """True iff *goal* has at least one solution; bindings are undone."""
@@ -610,6 +626,28 @@ class Solver:
             self.undo_to(mark)
             return True
         return False
+
+    def first(self, goal: Term) -> bool:
+        """True iff *goal* has a solution; the first one's bindings are kept.
+
+        The solve is resumed with a commit mark set, so its machine returns
+        at once, without undoing.  While an enclosing machine runs, the
+        bindings stay on the trail, and its backtracking undoes them; at top
+        level they leave the trail, as no choicepoint can need them.  The
+        solve is resumed rather than closed: ``close`` raises GeneratorExit
+        in the machine, and raising an exception costs time in proportion to
+        the number of generators running, which grows with nesting through
+        ``traverse/2``.
+        """
+        mark = len(self.trail)
+        solutions = self.solve(goal)
+        if next(solutions, _EXHAUSTED) is _EXHAUSTED:
+            return False
+        self._commit = True
+        next(solutions, None)
+        if not self._machines:
+            del self.trail[mark:]
+        return True
 
     def _step(self) -> None:
         self.steps += 1
@@ -623,10 +661,13 @@ class Solver:
         start = len(trail)
         choicepoints: list = []
         frame: Optional[tuple] = (goal, None, 0, None)
+        self._machines += 1
         try:
             while True:
                 if frame is None:
                     yield
+                    if self._commit:  # set by first(): keep this solution
+                        return
                 else:
                     site, env, cut, frame = frame
                     if env is not None and site[0] is CALL:
@@ -663,14 +704,11 @@ class Solver:
                             clauses = self.program.candidates(name, arity, args)
                             if clauses is None:
                                 self.warn("unknown predicate %s/%d (goal fails)" % (name, arity))
-                            elif len(clauses) == 1:  # no choice: no choicepoint
-                                body = self._enter(clauses[0], args, len(choicepoints), frame)
+                            elif clauses:
+                                body = self._select(choicepoints, clauses, 0, args, frame)
                                 if body is not _EXHAUSTED:
                                     frame = body
                                     continue
-                            elif clauses:
-                                alternatives = self._clauses(clauses, args, len(choicepoints), frame)
-                                choicepoints.append([len(trail), alternatives, frame])
                     elif kind is CUT:
                         del choicepoints[cut:]
                         continue
@@ -693,6 +731,12 @@ class Solver:
                     point = choicepoints[-1]
                     if len(trail) > point[0]:
                         self.undo_to(point[0])
+                    if len(point) == 5:  # a call's clauses, from the next candidate on
+                        choicepoints.pop()
+                        frame = self._select(choicepoints, point[1], point[3], point[4], point[2])
+                        if frame is not _EXHAUSTED:
+                            break
+                        continue
                     alternative = next(point[1], _EXHAUSTED)
                     if alternative is not _EXHAUSTED:
                         point[0] = len(trail)
@@ -702,24 +746,37 @@ class Solver:
                 else:
                     return
         finally:
-            self.undo_to(start)
+            self._machines -= 1
+            if self._commit:  # the solution's bindings stay
+                self._commit = False
+            else:
+                self.undo_to(start)
 
-    def _clauses(self, clauses: Sequence[Clause], args: Sequence[Term], cut: int, rest) -> Iterator:
-        """The body frames of each clause whose head matches *args*, in order."""
-        for clause in clauses:
-            mark = len(self.trail)
-            body = self._enter(clause, args, cut, rest)
-            if body is not _EXHAUSTED:
-                yield body
-            self.undo_to(mark)
+    def _select(self, choicepoints: list, clauses: Sequence[Clause], index: int, args, rest):
+        """The body frames of the first clause from *index* on whose head matches *args*.
 
-    def _enter(self, clause: Clause, args: Sequence[Term], cut: int, rest):
-        """*clause*'s body frames before *rest* if its head matches *args*, else _EXHAUSTED."""
-        slot_count, match, goals = clause.code or clause.compile()
-        env: list = [None] * slot_count
-        if not match(args, env, self):
-            return _EXHAUSTED
-        return _sequence(goals, env, cut, rest)
+        _EXHAUSTED if none does.  Only when candidates remain after the
+        matching clause does a choicepoint ``[trail mark, clauses, rest, next
+        index, args]`` go on *choicepoints*; the body's cut height is the
+        height below it, so a cut in the body deletes it.  The call and the
+        retries on backtracking (with the choicepoint popped) both come here.
+        """
+        trail = self.trail
+        mark = len(trail)
+        cut = len(choicepoints)
+        last = len(clauses) - 1
+        while True:
+            slot_count, match, goals = clauses[index].code or clauses[index].compile()
+            env: list = [None] * slot_count
+            if match(args, env, self):
+                if index < last:
+                    choicepoints.append([mark, clauses, rest, index + 1, args])
+                return _sequence(goals, env, cut, rest)
+            if len(trail) > mark:
+                self.undo_to(mark)
+            if index == last:
+                return _EXHAUSTED
+            index += 1
 
     @staticmethod
     def is_builtin(name: str, arity: int) -> bool:
@@ -1177,13 +1234,40 @@ def _bi_canon(solver: Solver, args) -> bool:
 
 @_builtin("attribute", 3)
 @_builtin("attribute", 4)
-def _bi_attribute(solver: Solver, args) -> Iterator[None]:
+def _bi_attribute(solver: Solver, args):
     """attribute(Atts, Id, Value[, Rest]): one well-formed entry of Atts per solution.
 
     Entries are tried in list order; malformed entries and non-proper lists
     yield nothing. Rest, given only with four arguments, is built only once
-    Id and Value have unified.
+    Id and Value have unified.  With Id an atom, the entries are scanned for
+    its ``Id="`` prefix: a name that is not valid matches nothing, and at most
+    one matching entry gives True or False, with no choicepoint.  Otherwise
+    the solutions come from :func:`_attribute_solutions`.
     """
+    name = deref(args[1])
+    if type(name) is not Atom:
+        return _attribute_solutions(solver, args)
+    items = list_items(args[0])
+    if items is None or not is_valid_name(name.name):
+        return False
+    prefix = name.name + '="'
+    found = None
+    for index, item in enumerate(items):
+        item = deref(item)
+        # The closing quote must come after the opening one.
+        if type(item) is Atom and item.name.startswith(prefix) and item.name.endswith('"', len(prefix)):
+            if found is not None:
+                return _attribute_solutions(solver, args)
+            found = index
+    if found is None:
+        return False
+    return solver.unify(args[2], Atom(deref(items[found]).name[len(prefix) : -1])) and (
+        len(args) == 3 or solver.unify(args[3], mk_list(items[:found] + items[found + 1 :]))
+    )
+
+
+def _attribute_solutions(solver: Solver, args) -> Iterator[None]:
+    """attribute/3,4 as a generator: each entry decoded with ``split_attr`` and unified."""
     items = list_items(args[0])
     with_rest = len(args) == 4
     for index, item in enumerate(items or ()):

@@ -4,10 +4,13 @@ Traversal walks a document in pre-order.  Processing instructions and
 comments contribute nothing; a node for which the solver finds
 ``template(Node, Result)`` contributes the first solution's ``Result`` list
 (clauses are tried in text order, and a cut in a template body commits to
-its clause); an unmatched element recurses into its children, concatenating
-their results; unmatched text contributes nothing by default (or itself
-with the ``copy`` policy).  Rules reach the same walk through the native
-predicate ``traverse(Node, Result)``, which uses the ``drop`` policy.
+its clause).  That solution is committed, as ``template(Node, Result), !``
+would: the list is the solution's own terms, not a copy, and a variable in
+the node that the template binds stays bound.  An unmatched element
+recurses into its children, concatenating their results; unmatched text
+contributes nothing by default (or itself with the ``copy`` policy).
+Rules reach the same walk through the native predicate
+``traverse(Node, Result)``, which uses the ``drop`` policy.
 
 Whole-file transformation works in one of two modes: if the rule program
 defines ``go/2``, the goal ``go(Doc, Result)`` is solved against the parsed
@@ -106,16 +109,14 @@ def _traverse(node: Term, solver: Solver, unmatched_text: str = "drop") -> list[
         if not isinstance(node, Compound) or node.name in ("pi", "comment") and len(node.args) == 1:
             continue
         out = fresh_var("Result")
-        for _ in solver.solve(Compound("template", (node, out))) if templates else ():
-            result = copy_term(out)  # one copy: shared variables stay shared
-            items = list_items(result)
+        if templates and solver.first(Compound("template", (node, out))):
+            items = list_items(out)  # the first solution's own terms: nothing is copied
             if items is None:
                 raise TemplateError(
                     "the template for %s produced %s, which is not a result list"
-                    % (render_term(node), render_term(result))
+                    % (render_term(node), render_term(out))
                 )
             results.extend(items)
-            break
         else:  # no template matched
             if node.name == "element" and len(node.args) == 3:
                 for child in reversed(list_items(deref(node.args[2])) or []):

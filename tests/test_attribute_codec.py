@@ -11,11 +11,13 @@ oracle, on random trees where both should agree (order and multiplicity).
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from termxform.logic_engine import ResourceLimitError, Solver, SolverOptions
+from attribute_oracle import attribute_solutions
+from termxform.logic_engine import _BUILTINS, Program, ResourceLimitError, Solver, SolverOptions
 from termxform.rule_language import parse_program, parse_query
 from termxform.term_core import (
+    EMPTY_LIST,
     Atom,
     Compound,
     copy_term,
@@ -261,3 +263,77 @@ def test_attribute_3_yields_the_entries_of_attribute_4(tree):
                     Compound("attribute", (entries_list, name, value, fresh_var("R"))), pair
                 )
                 assert three == four, render_term(pair)
+
+
+# ---------------------------------------------------------------------------
+# The native against the generator it replaced for a bound name
+
+
+MALFORMED = ['="x"', '1a="x"', 'a b="x"', 'a="', 'a', 'a="x', 'a=x"', '"a="x"']
+
+
+@st.composite
+def attribute_lists(draw):
+    """An xmlgen attribute list with malformed, duplicate and non-atom entries
+    added, as a proper list, a partial list or a list ending in an atom."""
+    items = list_items(draw(elements(max_depth=0)).args[1])
+    extras = st.one_of(
+        st.sampled_from(MALFORMED).map(Atom),
+        st.tuples(st.sampled_from(["a", "b"] + [split_attr(i)[0] for i in items]), st.sampled_from(["", "v", "1"])).map(
+            lambda pair: Atom('%s="%s"' % pair)
+        ),
+        st.sampled_from([Compound("f", (Atom("a"),)), 7, EMPTY_LIST]),
+        st.just(None),  # an unbound entry
+    )
+    for extra in draw(st.lists(extras, max_size=4)):
+        items.insert(draw(st.integers(0, len(items))), fresh_var("E") if extra is None else extra)
+    tail = draw(st.sampled_from([EMPTY_LIST, Atom("junk"), None]))
+    return mk_list(items, fresh_var("T") if tail is None else tail)
+
+
+def _answers(native, solver, args):
+    """The rendered arguments at each solution of *native* on *args*."""
+    result = native(solver, args)
+    if result is True or result is False:
+        found = [render_term(mk_list(args))] if result else []
+    else:
+        found = [render_term(mk_list(args)) for _ in result]
+    solver.undo_to(0)
+    return found
+
+
+@pytest.mark.parametrize("entry", MALFORMED)
+def test_attribute_scan_skips_each_malformed_entry_as_the_generator_does(entry):
+    _check_against_the_generator(mk_list([Atom(entry), Atom('b="1"')]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(attribute_lists())
+def test_attribute_scan_matches_the_generator(atts):
+    _check_against_the_generator(atts)
+
+
+def _check_against_the_generator(atts):
+    """Every binding pattern of Id, Value and Rest: the same answers, in order."""
+    solver = Solver(Program(), SolverOptions(diagnostics=io.StringIO()))
+    items = list_items(atts) or []
+    entries = [attr for attr in map(split_attr, items) if attr is not None]
+    bound = fresh_var("B")
+    bound.ref = Atom(entries[0][0] if entries else "a")  # an Id reached through a variable
+    ids = [Atom(name) for name, _ in entries] + [Atom(n) for n in ("a", "b", "z0", "a b", "", "[]", "1a")]
+    ids += [EMPTY_LIST, 7, Compound("f", (Atom("a"),)), bound, fresh_var("I")]
+    values = [Atom(value) for _, value in entries] + [Atom("nope"), 1, fresh_var("V")]
+    rests = [mk_list(items[:i] + items[i + 1 :]) for i in range(len(items))]
+    rests += [mk_list(items[:1], fresh_var("P")), Atom("junk"), fresh_var("R")]
+    for name in ids:
+        for value in values:
+            args = [atts, name, value]
+            assert _answers(_BUILTINS[("attribute", 3)], solver, args) == _answers(
+                attribute_solutions, solver, args
+            ), render_term(mk_list(args))
+            for rest in rests:
+                args = [atts, name, value, rest]
+                assert _answers(_BUILTINS[("attribute", 4)], solver, args) == _answers(
+                    attribute_solutions, solver, args
+                ), render_term(mk_list(args))
+        assert solver.trail == []

@@ -81,18 +81,26 @@ def _run(solver, clause, args, generated):
 
 
 def assert_same_as_skeletons(solver, clause, args):
-    for occurs_check in (False, True):
+    """Generated and skeleton code agree on *clause* and *args*; True if the head matches."""
+    for occurs_check in (True, False):
         solver.options.occurs_check = occurs_check
-        assert _run(solver, clause, args, True) == _run(solver, clause, args, False), repr(clause)
-    solver.options.occurs_check = False
+        outcome = _run(solver, clause, args, True)
+        assert outcome == _run(solver, clause, args, False), repr(clause)
+    return outcome[0]
 
 
 class CheckedSolver(Solver):
-    """A solver that compares generated and skeleton code on every clause it enters."""
+    """A solver that compares generated and skeleton code on every clause it tries."""
 
-    def _enter(self, clause, args, cut, rest):
-        assert_same_as_skeletons(self, clause, args)
-        return super()._enter(clause, args, cut, rest)
+    tried = 0
+
+    def _select(self, choicepoints, clauses, index, args, rest):
+        # The clauses the machine tries: from *index* to the first whose head matches.
+        for clause in clauses[index:]:
+            self.tried += 1
+            if assert_same_as_skeletons(self, clause, args):
+                break
+        return super()._select(choicepoints, clauses, index, args, rest)
 
 
 def _solver(program):
@@ -100,12 +108,14 @@ def _solver(program):
 
 
 def _solve_checked(program, goal, depth_limit):
+    """The number of clause tries checked while solving *goal*."""
     solver = CheckedSolver(program, SolverOptions(diagnostics=io.StringIO(), depth_limit=depth_limit))
     try:
         for _ in solver.solve(goal):
             pass
     except ResourceLimitError:  # the limit ends enumerations without end
         pass
+    return solver.tried
 
 
 def _variants(term, replacements):
@@ -199,7 +209,7 @@ def test_prelude_clauses_match_and_build_as_skeletons_do(tree, rng):
 def test_prelude_operators_enter_clauses_as_skeletons_do(tree):
     for element in elements_of(tree)[:2]:
         for expression in _operator_goals(element):
-            _solve_checked(PRELUDE, Compound("transform", (expression, fresh_var("Y"))), 3000)
+            assert _solve_checked(PRELUDE, Compound("transform", (expression, fresh_var("Y"))), 3000) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -334,13 +334,38 @@ def test_only_natives_that_can_succeed_again_are_generators():
     import termxform  # noqa: F401 - registers the template and prelude natives
 
     generators = {key for key, native in _BUILTINS.items() if inspect.isgeneratorfunction(native)}
-    expected = {("append", 3), ("member", 2), ("length", 2), ("attribute", 3), ("attribute", 4)}
+    expected = {("append", 3), ("member", 2), ("length", 2)}
     assert generators == expected
+    attribute = {("attribute", 3), ("attribute", 4)}
     solver = make_solver()
     for (name, arity), native in _BUILTINS.items():
-        if (name, arity) not in generators:
+        if (name, arity) not in generators | attribute:
             result = native(solver, [fresh_var("A") for _ in range(arity)])
             assert result is True or result is False, (name, arity)
+    # attribute/3,4 is True or False for a bound valid name with at most one
+    # entry of that name, and an iterator of solutions otherwise.
+    one = mk_list([Atom('a="1"'), Atom('b="2"')])
+    two = mk_list([Atom('a="1"'), Atom('a="2"')])
+    cases = [
+        (one, Atom("a"), True),
+        (one, Atom("c"), False),
+        (one, Atom("a b"), False),
+        (one, EMPTY_LIST, False),
+        (fresh_var("Atts"), Atom("a"), False),
+        (two, Atom("b"), False),
+        (two, Atom("a"), None),
+        (one, fresh_var("Id"), None),
+        (one, 7, None),
+    ]
+    for key in sorted(attribute):
+        for atts, name, outcome in cases:
+            args = [atts, name] + [fresh_var("A") for _ in range(key[1] - 2)]
+            result = _BUILTINS[key](solver, args)
+            if outcome is None:
+                assert iter(result) is result, (key, render_term(atts), render_term(name))
+            else:
+                assert result is outcome, (key, render_term(atts), render_term(name))
+            solver.undo_to(0)
 
 
 def test_number_type_aliases_share_one_native():

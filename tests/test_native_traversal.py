@@ -218,6 +218,57 @@ def test_traverse_with_a_bound_result_checks_the_first_template():
     assert run(program, "old_traverse(element(b,[],[]), [text(second)])")[0] != []
 
 
+def test_traverse_binds_the_variables_a_template_head_fills():
+    program = program_with("template(text(filled),[text(filled)]).")
+    tree = "element(a,[],[text(X),text(Y)])"
+    bound = "(element(a,[],[text(filled),text(filled)]),[text(filled),text(filled)])"
+    assert run(program, "traverse(%s, R)" % tree)[0] == ["traverse" + bound]
+    # The walk used to copy each result and undo the template's bindings, so
+    # X and Y stayed unbound; the rule version bound them, as the walk now does.
+    assert run(program, "old_traverse(%s, R)" % tree)[0] == ["old_traverse" + bound]
+
+
+def test_outer_backtracking_undoes_a_nested_walks_bindings():
+    program = program_with("template(text(filled),[text(filled)]).")
+    solver = Solver(program, SolverOptions(diagnostics=io.StringIO()))
+    query = parse_query("traverse(element(a,[],[text(X)]), R) ; var(X), R = unbound", program.operators)
+    x, r = query.variables["X"], query.variables["R"]
+    found = [(render_term(x), render_term(r)) for _ in solver.solve(query.goal)]
+    assert found[0] == ("filled", "[text(filled)]")
+    # The right branch runs after the walk's binding of X is undone.
+    assert found[1] == ("_X%d" % x.id, "unbound") and len(found) == 2
+    assert solver.trail == [] and deref(x) is x
+
+
+class _Recorded(Solver):
+    """A solver that remembers every instance, to look at its trail afterwards."""
+
+    made = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.made.append(self)
+
+
+def test_a_top_level_walk_leaves_the_trail_empty(tmp_path, monkeypatch):
+    monkeypatch.setattr(template_engine, "Solver", _Recorded)
+    _Recorded.made = []
+    program = program_with("template(text(filled),[text(filled)]).\ntemplate(element(b,_,C),C).")
+    x = fresh_var("X")
+    tree = Compound("element", (Atom("a"), Atom("[]"), mk_list([Compound("text", (x,))])))
+    assert render_term(mk_list(traverse(tree, program))) == "[text(filled)]"
+    # The binding the template made stays; only the trail forgets it.
+    assert render_term(x) == "filled"
+    rules = tmp_path / "rules.tx"
+    rules.write_text("template(element(b,_,C),C).\ntemplate(text(T),[text(T)]).", encoding="utf-8")
+    source = tmp_path / "in.xml"
+    source.write_text("<a><b>hi<c/></b>there</a>", encoding="utf-8")
+    assert transform_file(str(source), str(rules)).documents == ["<result>hi<c/>there</result>"]
+    assert len(_Recorded.made) == 2
+    assert [solver.trail for solver in _Recorded.made] == [[], []]
+    assert all(solver.steps > 0 for solver in _Recorded.made)
+
+
 def test_traverse_and_transform_file_run_the_same_walk(tmp_path, monkeypatch):
     calls = []
     walk = template_engine._traverse
@@ -259,6 +310,36 @@ def test_traverse_agrees_with_python_and_the_old_rules(tree):
     assert native == ["traverse(%s,%s)" % (render_term(tree), expected)]
     assert old == ["old_" + native[0]]
     assert native_diagnostics == old_diagnostics == ""
+
+
+def _texts_to_variables(node, picks):
+    """*node* with the content of each text child whose pick is true replaced by a variable."""
+    node = deref(node)
+    if not (isinstance(node, Compound) and node.name == "element"):
+        return node
+    kids = []
+    for child in list_items(node.args[2]):
+        child = deref(child)
+        if isinstance(child, Compound) and child.name == "text" and next(picks):
+            child = Compound("text", (fresh_var("T"),))
+        kids.append(_texts_to_variables(child, picks))
+    return Compound("element", (node.args[0], node.args[1], mk_list(kids)))
+
+
+_BINDING_PROGRAM = program_with(TEMPLATES + "template(text(filled),[element(v,[],[text(filled)])]).")
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements(max_depth=3), st.lists(st.booleans(), min_size=1))
+def test_traverse_binds_variables_as_the_old_rules_do(tree, picks):
+    tree = _texts_to_variables(tree, iter(picks * 64))
+    native, native_diagnostics = run(_BINDING_PROGRAM, "traverse(T, R)", T=tree)
+    old, old_diagnostics = run(_BINDING_PROGRAM, "old_traverse(T, R)", T=tree)
+    assert len(native) == 1
+    assert old == ["old_" + native[0]]
+    assert native_diagnostics == old_diagnostics == ""
+    # Each run's machine undid its bindings when it finished.
+    assert "filled" not in render_term(tree)
 
 
 def _child_paths(node, prefix=()):

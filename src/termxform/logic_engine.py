@@ -7,7 +7,7 @@ control constructs ``,`` ``;`` ``!`` and ``call/N`` itself; the cut commits to
 the choices made since the activation of the clause it occurs in.  Every
 other built-in goal, ``true/0``, ``fail/0``, ``false/0``, ``not/1`` and
 ``findall/3`` included, is a native in one registry.  ``call/N``, ``not/1``
-and ``findall/3`` each run their goal behind a cut barrier of its own.
+and ``findall/3`` run their goal on the caller's machine, behind a cut barrier.
 Natives, like the control constructs, shadow program clauses of the same
 name and arity (see :meth:`Solver.is_builtin`).  A step counter turns
 runaway programs into a :class:`ResourceLimitError` instead of a hang.  A
@@ -31,9 +31,9 @@ and the string/node functor family (``cat``, ``substring``, ``translate``,
 fail with a diagnostic warning rather than raising.  A native that succeeds
 at most once returns True or False, so its call leaves no choicepoint; the
 ones that can succeed again (``append/3``, ``member/2`` and ``length/2``)
-are generators, one item per solution.  ``attribute/3,4`` is either: True
-or False when Id is an atom that names at most one entry, and a generator
-otherwise.
+or run goals (``not/1``, ``findall/3``, ``traverse/2``) are generators.
+``attribute/3,4`` is either: True or False when Id is an atom that names at
+most one entry, and a generator otherwise.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ __all__ = [
 
 DEFAULT_STEP_LIMIT = 1_000_000
 
-# ``not/1``, ``findall/3`` and ``traverse/2`` nest one machine on the Python
-# stack per level of nesting; without this raise, 200 levels already fail.
+# The clause compiler's walks and ``eval_is`` recurse once per level of a term;
+# without this raise, a 1,000-cell list in a clause or a 600-term sum fails.
 _MIN_RECURSION_LIMIT = 100_000
 
 _EXHAUSTED = object()  # no alternatives left, or a clause head that does not match
@@ -462,10 +462,11 @@ class SolverOptions:
 
 
 # A native is called as ``native(solver, args)``.  One that succeeds at most
-# once returns True or False and pushes no choicepoint; one that can succeed
-# again is a generator function, and the iterator it returns, one item per
-# solution, becomes a choicepoint.  A clause's call site looks its native up
-# when the clause compiles; a goal term looks it up when it runs.
+# once returns True or False and pushes no choicepoint; any other is a
+# generator function, whose generator is a choicepoint that yields None per
+# solution or a request ``(goal, template)`` and may return True or False
+# (see Solver).  A clause's call site looks its native up when the clause
+# compiles; a goal term looks it up when it runs.
 _BUILTINS: dict[tuple[str, int], Callable] = {}
 
 
@@ -491,7 +492,6 @@ class Solver:
     ``solve`` is a generator yielding once per solution; bindings live in the
     query's variables while the generator is suspended, so capture (render or
     copy) anything you need *before* advancing or abandoning it.
-    :meth:`first` takes the first solution and keeps its bindings.
 
     :meth:`_solve` is one loop over the goals still to run, a linked list of
     frames ``(site, env, cut height, rest)`` (a *rest* of None is a
@@ -507,17 +507,20 @@ class Solver:
     ``[trail mark, clauses, rest, next index, args]``: :meth:`_select`
     enters the first candidate whose head matches, and pushes one only when
     a later candidate remains, so the last candidate runs with none (Warren's
-    try / retry / trust).  Any other is ``[trail mark, alternatives, rest]``:
-    a native's solution iterator, whose solutions go on with *rest* (a
-    native that returns True or False has none), or the frames of a ``;``'s
-    right branch.  On failure the machine undoes the trail to the newest
-    mark and resumes that choicepoint: a call's goes back to
-    :meth:`_select`, and an iterator's next alternative (which undoes its
-    own bindings) moves the mark up to the trail height.  ``!`` deletes the
-    choicepoints above its clause's call-time height, and a ``;`` branch
-    keeps its clause's; ``call/N`` records a new height.  Steps: one per goal
-    entered other than ``,``, so a fact's call is one step and a clause body
-    of k goals adds k.
+    try / retry / trust).  A ``;``'s is ``[trail mark, None, frames of the
+    right branch]``.  A native's is ``[trail mark, generator, rest]``, and
+    its solutions go on with *rest*.  For a request ``(goal, template)`` it
+    yields, the goal runs here behind its choicepoint, and the generator is
+    sent whether the goal has a solution (template None: the first is
+    committed) or the list of template copies, one per solution; it returns
+    True or False, its last answer.  On failure the machine undoes the trail
+    to the newest mark and resumes that choicepoint: a call's goes back to
+    :meth:`_select`, a ``;``'s goes and runs its frames, and a generator's
+    next item (which undoes its own bindings) moves the mark up to the trail
+    height.  ``!`` deletes the choicepoints above its clause's call-time
+    height, and a ``;`` branch keeps its clause's; ``call/N`` and a request
+    record a new height.  Steps: one per goal entered other than ``,``, so a
+    fact's call is one step and a clause body of k goals adds k.
     """
 
     def __init__(self, program: Program, options: Optional[SolverOptions] = None) -> None:
@@ -525,8 +528,6 @@ class Solver:
         self.options = options or SolverOptions()
         self.trail: list[Var] = []
         self.steps = 0
-        self._machines = 0  # _solve generators started and not yet finished
-        self._commit = False  # set by first() just before it resumes its solve
         self._warned: set[str] = set()
         if sys.getrecursionlimit() < _MIN_RECURSION_LIMIT:
             sys.setrecursionlimit(_MIN_RECURSION_LIMIT)
@@ -627,28 +628,6 @@ class Solver:
             return True
         return False
 
-    def first(self, goal: Term) -> bool:
-        """True iff *goal* has a solution; the first one's bindings are kept.
-
-        The solve is resumed with a commit mark set, so its machine returns
-        at once, without undoing.  While an enclosing machine runs, the
-        bindings stay on the trail, and its backtracking undoes them; at top
-        level they leave the trail, as no choicepoint can need them.  The
-        solve is resumed rather than closed: ``close`` raises GeneratorExit
-        in the machine, and raising an exception costs time in proportion to
-        the number of generators running, which grows with nesting through
-        ``traverse/2``.
-        """
-        mark = len(self.trail)
-        solutions = self.solve(goal)
-        if next(solutions, _EXHAUSTED) is _EXHAUSTED:
-            return False
-        self._commit = True
-        next(solutions, None)
-        if not self._machines:
-            del self.trail[mark:]
-        return True
-
     def _step(self) -> None:
         self.steps += 1
         limit = self.options.depth_limit
@@ -660,14 +639,19 @@ class Solver:
         trail = self.trail
         start = len(trail)
         choicepoints: list = []
+        requests: list = []  # [barrier, template, answer] per native waiting on its goal, newest last
         frame: Optional[tuple] = (goal, None, 0, None)
-        self._machines += 1
         try:
             while True:
                 if frame is None:
-                    yield
-                    if self._commit:  # set by first(): keep this solution
-                        return
+                    if not requests:
+                        yield
+                    elif requests[-1][1] is None:  # the newest request's goal has a solution: commit to it
+                        del choicepoints[requests[-1][0] :]
+                        choicepoints[-1][0] = len(trail)  # its bindings stay
+                        requests[-1][2] = True
+                    else:
+                        requests[-1][2].append(copy_term(requests[-1][1], {}))
                 else:
                     site, env, cut, frame = frame
                     if env is not None and site[0] is CALL:
@@ -714,7 +698,7 @@ class Solver:
                         continue
                     elif kind is OR:
                         right = _sequence(site[2], env, cut, frame)
-                        choicepoints.append([len(trail), iter((right,)), frame])
+                        choicepoints.append([len(trail), None, right])
                         frame = _sequence(site[1], env, cut, frame)
                         continue
                     elif name is not None:  # call/N
@@ -737,20 +721,28 @@ class Solver:
                         if frame is not _EXHAUSTED:
                             break
                         continue
-                    alternative = next(point[1], _EXHAUSTED)
-                    if alternative is not _EXHAUSTED:
-                        point[0] = len(trail)
-                        frame = point[2] if alternative is None else alternative
+                    if point[1] is None:  # a `;`: its right branch's frames
+                        frame = choicepoints.pop()[2]
                         break
-                    choicepoints.pop()
+                    answer = requests.pop()[2] if requests and requests[-1][0] == len(choicepoints) else None
+                    try:
+                        alternative = point[1].send(answer)
+                    except StopIteration as last:  # the native's last answer
+                        choicepoints.pop()
+                        if not last.value:
+                            continue
+                        alternative = None
+                    point[0] = len(trail)
+                    if alternative is None:  # a solution
+                        frame = point[2]
+                    else:  # a request: its goal runs behind the native's choicepoint, a cut barrier
+                        requests.append([len(choicepoints), alternative[1], False if alternative[1] is None else []])
+                        frame = (alternative[0], None, len(choicepoints), None)
+                    break
                 else:
                     return
         finally:
-            self._machines -= 1
-            if self._commit:  # the solution's bindings stay
-                self._commit = False
-            else:
-                self.undo_to(start)
+            self.undo_to(start)
 
     def _select(self, choicepoints: list, clauses: Sequence[Clause], index: int, args, rest):
         """The body frames of the first clause from *index* on whose head matches *args*.
@@ -973,18 +965,17 @@ def _bi_fail(solver: Solver, args) -> bool:
 
 
 @_builtin("not", 1)
-def _bi_not(solver: Solver, args) -> bool:
-    return not solver.solve_once(args[0])
+def _bi_not(solver: Solver, args):
+    return not (yield args[0], None)
 
 
 @_builtin("findall", 3)
-def _bi_findall(solver: Solver, args) -> bool:
+def _bi_findall(solver: Solver, args):
     """findall(Template, Goal, List): a copy of Template per solution of Goal, in order.
 
-    Goal runs on a machine of its own (a cut in it stays in it); its bindings are undone.
+    Goal runs behind a cut barrier (a cut in it stays in it); its bindings are undone.
     """
-    results = [copy_term(args[0], {}) for _ in solver._solve(args[1])]
-    return solver.unify(args[2], mk_list(results))
+    return solver.unify(args[2], mk_list((yield args[1], args[0])))
 
 
 @_builtin("=", 2)

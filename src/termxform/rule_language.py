@@ -233,6 +233,12 @@ class _Parser:
 
     # -- terms -------------------------------------------------------------
 
+    def parse_top(self) -> Term:
+        try:
+            return self.parse_term(1200)[0]
+        except RecursionError:  # a term nested past the Python stack
+            raise self.error("term nested too deeply", self.peek()) from None
+
     def parse_term(self, max_prec: int) -> tuple[Term, int]:
         left, left_prec = self.parse_primary(max_prec)
         while True:
@@ -345,7 +351,7 @@ def read_terms(
     parser = _Parser(tokens, table)
     while parser.peek().kind != "eof":
         parser.var_map = {}
-        term, _ = parser.parse_term(1200)
+        term = parser.parse_top()
         parser.expect("end")
         terms.append(term)
         directive = _as_directive(term)
@@ -418,7 +424,7 @@ def parse_query(text: str, table: Optional[OperatorTable] = None) -> Query:
         parser.next()
     if parser.peek().kind == "eof":
         raise ParseError("empty query", first.line, first.col, "goal", "end of input")
-    goal, _ = parser.parse_term(1200)
+    goal = parser.parse_top()
     if parser.peek().kind == "end":
         parser.next()
     trailing = parser.peek()

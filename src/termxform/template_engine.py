@@ -8,9 +8,10 @@ its clause).  That solution is committed, as ``template(Node, Result), !``
 would: the list is the solution's own terms, not a copy, and a variable in
 the node that the template binds stays bound.  An unmatched element
 recurses into its children, concatenating their results; unmatched text
-contributes nothing by default (or itself with the ``copy`` policy).
-Rules reach the same walk through the native predicate
-``traverse(Node, Result)``, which uses the ``drop`` policy.
+contributes nothing by default (or itself with the ``copy`` policy).  Each
+template goal is a request (see ``Solver``): the caller's machine runs it for
+``traverse(Node, Result)``, a native with the ``drop`` policy, and
+``Solver.solve`` runs it at top level.
 
 Whole-file transformation works in one of two modes: if the rule program
 defines ``go/2``, the goal ``go(Doc, Result)`` is solved against the parsed
@@ -94,11 +95,25 @@ def traverse(node: Term, program: Program, unmatched_text: str = "drop") -> list
 
 
 @_builtin("traverse", 2)
-def _bi_traverse(solver: Solver, args) -> bool:
-    return solver.unify(args[1], mk_list(_traverse(args[0], solver)))
+def _bi_traverse(solver: Solver, args):
+    return solver.unify(args[1], mk_list((yield from _walk(args[0], solver))))
 
 
 def _traverse(node: Term, solver: Solver, unmatched_text: str = "drop") -> list[Term]:
+    """The results of :func:`_walk`, with each template goal run by ``solver.solve``."""
+    walk, found = _walk(node, solver, unmatched_text), None
+    while True:
+        try:
+            goal, _ = walk.send(found)
+        except StopIteration as done:
+            return done.value
+        mark, solutions = len(solver.trail), solver.solve(goal)
+        found = next(solutions, False) is None
+        del solver.trail[mark:]  # at top level, nothing can backtrack into the committed bindings
+        solutions.close()
+
+
+def _walk(node: Term, solver: Solver, unmatched_text: str = "drop"):
     # Pre-order over an explicit stack: a node's results all come before
     # those of its later siblings.
     templates = solver.program.defines("template", 2)
@@ -109,7 +124,7 @@ def _traverse(node: Term, solver: Solver, unmatched_text: str = "drop") -> list[
         if not isinstance(node, Compound) or node.name in ("pi", "comment") and len(node.args) == 1:
             continue
         out = fresh_var("Result")
-        if templates and solver.first(Compound("template", (node, out))):
+        if templates and (yield Compound("template", (node, out)), None):
             items = list_items(out)  # the first solution's own terms: nothing is copied
             if items is None:
                 raise TemplateError(

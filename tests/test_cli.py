@@ -243,6 +243,30 @@ def test_a_cyclic_answer_is_an_input_error_that_names_its_variable(goal):
     assert (done.returncode, done.stdout, done.stderr) == (1, "NO\n", "")
 
 
+@pytest.mark.parametrize(
+    "command, rules, goal",
+    [
+        ("check", "p :- %s." % ", ".join(["true"] * 1_000), None),
+        ("query", "p(%sa%s)." % ("f(" * 600, ")" * 600), "p(X)"),
+        ("query", None, "X = %sa%s" % ("f(" * 600, ")" * 600)),
+    ],
+    ids=["a-body-of-1000-goals", "a-clause-600-deep", "a-query-600-deep"],
+)
+def test_a_rule_text_nested_too_deeply_is_an_input_error(tmp_path, command, rules, goal):
+    # The parser recurses once per level of a term and once per `,` goal;
+    # past the Python stack that was "internal error: maximum recursion
+    # depth exceeded" (exit 3).  A fresh interpreter has the default limit.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(termxform.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    rules_arg = write(tmp_path, "rules.tx", rules) if rules is not None else "prelude-only"
+    args = [command, "--rules", rules_arg] + ([goal] if goal is not None else [])
+    done = subprocess.run(
+        [sys.executable, "-m", "termxform.cli", *args], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert re.fullmatch(r"error: term nested too deeply \(line 1, column \d+\)\n", done.stderr), done.stderr
+
+
 def test_write_of_a_cyclic_term_warns_and_fails():
     # write/1 shares the answer printer's check, so it does not render for ever.
     src = os.path.dirname(os.path.dirname(os.path.abspath(termxform.__file__)))

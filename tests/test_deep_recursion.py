@@ -1,11 +1,16 @@
-"""Rule recursion far deeper than the C stack allowed the old solver.
+"""Recursion far deeper than the C stack allowed the old solver.
 
 The solver keeps the goals still to run and its choicepoints in lists of its
 own, so deep rule recursion is bounded by memory and the step limit.  When
 each level nested Python generators, every query below but the last
-crashed the interpreter (exit 139).  Each test runs ``termxform query``, or
-the solver itself, in a fresh interpreter, so that such a crash fails one
-test instead of the run.
+crashed the interpreter (exit 139).  ``not/1``, ``findall/3`` and
+``traverse/2`` hand their goals to the machine that called them, so
+recursion through them is bounded the same way; when each ran a solve of its
+own on the Python stack, 100,000 levels through any of them crashed too.
+The recursion limit the solver raises still guards the Python code that
+walks a term once per level (clause compilation and ``is/2``), pinned at
+5,000 levels below.  Each test runs ``termxform``, or the solver itself, in
+a fresh interpreter, so that such a crash fails one test instead of the run.
 """
 
 import os
@@ -22,22 +27,42 @@ len([],0).
 len([_|T],N) :- len(T,M), N is M+1.
 ok(text(_)).
 ok(element(_,_,[C])) :- not(not(ok(C))).
+f(element(a,_,[C]), L) :- findall(X, f(C, X), [L]).
+f(text(_), x).
+"""
+NEST = """\
+template(element(a,_,[C]), [element(b,[],R)]) :- traverse(C, R).
+template(text(T), [text(T)]).
 """
 
 
-def query(tmp_path, goal, *options, depth=None):
-    rules = tmp_path / "rules.tx"
-    rules.write_text(RULES, encoding="utf-8")
-    args = ["--rules", str(rules), *options]
+def termxform(tmp_path, command, *args, depth=None, rules=RULES):
+    path = tmp_path / "rules.tx"
+    path.write_text(rules, encoding="utf-8")
+    args = ["--rules", str(path), *args]
     if depth is not None:
         document = tmp_path / "deep.xml"
         document.write_text("<a>" * depth + "x" + "</a>" * depth, encoding="utf-8")
         args += ["--in", str(document)]
     return subprocess.run(
-        [sys.executable, "-m", "termxform.cli", "query", *args, goal],
+        [sys.executable, "-m", "termxform.cli", command, *args],
         capture_output=True, text=True, timeout=300,
         env=dict(os.environ, PYTHONPATH=SRC),
     )
+
+
+def query(tmp_path, goal, *options, depth=None, rules=RULES):
+    return termxform(tmp_path, "query", *options, goal, depth=depth, rules=rules)
+
+
+def in_process(child):
+    """The lines *child*, a Python program, prints to standard output."""
+    done = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
 
 
 def test_a_countdown_of_100000_levels_answers(tmp_path):
@@ -63,10 +88,24 @@ def test_equals_on_a_20000_deep_document_answers(tmp_path):
 
 
 def test_recursion_through_not_over_a_2000_deep_document_answers(tmp_path):
-    # Each not/1 runs a nested solve on the Python stack; this depth needs
-    # the recursion limit the solver raises.
     done = query(tmp_path, "ok(Doc)", depth=2_000)
     assert (done.returncode, done.stdout, done.stderr) == (0, "YES.\n", "")
+
+
+def test_recursion_through_not_over_a_100000_deep_document_answers(tmp_path):
+    done = query(tmp_path, "ok(Doc)", depth=100_000)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "YES.\n", "")
+
+
+def test_nested_findall_over_a_100000_deep_document_answers(tmp_path):
+    done = query(tmp_path, "f(Doc, L)", depth=100_000)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "YES.\nL/x\n", "")
+
+
+def test_templates_nested_100000_deep_through_traverse_answer(tmp_path):
+    done = termxform(tmp_path, "transform", depth=100_000, rules=NEST)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "<b>" * 100_000 + "x" + "</b>" * 100_000 + "\n"
 
 
 def test_a_countdown_of_200000_levels_in_process_peaks_under_100_mb():
@@ -81,10 +120,47 @@ solver = Solver(parse_program(%r))
 print(solver.solve_once(parse_query("cnt(200000)").goal), solver.steps)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
 """ % RULES
-    done = subprocess.run(
-        [sys.executable, "-c", child], capture_output=True, text=True, timeout=300,
-        env=dict(os.environ, PYTHONPATH=SRC),
-    )
-    answer, peak_mb = done.stdout.splitlines()
-    assert answer == "True 600001", done.stderr
+    answer, peak_mb = in_process(child)
+    assert answer == "True 600001"
     assert int(peak_mb) < 100
+
+
+def test_200000_levels_each_running_not_findall_and_traverse_peak_under_100_mb():
+    # Each native's choicepoint goes when it gives its answer, so a level
+    # keeps no more than in the countdown above: 63 MB here.
+    child = """
+import resource
+from termxform.logic_engine import Solver, SolverOptions
+from termxform.rule_language import parse_program, parse_query
+solver = Solver(parse_program(%r), SolverOptions(depth_limit=2_000_000))
+print(solver.solve_once(parse_query("loop(200000)").goal), solver.steps)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+""" % """
+loop(0).
+loop(N) :- N > 0, not(fail), findall(x, true, [x]), traverse(text(t), []), M is N-1, loop(M).
+template(text(_), []).
+"""
+    answer, peak_mb = in_process(child)
+    assert answer == "True 1800001"
+    assert int(peak_mb) < 100
+
+
+# The clause compiler and is/2 recurse once per level of a term.  Without the
+# recursion limit the solver raises, 1,000 list cells in a clause, or a sum of
+# 600 terms, ended in "internal error: maximum recursion depth exceeded".
+LONG = ", ".join(["1"] * 5_000)
+
+
+def test_a_5000_element_list_in_a_clause_head_answers(tmp_path):
+    done = query(tmp_path, "p(L), length(L, N)", rules="p([%s])." % LONG)
+    assert (done.returncode, done.stdout.splitlines()[-1], done.stderr) == (0, "N/5000", "")
+
+
+def test_a_5000_element_list_in_a_clause_body_answers(tmp_path):
+    done = query(tmp_path, "q(N)", rules="q(N) :- length([%s], N)." % LONG)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "YES.\nN/5000\n", "")
+
+
+def test_a_sum_of_5000_terms_answers(tmp_path):
+    done = query(tmp_path, "X is " + "+".join(["1"] * 5_000))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "YES.\nX/5000\n", "")

@@ -331,11 +331,36 @@ def test_control_goals_are_answered_by_one_registry():
 def test_only_natives_that_can_succeed_again_are_generators():
     # A native that succeeds at most once returns True or False, so its call
     # pushes no choicepoint; written as a generator it would push one per call.
+    # The natives that run goals are generators too, but only to hand the
+    # machine their goals: each ends with `return True` or `return False`.
     import termxform  # noqa: F401 - registers the template and prelude natives
 
     generators = {key for key, native in _BUILTINS.items() if inspect.isgeneratorfunction(native)}
+    run_goals = {("not", 1), ("findall", 3), ("traverse", 2)}
     expected = {("append", 3), ("member", 2), ("length", 2)}
-    assert generators == expected
+    assert generators == expected | run_goals
+    solver = make_solver("template(element(b,_,C), C).")
+    goal, template, found = Atom("g"), fresh_var("T"), fresh_var("L")
+    node = parse_query("element(a,[],[text(x)])").goal
+    runs = [
+        (("not", 1), [goal], [((goal, None), True)], False),
+        (("not", 1), [goal], [((goal, None), False)], True),
+        (("findall", 3), [template, goal, found], [((goal, template), [1, 2])], True),
+        (("traverse", 2), [node, EMPTY_LIST], [(None, False), (None, False)], True),
+        (("traverse", 2), [Atom("x"), EMPTY_LIST], [], True),
+    ]
+    for key, args, answers, last in runs:
+        # Each request is (goal, template), sent back its answer; None is not checked.
+        native, sent = _BUILTINS[key](solver, args), None
+        for request, answer in answers:
+            made = native.send(sent)
+            assert request is None or made == request, key
+            sent = answer
+        with pytest.raises(StopIteration) as stop:
+            native.send(sent)
+        assert stop.value.value is last, key
+    assert render_term(found) == "[1,2]"
+    solver.undo_to(0)
     attribute = {("attribute", 3), ("attribute", 4)}
     solver = make_solver()
     for (name, arity), native in _BUILTINS.items():

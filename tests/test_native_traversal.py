@@ -1,6 +1,6 @@
 """``traverse/2`` and ``checkSerializable/1`` are natives over the Python code.
 
-``traverse/2`` runs ``template_engine._traverse``, the walk ``transform_file``
+``traverse/2`` runs ``template_engine._walk``, the walk ``transform_file``
 runs in template mode; ``checkSerializable/1`` runs xml_io's per-node check,
 the one ``serialize_fragment`` applies.  Both used to be prelude rules.  The
 first part of this file pins every behaviour that changed with the switch;
@@ -271,13 +271,13 @@ def test_a_top_level_walk_leaves_the_trail_empty(tmp_path, monkeypatch):
 
 def test_traverse_and_transform_file_run_the_same_walk(tmp_path, monkeypatch):
     calls = []
-    walk = template_engine._traverse
+    walk = template_engine._walk
 
     def counted(node, solver, unmatched_text="drop"):
         calls.append(render_term(node))
         return walk(node, solver, unmatched_text)
 
-    monkeypatch.setattr(template_engine, "_traverse", counted)
+    monkeypatch.setattr(template_engine, "_walk", counted)
     rules = tmp_path / "rules.tx"
     rules.write_text("template(element(b,_,C),C).", encoding="utf-8")
     source = tmp_path / "in.xml"

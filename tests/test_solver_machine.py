@@ -9,7 +9,9 @@ only by a default barrier, by the machine's step rule, one step per goal
 entered other than ``,``: ``_solve_body`` takes no step of its own, and a
 fact, whose compiled body has no goals, succeeds at once, and by the native
 protocol: a native that returns True succeeds once, False fails, and
-anything else is its solution iterator.  It matches and
+anything else is its generator, whose requests (``not/1``, ``findall/3``,
+``traverse/2``) the oracle answers with a nested solve, as the machine did
+before it ran them on its own lists.  It matches and
 builds clauses with the skeleton interpreter of ``skeleton_oracle``, which
 the generated clause code replaced, so it shares no clause code with the
 machine.  Both solvers
@@ -25,7 +27,7 @@ from hypothesis import given, settings
 
 from termxform.logic_engine import _BUILTINS, _EXHAUSTED, Solver, _conjuncts
 from termxform.rule_language import parse_program, parse_query
-from termxform.term_core import Atom, Compound, Var, deref, fresh_var, list_items, render_term, split_attr
+from termxform.term_core import Atom, Compound, Var, copy_term, deref, fresh_var, list_items, render_term, split_attr
 from termxform.transform_prelude import load_prelude
 from skeleton_oracle import _build, _match, skeletons
 from test_clause_index import GOAL_ARGS, _outcome, random_program
@@ -77,11 +79,11 @@ class GeneratorSolver(Solver):
 
             native = _BUILTINS.get((name, arity))
             if native is not None:
-                result = native(self, args)  # True, False or a solution iterator
+                result = native(self, args)  # True, False or a generator
                 if result is True:
                     yield
                 elif result is not False:
-                    yield from result
+                    yield from self._native_solutions(result)
                 return
 
             clauses = self.program.candidates(name, arity, args)
@@ -108,6 +110,36 @@ class GeneratorSolver(Solver):
                     return
         finally:
             self.undo_to(mark)
+
+    def _native_solutions(self, native):
+        """A native generator's solutions, each request answered by a nested solve."""
+        answer = None
+        while True:
+            try:
+                request = native.send(answer)
+            except StopIteration as last:
+                if last.value:
+                    yield
+                return
+            if request is None:
+                yield
+                answer = None
+            elif request[1] is None:
+                answer = self._first(request[0])
+            else:
+                answer = [copy_term(request[1], {}) for _ in self._solve(request[0])]
+
+    def _first(self, goal):
+        """True iff *goal* has a solution, whose bindings stay on the trail."""
+        mark = len(self.trail)
+        solutions = self._solve(goal)
+        if next(solutions, _EXHAUSTED) is _EXHAUSTED:
+            return False
+        kept = self.trail[mark:]
+        del self.trail[mark:]  # so that closing the solve undoes none of them
+        solutions.close()
+        self.trail.extend(kept)
+        return True
 
     def _solve_body(self, goals, env, barrier):
         last = len(goals) - 1

@@ -32,8 +32,8 @@ fail with a diagnostic warning rather than raising.  A native that succeeds
 at most once returns True or False, so its call leaves no choicepoint; the
 ones that can succeed again (``append/3``, ``member/2`` and ``length/2``)
 or run goals (``not/1``, ``findall/3``, ``traverse/2``) are generators.
-``attribute/3,4`` is either: True or False when Id is an atom that names at
-most one entry, and a generator otherwise.
+``attribute/3,4`` is either: True or False when at most one entry can match
+Id, and a generator when more can.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .term_core import (
     is_cyclic,
     is_ground,
     is_list,
-    is_valid_name,
     list_items,
     list_parts,
     mk_list,
@@ -78,8 +77,10 @@ __all__ = [
 
 DEFAULT_STEP_LIMIT = 1_000_000
 
-# The clause compiler's walks and ``eval_is`` recurse once per level of a term;
-# without this raise, a 1,000-cell list in a clause or a 600-term sum fails.
+# The clause compiler's ``match`` and ``build`` recurse once per level of a
+# clause term that holds a variable, and ``eval_is`` once per level of an
+# expression; without this raise, a 500-cell list ending in a variable, in a
+# clause head or body, or a 500-term sum fails.  Ground terms are walked flat.
 _MIN_RECURSION_LIMIT = 100_000
 
 _EXHAUSTED = object()  # no alternatives left, or a clause head that does not match
@@ -231,9 +232,23 @@ class _ClauseCode:
         t = deref(t)
         if not isinstance(t, Compound):
             return not isinstance(t, Var)
-        if id(t) not in self.constants:  # each compound once: linear in the clause
-            self.constants[id(t)] = all(self.is_constant(arg) for arg in t.args)
-        return self.constants[id(t)]
+        constants = self.constants
+        stack = [t]  # each compound once, after its arguments: linear in the clause, and flat
+        while stack:
+            top = stack[-1]
+            if id(top) in constants:
+                stack.pop()
+                continue
+            args = [deref(arg) for arg in top.args]
+            pending = [arg for arg in args if isinstance(arg, Compound) and id(arg) not in constants]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            constants[id(top)] = all(
+                constants[id(arg)] if isinstance(arg, Compound) else not isinstance(arg, Var) for arg in args
+            )
+        return constants[id(t)]
 
     def constant(self, t: Term) -> str:
         name = "k%d" % len(self.names)
@@ -1229,48 +1244,43 @@ def _bi_attribute(solver: Solver, args):
     """attribute(Atts, Id, Value[, Rest]): one well-formed entry of Atts per solution.
 
     Entries are tried in list order; malformed entries and non-proper lists
-    yield nothing. Rest, given only with four arguments, is built only once
-    Id and Value have unified.  With Id an atom, the entries are scanned for
-    its ``Id="`` prefix: a name that is not valid matches nothing, and at most
-    one matching entry gives True or False, with no choicepoint.  Otherwise
-    the solutions come from :func:`_attribute_solutions`.
+    yield nothing.  The entries that can match are those named Id when Id is
+    an atom, every one when Id is unbound, and none otherwise: no entry
+    gives False, one gives True or False with no choicepoint, and more give
+    a generator.  Rest, given only with four arguments, is built only once
+    Id and Value have unified.
     """
     name = deref(args[1])
-    if type(name) is not Atom:
-        return _attribute_solutions(solver, args)
-    items = list_items(args[0])
-    if items is None or not is_valid_name(name.name):
+    if type(name) is not Atom and type(name) is not Var:
         return False
-    prefix = name.name + '="'
-    found = None
+    name = name.name if type(name) is Atom else None
+    items = list_items(args[0]) or []
+    entries = []
     for index, item in enumerate(items):
-        item = deref(item)
-        # The closing quote must come after the opening one.
-        if type(item) is Atom and item.name.startswith(prefix) and item.name.endswith('"', len(prefix)):
-            if found is not None:
-                return _attribute_solutions(solver, args)
-            found = index
-    if found is None:
+        attr = split_attr(item, name)
+        if attr is not None:
+            entries.append((index, attr))
+    if not entries:
         return False
-    return solver.unify(args[2], Atom(deref(items[found]).name[len(prefix) : -1])) and (
-        len(args) == 3 or solver.unify(args[3], mk_list(items[:found] + items[found + 1 :]))
+    if len(entries) == 1:
+        return _unify_entry(solver, args, items, *entries[0])
+    return _each_entry(solver, args, items, entries)
+
+
+def _unify_entry(solver: Solver, args, items: list[Term], index: int, attr: tuple[str, str]) -> bool:
+    """Id, Value and (with four arguments) Rest unified with entry *index*, decoded as *attr*."""
+    return (
+        (type(args[1]) is Atom or solver.unify(args[1], Atom(attr[0])))  # an atom Id picked the entry
+        and solver.unify(args[2], Atom(attr[1]))
+        and (len(args) == 3 or solver.unify(args[3], mk_list(items[:index] + items[index + 1 :])))
     )
 
 
-def _attribute_solutions(solver: Solver, args) -> Iterator[None]:
-    """attribute/3,4 as a generator: each entry decoded with ``split_attr`` and unified."""
-    items = list_items(args[0])
-    with_rest = len(args) == 4
-    for index, item in enumerate(items or ()):
-        attr = split_attr(item)
-        if attr is None:
-            continue
+def _each_entry(solver: Solver, args, items: list[Term], entries) -> Iterator[None]:
+    """attribute/3,4's solutions when more than one of *entries* can match."""
+    for index, attr in entries:
         mark = len(solver.trail)
-        if (
-            solver.unify(args[1], Atom(attr[0]))
-            and solver.unify(args[2], Atom(attr[1]))
-            and (not with_rest or solver.unify(args[3], mk_list(items[:index] + items[index + 1 :])))
-        ):
+        if _unify_entry(solver, args, items, index, attr):
             yield
         solver.undo_to(mark)
 

@@ -204,17 +204,21 @@ def attr_atom(attr_id: str, value: str) -> Atom:
     return Atom('%s="%s"' % (attr_id, value))
 
 
-def split_attr(t: Term) -> Optional[tuple[str, str]]:
+def split_attr(t: Term, name: Optional[str] = None) -> Optional[tuple[str, str]]:
     """Split an attribute atom into (id, value); None when malformed.
 
     The id is everything before the first ``="``; the value is everything
-    between that separator and the final ``"``.
+    between that separator and the final ``"``.  With *name*, an entry whose
+    id is not exactly *name* is None as well, found before the rest is checked.
     """
-    t = deref(t)
+    if type(t) is Var:
+        t = deref(t)
     if not isinstance(t, Atom):
         return None
     text = t.name
     sep = text.find('="')
+    if name is not None and (sep != len(name) or not text.startswith(name)):
+        return None
     if sep <= 0 or not text.endswith('"') or len(text) < sep + 3:
         return None
     attr_id = text[:sep]

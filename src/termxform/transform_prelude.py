@@ -23,6 +23,7 @@ facts (one relation row per child element).
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Optional
 
 from .logic_engine import Clause, Program, Solver, _builtin
@@ -434,14 +435,10 @@ equalsList([H1|T1],[H2|T2]):-
 """
 
 
-_CACHE: dict[str, Program] = {}
-
-
+@lru_cache(maxsize=None)
 def _parsed_prelude() -> Program:
     """The one parsed built-in rule set; callers copy what they change."""
-    if "prelude" not in _CACHE:
-        _CACHE["prelude"] = parse_program(PRELUDE_SRC)
-    return _CACHE["prelude"]
+    return parse_program(PRELUDE_SRC)
 
 
 def prelude_program() -> Program:
@@ -459,13 +456,11 @@ def load_prelude(user: Optional[Program] = None) -> Program:
     return combined
 
 
-def _sort_key(child: Compound, att: Optional[str]) -> Optional[str]:
+def _sort_key(child: Compound, att: str) -> Optional[str]:
     """The value of *child*'s first well-formed *att* entry, the one ``@`` reads."""
-    for item in list_items(child.args[1]) or ():
-        attr = split_attr(item)
-        if attr is not None and attr[0] == att:
-            return attr[1]
-    return None
+    entries = (split_attr(item, att) for item in list_items(child.args[1]) or ())
+    attr = next(filter(None, entries), None)
+    return None if attr is None else attr[1]
 
 
 @_builtin("sortChildren", 3)
@@ -498,8 +493,7 @@ def _bi_sort_children(solver: Solver, args) -> bool:
     att = deref(att)
     if nodes and not is_ground(att) and not is_ground(sorted_out):
         return False
-    name = att.name if isinstance(att, Atom) else None
-    keys = [_sort_key(node, name) for node in nodes]
+    keys = [_sort_key(node, att.name) if isinstance(att, Atom) else None for node in nodes]
     pending = sorted(
         ((key, node) for key, node in reversed(list(zip(keys, nodes))) if key is not None),
         key=lambda pair: pair[0],
@@ -567,7 +561,8 @@ def tree_to_relation(doc: Term) -> list[Clause]:
         if not (isinstance(child, Compound) and child.name == "element" and len(child.args) == 3):
             continue
         name = deref(child.args[0])
-        assert isinstance(name, Atom)
+        if not isinstance(name, Atom):
+            raise ValueError("child %d has a name that is not an atom" % index)
         grandchildren = list_items(deref(child.args[2])) or []
         for grandchild in grandchildren:
             grandchild = deref(grandchild)
@@ -578,8 +573,7 @@ def tree_to_relation(doc: Term) -> list[Clause]:
         attrs = list_items(deref(child.args[1])) or []
         values: dict[str, str] = {}
         for attr in attrs:
-            attr = deref(attr)
-            parts = split_attr(attr) if isinstance(attr, Atom) else None
+            parts = split_attr(attr)
             if parts is None:
                 raise ValueError("child %d has a malformed attribute" % index)
             values[parts[0]] = parts[1]

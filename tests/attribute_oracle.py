@@ -1,9 +1,10 @@
 """The test oracle of ``attribute/3,4``: the generator every call used to run.
 
-The native now scans for a bound name's ``Id="`` prefix and answers True or
-False when at most one entry has it; this generator, which decodes every
-entry with ``split_attr`` and unifies Id, Value and Rest in turn, is what
-it must agree with in solutions, their order and their bindings.
+The native now collects only the entries that can match Id (``split_attr``
+with the name when Id is an atom) and answers True or False when there is at
+most one; this generator, which decodes every entry and unifies Id, Value
+and Rest in turn, is what it must agree with in solutions, their order and
+their bindings.
 """
 
 from termxform.term_core import Atom, list_items, mk_list, split_attr

@@ -266,7 +266,7 @@ def test_attribute_3_yields_the_entries_of_attribute_4(tree):
 
 
 # ---------------------------------------------------------------------------
-# The native against the generator it replaced for a bound name
+# The native against the generator it replaced
 
 
 MALFORMED = ['="x"', '1a="x"', 'a b="x"', 'a="', 'a', 'a="x', 'a=x"', '"a="x"']
@@ -314,13 +314,19 @@ def test_attribute_scan_matches_the_generator(atts):
 
 
 def _check_against_the_generator(atts):
-    """Every binding pattern of Id, Value and Rest: the same answers, in order."""
+    """Every binding pattern of Id, Value and Rest: the same answers, in order.
+
+    *atts* is checked with an entry whose value holds a second ``="`` put first,
+    and the Ids tried include one that holds ``="``.
+    """
+    atts = Compound(".", (Atom('a="1="2"'), atts))
     solver = Solver(Program(), SolverOptions(diagnostics=io.StringIO()))
     items = list_items(atts) or []
     entries = [attr for attr in map(split_attr, items) if attr is not None]
     bound = fresh_var("B")
     bound.ref = Atom(entries[0][0] if entries else "a")  # an Id reached through a variable
-    ids = [Atom(name) for name, _ in entries] + [Atom(n) for n in ("a", "b", "z0", "a b", "", "[]", "1a")]
+    ids = [Atom(name) for name, _ in entries]
+    ids += [Atom(n) for n in ("a", "b", "z0", "a b", "", "[]", "1a", 'a="1')]
     ids += [EMPTY_LIST, 7, Compound("f", (Atom("a"),)), bound, fresh_var("I")]
     values = [Atom(value) for _, value in entries] + [Atom("nope"), 1, fresh_var("V")]
     rests = [mk_list(items[:i] + items[i + 1 :]) for i in range(len(items))]

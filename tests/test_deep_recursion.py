@@ -8,14 +8,18 @@ crashed the interpreter (exit 139).  ``not/1``, ``findall/3`` and
 recursion through them is bounded the same way; when each ran a solve of its
 own on the Python stack, 100,000 levels through any of them crashed too.
 The recursion limit the solver raises still guards the Python code that
-walks a term once per level (clause compilation and ``is/2``), pinned at
-5,000 levels below.  Each test runs ``termxform``, or the solver itself, in
-a fresh interpreter, so that such a crash fails one test instead of the run.
+walks a term once per level (compiling a clause term that holds a variable,
+and ``is/2``), pinned by a 5,000-term sum below; a ground list in a clause
+is walked without recursion, pinned at 20,000 cells.  Each test runs
+``termxform``, or the solver itself, in a fresh interpreter, so that such a
+crash fails one test instead of the run.
 """
 
 import os
 import subprocess
 import sys
+
+import pytest
 
 import termxform
 
@@ -147,18 +151,19 @@ template(text(_), []).
 
 # The clause compiler and is/2 recurse once per level of a term.  Without the
 # recursion limit the solver raises, 1,000 list cells in a clause, or a sum of
-# 600 terms, ended in "internal error: maximum recursion depth exceeded".
-LONG = ", ".join(["1"] * 5_000)
+# 600 terms, ended in "internal error: maximum recursion depth exceeded".  A
+# ground list is walked flat: at 20,000 cells, when that walk recursed too,
+# both list tests below crashed the interpreter (exit 139).
+@pytest.mark.parametrize("cells", [5_000, 20_000])
+def test_a_5000_element_list_in_a_clause_head_answers(tmp_path, cells):
+    done = query(tmp_path, "p(L), length(L, N)", rules="p([%s])." % ", ".join(["1"] * cells))
+    assert (done.returncode, done.stdout.splitlines()[-1], done.stderr) == (0, "N/%d" % cells, "")
 
 
-def test_a_5000_element_list_in_a_clause_head_answers(tmp_path):
-    done = query(tmp_path, "p(L), length(L, N)", rules="p([%s])." % LONG)
-    assert (done.returncode, done.stdout.splitlines()[-1], done.stderr) == (0, "N/5000", "")
-
-
-def test_a_5000_element_list_in_a_clause_body_answers(tmp_path):
-    done = query(tmp_path, "q(N)", rules="q(N) :- length([%s], N)." % LONG)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "YES.\nN/5000\n", "")
+@pytest.mark.parametrize("cells", [5_000, 20_000])
+def test_a_5000_element_list_in_a_clause_body_answers(tmp_path, cells):
+    done = query(tmp_path, "q(N)", rules="q(N) :- length([%s], N)." % ", ".join(["1"] * cells))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "YES.\nN/%d\n" % cells, "")
 
 
 def test_a_sum_of_5000_terms_answers(tmp_path):

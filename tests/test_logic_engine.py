@@ -367,8 +367,10 @@ def test_only_natives_that_can_succeed_again_are_generators():
         if (name, arity) not in generators | attribute:
             result = native(solver, [fresh_var("A") for _ in range(arity)])
             assert result is True or result is False, (name, arity)
-    # attribute/3,4 is True or False for a bound valid name with at most one
-    # entry of that name, and an iterator of solutions otherwise.
+    # attribute/3,4 is True or False when at most one entry can match Id (an
+    # entry of that name for an atom, any entry for a variable, none for any
+    # other term), and an iterator of solutions otherwise.
+    single = mk_list([Atom('a="1"')])
     one = mk_list([Atom('a="1"'), Atom('b="2"')])
     two = mk_list([Atom('a="1"'), Atom('a="2"')])
     cases = [
@@ -380,7 +382,8 @@ def test_only_natives_that_can_succeed_again_are_generators():
         (two, Atom("b"), False),
         (two, Atom("a"), None),
         (one, fresh_var("Id"), None),
-        (one, 7, None),
+        (single, fresh_var("Id"), True),
+        (one, 7, False),
     ]
     for key in sorted(attribute):
         for atts, name, outcome in cases:

@@ -572,6 +572,12 @@ def test_tree_to_relation_rejects_nested_elements():
         tree_to_relation(doc)
 
 
+def test_tree_to_relation_rejects_a_child_whose_name_is_not_an_atom():
+    doc = parse_query("element(d, [], [element(r, ['a=\"1\"'], []), element(f(x), [], [])])").goal
+    with pytest.raises(ValueError, match="child 1 "):
+        tree_to_relation(doc)
+
+
 @settings(max_examples=60, deadline=None)
 @given(plain_trees())
 def test_canon_is_idempotent(tree):

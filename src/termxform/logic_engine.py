@@ -16,12 +16,14 @@ call tries only the clauses in its first-argument bucket (see
 from the clause once, without copying the clause (see :class:`Clause`).
 
 One loop, :meth:`Solver._solve`, runs every goal on lists of its own, so rule
-recursion does not grow the Python stack.  A clause body runs site by site
-(see :meth:`Clause.compile`): a call site hands its callee the argument tuple
-its generated builder makes, and ``!`` and ``;`` in a body are sites too, so
-no goal term is built for them and no ``,`` term is built or solved.  A goal
-term (a query's, ``call/N``'s, a variable body goal's value) is read into the
-site it would compile to, and both run through the same code.
+recursion does not grow the Python stack; the clause compiler and ``is/2``
+walk terms on lists of their own too, and Python's recursion limit is left
+as it is.  A clause body runs site by site (see :meth:`Clause.compile`): a
+call site hands its callee the argument tuple its generated builder makes,
+and ``!`` and ``;`` in a body are sites too, so no goal term is built for
+them and no ``,`` term is built or solved.  A goal term (a query's,
+``call/N``'s, a variable body goal's value) is read into the site it would
+compile to, and both run through the same code.
 
 Native predicates cover the term inspection, list, and arithmetic catalog
 (``append/3`` is fully nondeterministic, ``delete/3`` removes all unifying
@@ -41,7 +43,7 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Generator, Iterator, Optional, Sequence, TextIO
 
 from .term_core import (
     CONS,
@@ -63,6 +65,7 @@ from .term_core import (
     render_term,
     split_attr,
     term_equal,
+    term_variables,
 )
 
 __all__ = [
@@ -77,12 +80,6 @@ __all__ = [
 
 DEFAULT_STEP_LIMIT = 1_000_000
 
-# The clause compiler's ``match`` and ``build`` recurse once per level of a
-# clause term that holds a variable, and ``eval_is`` once per level of an
-# expression; without this raise, a 500-cell list ending in a variable, in a
-# clause head or body, or a 500-term sum fails.  Ground terms are walked flat.
-_MIN_RECURSION_LIMIT = 100_000
-
 _EXHAUSTED = object()  # no alternatives left, or a clause head that does not match
 
 
@@ -92,6 +89,30 @@ class ResourceLimitError(RuntimeError):
 
 class EvalError(Exception):
     """Internal: arithmetic/functor evaluation failed (goal will fail)."""
+
+
+def _num_text(value) -> str:
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _number(value: Term):
+    if isinstance(value, (int, float)):
+        return value
+    raise EvalError("expected a number, got %s" % render_term(value))
+
+
+def _integer(value: Term) -> int:
+    if isinstance(value, int):
+        return value
+    raise EvalError("expected an integer, got %s" % render_term(value))
+
+
+def _text(value: Term) -> str:
+    if isinstance(value, Atom):
+        return value.name
+    if isinstance(value, (int, float)):
+        return _num_text(value)
+    raise EvalError("expected an atom, got %s" % render_term(value))
 
 
 # The kinds of body-goal site (see :meth:`Clause.compile`).  A site is a tuple
@@ -157,22 +178,23 @@ class _ClauseCode:
     """Writes one clause's Python source (see :meth:`Clause.compile`).
 
     ``filled`` holds the slots sure to be filled where the next line runs:
-    every head slot once matched, and a body slot after its first occurrence,
-    which alone tests ``is None`` (backtracking may enter its goal again).
-    Each head compound that holds variables gets one builder, which the
-    builders of the compounds around it call: the source is linear in the head.
+    every head slot once matched, and a body slot after its first occurrence.
+    A built variable's slot is tested ``is None`` (backtracking may enter its
+    goal again).  Each head argument that holds variables gets one builder,
+    for a goal variable in its place; a goal variable below the top of an
+    argument is bound to the subterm :func:`_copy_in` builds.  ``match``,
+    ``build`` and ``sites`` walk over lists of their own, so a clause's depth
+    is bounded by memory, and the source is linear in the clause.
     """
 
     def __init__(self) -> None:
         self.slots: dict[int, int] = {}  # variable id -> slot
         self.filled: set[int] = set()
         self.constants: dict[int, bool] = {}  # id of a compound -> holds no variable
-        self.builders: dict[tuple, str] = {}  # (id of a head compound, filled slots) -> builder
-        self.names: dict[str, object] = {"Atom": Atom, "Compound": Compound, "Var": Var}
-        self.names.update(bind=_bind_built, deref=deref, fresh_var=fresh_var)
+        self.names: dict[str, object] = {"Atom": Atom, "Compound": Compound, "Var": Var, "slots": self.slots}
+        self.names.update(bind=_bind_built, copy_in=_copy_in, deref=deref, fresh_var=fresh_var)
         self.functions: list[str] = []
         self.count = itertools.count()  # numbers the locals and functions
-        self.in_body = False
 
     def generate(self, args: Sequence[Term], goals: Sequence[Term]) -> tuple[int, Callable, tuple]:
         unpack = "".join("x%d, " % i for i in range(len(args)))
@@ -180,53 +202,66 @@ class _ClauseCode:
         for i, arg in enumerate(args):
             self.match(arg, "x%d" % i, lines)
         self.function("match(args, e, solver)", lines, "True")
-        self.in_body = True
-        sites = self.sites(goals)
+        code = self.sites(goals)
         exec("".join(self.functions), self.names)
-        return len(self.slots), self.names["match"], self.link(sites)
+        return len(self.slots), self.names["match"], self.link(code)
 
     def function(self, signature: str, lines: list[str], result: str) -> None:
         body = "".join(line + "\n" for line in lines)
         self.functions.append("def %s:\n%s    return %s\n" % (signature, body, result))
 
-    def sites(self, goals: Sequence[Term]) -> tuple:
-        """The sites of a goal sequence, each naming its builder until :meth:`link`."""
-        return tuple(self.site(goal) for goal in goals)
+    def sites(self, goals: Sequence[Term]) -> list:
+        """Postfix code for the sites of a goal sequence (see :meth:`link`), made over a stack of its own.
 
-    def site(self, goal: Term) -> tuple:
-        goal = deref(goal)
-        name = goal.name if isinstance(goal, (Atom, Compound)) else None
-        args = goal.args if isinstance(goal, Compound) else ()
-        if name == "!" and not args:
-            return (CUT,)
-        if name == ";" and len(args) == 2:
-            # Either branch may run without the other, so each starts from the
-            # slots filled before the ``;``, and only the slots both fill stay filled.
-            before = self.filled
-            self.filled = set(before)
-            left = self.sites(_conjuncts(args[0]))
-            left_filled, self.filled = self.filled, set(before)
-            right = self.sites(_conjuncts(args[1]))
-            self.filled &= left_filled
-            return (OR, left, right)
-        function = "g%d" % next(self.count)
-        lines: list[str] = []
-        if name is None or (name == "," and len(args) == 2) or (name == "call" and args):
-            self.function(function + "(e)", lines, self.build(goal, lines))
-            return (TERM, function)
-        self.function(function + "(e)", lines, self.build_args(args, lines))
-        return (CALL, function, name, len(args), _BUILTINS.get((name, len(args))))
+        A ``;`` is None, its left branch's code, None, its right branch's code
+        and OR.  Either branch may run without the other, so each starts from
+        the slots filled before the ``;``, and only the slots both fill stay filled.
+        """
+        code: list = []
+        work: list = list(reversed(goals))  # goals; (filled before a `;`, its right branch); (left branch filled,)
+        while work:
+            goal = work.pop()
+            if type(goal) is tuple and len(goal) == 2:  # a left branch is done
+                work.append((self.filled,))
+                self.filled = set(goal[0])
+                code.append(None)
+                work.extend(reversed(_conjuncts(goal[1])))
+                continue
+            if type(goal) is tuple:  # a right branch is done
+                self.filled &= goal[0]
+                code.append(OR)
+                continue
+            goal = deref(goal)
+            name = goal.name if isinstance(goal, (Atom, Compound)) else None
+            args = goal.args if isinstance(goal, Compound) else ()
+            function, lines = "g%d" % next(self.count), []
+            if name == "!" and not args:
+                code.append((CUT,))
+            elif name == ";" and len(args) == 2:
+                work.append((self.filled, args[1]))
+                self.filled = set(self.filled)
+                code.append(None)
+                work.extend(reversed(_conjuncts(args[0])))
+            elif name is None or (name == "," and len(args) == 2) or (name == "call" and args):
+                self.function(function + "(e)", lines, self.build(goal, lines))
+                code.append((TERM, function))
+            else:
+                self.function(function + "(e)", lines, self.build_args(args, lines))
+                code.append((CALL, function, name, len(args), _BUILTINS.get((name, len(args)))))
+        return code
 
-    def link(self, sites: tuple) -> tuple:
-        """*sites* with each builder's name replaced by the function ``exec`` made."""
-        linked = []
-        for site in sites:
-            if site[0] is OR:
-                site = (OR, self.link(site[1]), self.link(site[2]))
-            elif site[0] is not CUT:
-                site = (site[0], self.names[site[1]]) + site[2:]
-            linked.append(site)
-        return tuple(linked)
+    def link(self, code: list) -> tuple:
+        """The sites *code* describes, each builder's name replaced by the function ``exec`` made."""
+        sequences: list[list] = [[]]  # the site sequences being read, innermost last
+        for site in code:
+            if site is None:  # a branch begins
+                sequences.append([])
+            elif site is OR:  # both branches are done
+                right, left = sequences.pop(), sequences.pop()
+                sequences[-1].append((OR, tuple(left), tuple(right)))
+            else:
+                sequences[-1].append(site if site[0] is CUT else (site[0], self.names[site[1]]) + site[2:])
+        return tuple(sequences[0])
 
     def is_constant(self, t: Term) -> bool:
         t = deref(t)
@@ -255,83 +290,81 @@ class _ClauseCode:
         self.names[name] = t
         return name
 
-    def match(self, t: Term, x: str, lines: list[str], pad: str = "    ") -> None:
-        """Lines that match the goal subterm in local *x* against clause term *t*."""
-        t = deref(t)
-        if isinstance(t, Var):
-            slot = self.slots.setdefault(t.id, len(self.slots))
-            if slot in self.filled:
-                lines.append("%sif not solver.unify(e[%d], %s): return False" % (pad, slot, x))
-            else:
-                self.filled.add(slot)
-                lines.append("%se[%d] = %s" % (pad, slot, x))
-        elif not isinstance(t, Atom) and self.is_constant(t):  # numbers keep unify's type test
-            lines.append("%sif not solver.unify(%s, %s): return False" % (pad, self.constant(t), x))
-        else:
+    def match(self, arg: Term, x: str, lines: list[str]) -> None:
+        """Lines that match the goal argument in local *x* against head argument *arg*, in pre-order."""
+        work = [(arg, x, "    ")]
+        while work:
+            t, x, pad = work.pop()
+            t = deref(t)
+            if isinstance(t, Var):
+                slot = self.slots.setdefault(t.id, len(self.slots))
+                if slot in self.filled:
+                    lines.append("%sif not solver.unify(e[%d], %s): return False" % (pad, slot, x))
+                else:
+                    self.filled.add(slot)
+                    lines.append("%se[%d] = %s" % (pad, slot, x))
+                continue
+            if not isinstance(t, Atom) and self.is_constant(t):  # numbers keep unify's type test
+                lines.append("%sif not solver.unify(%s, %s): return False" % (pad, self.constant(t), x))
+                continue
             lines.append("%st = %s if type(%s) is not Var else deref(%s)" % (pad, x, x, x))
             if isinstance(t, Atom):
                 lines.append("%sif type(t) is Var: solver.bind(t, %s)" % (pad, self.constant(t)))
                 lines.append("%selif type(t) is not Atom or t.name != %r: return False" % (pad, t.name))
-                return
-            before = set(self.filled)
-            builder = self.builder(t)  # an unbound goal variable is bound to the term it builds
-            self.filled = before
-            if pad == "    ":  # a head argument: the variable skips the argument's match
+                continue
+            if pad == "    ":  # a head argument: the variable gets its builder and skips the match
+                before, builder_lines = set(self.filled), []
+                builder = "h%d" % next(self.count)
+                self.function(builder + "(e)", builder_lines, self.build(t, builder_lines))
+                self.filled = before
                 lines.append("    if type(t) is Var:\n        if bind(solver, t, %s(e)) is None: return False" % builder)
                 lines.append("    else:")
                 pad = "        "
             else:  # matching the arguments against the built term changes nothing and keeps the source flat
-                lines.append("%sif type(t) is Var: t = bind(solver, t, %s(e))" % (pad, builder))
+                lines.append("%sif type(t) is Var: t = bind(solver, t, copy_in(%s, e, slots))" % (pad, self.constant(t)))
             subs = ["s%d" % next(self.count) for _ in t.args]
             check = "%sif type(t) is not Compound or t.name != %r or len(t.args) != %d: return False"
             lines.append(check % (pad, t.name, len(t.args)))
             lines.append("%s%s= t.args" % (pad, "".join(sub + ", " for sub in subs)))
-            for arg, sub in zip(t.args, subs):
-                self.match(arg, sub, lines, pad)
-
-    def builder(self, t: Compound) -> str:
-        """The function that builds head compound *t* with the slots filled now, made once.
-
-        The builder of the compound around *t* makes it; *t*'s own match then
-        calls it with the same slots filled.
-        """
-        key = (id(t), frozenset(self.filled))
-        if key not in self.builders:
-            lines: list[str] = []
-            built = self.build(t, lines)
-            self.builders[key] = "h%d" % next(self.count)
-            self.function("%s(e)" % self.builders[key], lines, built)
-        return self.builders[key]
+            work.extend((arg, sub, pad) for arg, sub in zip(reversed(t.args), reversed(subs)))
 
     def build(self, t: Term, lines: list[str]) -> str:
-        """An expression for clause term *t*; *lines* fill its new slots, in order."""
-        t = deref(t)
-        if isinstance(t, Var):
-            slot = self.slots.setdefault(t.id, len(self.slots))
-            if slot not in self.filled:
-                self.filled.add(slot)
-                test = "if e[%d] is None: " % slot if self.in_body else ""
-                lines.append("    %se[%d] = fresh_var(%r)" % (test, slot, t.name))
-            return "e[%d]" % slot
-        if self.is_constant(t):
-            return self.constant(t)
-        return "Compound(%r, %s)" % (t.name, self.build_args(t.args, lines))
+        """An expression for clause term *t*; *lines* fill its new slots and build its inner compounds."""
+        frames: list[list] = []  # [compound, its arguments' expressions], innermost last
+        while True:
+            t = deref(t)
+            if isinstance(t, Var):
+                slot = self.slots.setdefault(t.id, len(self.slots))
+                if slot not in self.filled:
+                    self.filled.add(slot)
+                    lines.append("    if e[%d] is None: e[%d] = fresh_var(%r)" % (slot, slot, t.name))
+                built = "e[%d]" % slot
+            elif self.is_constant(t):
+                built = self.constant(t)
+            else:
+                frames.append([t, []])
+                t = t.args[0]
+                continue
+            while frames:  # hand *built* to its compound; finish every compound that completes
+                compound, args = frames[-1]
+                args.append(built)
+                if len(args) < len(compound.args):
+                    t = compound.args[len(args)]
+                    break
+                frames.pop()
+                built = "Compound(%r, (%s))" % (compound.name, "".join(arg + ", " for arg in args))
+                if frames:  # inner compounds go to locals, so the source does not nest with the term
+                    local = "v%d" % next(self.count)
+                    lines.append("    %s = %s" % (local, built))
+                    built = local
+            else:
+                return built
 
     def build_args(self, args: Sequence[Term], lines: list[str]) -> str:
         """An expression for the tuple of clause terms *args* (see :meth:`build`)."""
         if all(self.is_constant(arg) for arg in args):
             return self.constant(tuple(deref(arg) for arg in args))
-        built = []
-        for arg in args:  # inner compounds go to locals: the source nests no deeper than the term
-            arg = deref(arg)
-            if isinstance(arg, Compound) and not self.is_constant(arg):
-                expression = self.build(arg, lines) if self.in_body else self.builder(arg) + "(e)"
-                arg_local = "v%d" % next(self.count)
-                lines.append("    %s = %s" % (arg_local, expression))
-                built.append(arg_local)
-            else:
-                built.append(self.build(arg, lines))
-        return "(%s)" % "".join(arg + ", " for arg in built)
+        return "(%s)" % "".join(self.build(arg, lines) + ", " for arg in args)
 
 
 def _bind_built(solver: "Solver", var: Var, term: Term) -> Optional[Term]:
@@ -340,6 +373,17 @@ def _bind_built(solver: "Solver", var: Var, term: Term) -> Optional[Term]:
         return None
     solver.bind(var, term)
     return term
+
+
+def _copy_in(t: Term, e: list, slots: dict[int, int]) -> Term:
+    """Head subterm *t* built over the slot list *e*; its unfilled (None) slots get fresh variables."""
+    variables = [(var.id, slots[var.id]) for var in term_variables(t)]
+    mapping = {var: e[slot] for var, slot in variables if e[slot] is not None}
+    built = copy_term(t, mapping)
+    for var, slot in variables:
+        if e[slot] is None:
+            e[slot] = mapping[var]
+    return built
 
 
 def _conjuncts(t: Term) -> list[Term]:
@@ -544,8 +588,6 @@ class Solver:
         self.trail: list[Var] = []
         self.steps = 0
         self._warned: set[str] = set()
-        if sys.getrecursionlimit() < _MIN_RECURSION_LIMIT:
-            sys.setrecursionlimit(_MIN_RECURSION_LIMIT)
 
     # -- diagnostics --------------------------------------------------------
 
@@ -801,27 +843,39 @@ class Solver:
     # -- arithmetic / functor evaluation -------------------------------------
 
     def eval_is(self, expr: Term) -> Term:
-        """Evaluate an ``is``-expression to an int, float, or atom.
+        """Evaluate an ``is``-expression to an int, float, or atom (a list, for ``cat``, to itself).
 
         Raises :class:`EvalError` on type errors, unbound operands, unknown
-        functors, or out-of-range string indexes.
+        functors, or out-of-range string indexes.  One loop over a generator per
+        compound under evaluation (see :meth:`_evaluate`): depth is bounded by memory.
         """
-        expr = deref(expr)
-        if isinstance(expr, (int, float)):
-            return expr
-        if isinstance(expr, Atom):
-            return expr
-        if isinstance(expr, Var):
-            raise EvalError("unbound variable in evaluable expression")
-        assert isinstance(expr, Compound)
+        waiting: list = []  # a generator per compound under evaluation, innermost last
+        while True:
+            expr = deref(expr)
+            if type(expr) is Compound and (expr.name != CONS or len(expr.args) != 2):
+                waiting.append(self._evaluate(expr))
+                value = None
+            elif type(expr) is Var:
+                raise EvalError("unbound variable in evaluable expression")
+            else:
+                value = expr
+            while waiting:  # send *value* to the innermost generator, until one asks for a subterm
+                try:
+                    expr = waiting[-1].send(value)
+                    break
+                except StopIteration as done:
+                    waiting.pop()
+                    value = done.value
+            else:
+                return value
+
+    def _evaluate(self, expr: Compound) -> Generator[Term, Term, Term]:
+        """A generator that yields each subterm whose value it needs, is sent that value, and returns *expr*'s."""
         name, args = expr.name, expr.args
         arity = len(args)
-        if name == CONS and arity == 2:
-            return expr  # list literal (consumed structurally by cat)
-
         if name in ("+", "-", "*", "/", "mod") and arity == 2:
-            left = self._eval_number(args[0])
-            right = self._eval_number(args[1])
+            left = _number((yield args[0]))
+            right = _number((yield args[1]))
             if name == "+":
                 return left + right
             if name == "-":
@@ -839,37 +893,53 @@ class Solver:
             return left % right
 
         if name == "cat" and 2 <= arity <= 8:
-            return Atom("".join(self._stringify(a) for a in args))
+            parts: list[str] = []
+            pending = list(reversed(args))  # a list is flattened when reached, so errors come in text order
+            while pending:
+                t = deref(pending.pop())
+                if isinstance(t, Atom):
+                    parts.append("" if t.name == "[]" else t.name)
+                elif isinstance(t, (int, float)):
+                    parts.append(_num_text(t))
+                elif isinstance(t, Compound) and t.name == CONS and len(t.args) == 2:
+                    items = list_items(t)
+                    if items is None:
+                        raise EvalError("cat cannot flatten an improper list")
+                    pending.extend(reversed(items))
+                else:  # another compound's value is a number or an atom; a variable raises
+                    value = yield t
+                    parts.append(value.name if isinstance(value, Atom) else _num_text(value))
+            return Atom("".join(parts))
         if name == "string" and arity == 1:
-            value = self.eval_is(args[0])
+            value = yield args[0]
             if isinstance(value, Atom):
                 return value
             if isinstance(value, (int, float)):
-                return Atom(self._num_text(value))
+                return Atom(_num_text(value))
             raise EvalError("string/1 expects a number or atom")
         if name == "substring" and arity == 3:
-            text = self._eval_text(args[0])
-            start = self._eval_int(args[1])
-            length = self._eval_int(args[2])
+            text = _text((yield args[0]))
+            start = _integer((yield args[1]))
+            length = _integer((yield args[2]))
             if start < 1 or length < 0 or start - 1 + length > len(text):
                 raise EvalError(
                     "substring out of range: start=%d len=%d on %r" % (start, length, text)
                 )
             return Atom(text[start - 1 : start - 1 + length])
         if name == "substring_after" and arity == 2:
-            text = self._eval_text(args[0])
-            sep = self._eval_text(args[1])
+            text = _text((yield args[0]))
+            sep = _text((yield args[1]))
             index = text.find(sep) if sep else 0
             return Atom(text[index + len(sep) :] if index >= 0 else "")
         if name == "substring_before" and arity == 2:
-            text = self._eval_text(args[0])
-            sep = self._eval_text(args[1])
+            text = _text((yield args[0]))
+            sep = _text((yield args[1]))
             index = text.find(sep) if sep else -1
             return Atom(text[:index] if index >= 0 else "")
         if name == "translate" and arity == 3:
-            text = self._eval_text(args[0])
-            source = self._eval_text(args[1])
-            target = self._eval_text(args[2])
+            text = _text((yield args[0]))
+            source = _text((yield args[1]))
+            target = _text((yield args[2]))
             mapping: dict[str, Optional[str]] = {}
             for position, ch in enumerate(source):
                 if ch not in mapping:
@@ -896,48 +966,6 @@ class Solver:
             return left / right
 
         raise EvalError("unknown evaluable functor %s/%d" % (name, arity))
-
-    def _eval_number(self, t: Term):
-        value = self.eval_is(t)
-        if isinstance(value, (int, float)):
-            return value
-        raise EvalError("expected a number, got %s" % render_term(value))
-
-    def _eval_int(self, t: Term) -> int:
-        value = self.eval_is(t)
-        if isinstance(value, int):
-            return value
-        raise EvalError("expected an integer, got %s" % render_term(value))
-
-    def _eval_text(self, t: Term) -> str:
-        value = self.eval_is(t)
-        if isinstance(value, Atom):
-            return value.name
-        if isinstance(value, (int, float)):
-            return self._num_text(value)
-        raise EvalError("expected an atom, got %s" % render_term(value))
-
-    @staticmethod
-    def _num_text(value) -> str:
-        return repr(value) if isinstance(value, float) else str(value)
-
-    def _stringify(self, t: Term) -> str:
-        t = deref(t)
-        if isinstance(t, Atom):
-            return "" if t.name == "[]" else t.name
-        if isinstance(t, (int, float)):
-            return self._num_text(t)
-        if isinstance(t, Compound) and t.name == CONS and len(t.args) == 2:
-            items = list_items(t)
-            if items is None:
-                raise EvalError("cat cannot flatten an improper list")
-            return "".join(self._stringify(item) for item in items)
-        value = self.eval_is(t)
-        if isinstance(value, (int, float)):
-            return self._num_text(value)
-        if isinstance(value, Atom):
-            return value.name
-        raise EvalError("cat cannot stringify %s" % render_term(t))
 
     def _node_number(self, t: Term):
         t = deref(t)
@@ -1045,8 +1073,8 @@ def _bi_is(solver: Solver, args) -> bool:
 def _comparison(op):
     def compare(solver: Solver, args) -> bool:
         try:
-            left = solver._eval_number(args[0])
-            right = solver._eval_number(args[1])
+            left = _number(solver.eval_is(args[0]))
+            right = _number(solver.eval_is(args[1]))
         except EvalError as exc:
             solver.warn("numeric comparison: %s" % exc)
             return False
@@ -1067,7 +1095,7 @@ def _bi_atom_codes(solver: Solver, args) -> bool:
     if isinstance(a, Atom):
         return solver.unify(args[1], mk_list([ord(c) for c in a.name]))
     if isinstance(a, (int, float)):
-        return solver.unify(args[1], mk_list([ord(c) for c in Solver._num_text(a)]))
+        return solver.unify(args[1], mk_list([ord(c) for c in _num_text(a)]))
     items = list_items(args[1])
     if items is None:
         solver.warn("atom_codes/2 needs a bound atom or a proper code list")

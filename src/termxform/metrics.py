@@ -228,14 +228,15 @@ def _walk(
     operands: dict,
     config: ClassifierConfig,
 ) -> None:
-    term = deref(term)
-    if isinstance(term, Compound):
-        if term.name not in _STRUCTURAL:
-            _bump_role(operators, operands, term.name, config.functor_as)
-        for arg in term.args:
-            _walk(arg, clause_index, operators, operands, config)
-        return
-    _classify_leaf(term, clause_index, operators, operands, config)
+    stack = [term]  # pre-order over a stack of its own: a term's depth is bounded by memory
+    while stack:
+        term = deref(stack.pop())
+        if isinstance(term, Compound):
+            if term.name not in _STRUCTURAL:
+                _bump_role(operators, operands, term.name, config.functor_as)
+            stack.extend(reversed(term.args))
+        else:
+            _classify_leaf(term, clause_index, operators, operands, config)
 
 
 def _classify_leaf(

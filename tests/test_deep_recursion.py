@@ -7,12 +7,10 @@ crashed the interpreter (exit 139).  ``not/1``, ``findall/3`` and
 ``traverse/2`` hand their goals to the machine that called them, so
 recursion through them is bounded the same way; when each ran a solve of its
 own on the Python stack, 100,000 levels through any of them crashed too.
-The recursion limit the solver raises still guards the Python code that
-walks a term once per level (compiling a clause term that holds a variable,
-and ``is/2``), pinned by a 5,000-term sum below; a ground list in a clause
-is walked without recursion, pinned at 20,000 cells.  Each test runs
-``termxform``, or the solver itself, in a fresh interpreter, so that such a
-crash fails one test instead of the run.
+The clause compiler and ``is/2`` walk a term over lists of their own as
+well, so the package leaves Python's recursion limit as it finds it (pinned
+below).  Each test runs ``termxform``, or the solver itself, in a fresh
+interpreter, so that a crash fails one test instead of the run.
 """
 
 import os
@@ -149,11 +147,12 @@ template(text(_), []).
     assert int(peak_mb) < 100
 
 
-# The clause compiler and is/2 recurse once per level of a term.  Without the
-# recursion limit the solver raises, 1,000 list cells in a clause, or a sum of
-# 600 terms, ended in "internal error: maximum recursion depth exceeded".  A
-# ground list is walked flat: at 20,000 cells, when that walk recursed too,
-# both list tests below crashed the interpreter (exit 139).
+# The clause compiler walks a clause term over lists of its own: a ground
+# list, or one that ends in a variable, is bounded by memory, not by Python's
+# recursion limit.  When the compiler recursed once per cell, a ground list
+# of 20,000 cells crashed the interpreter (exit 139), and a list that ends in
+# a variable needed the recursion limit the solver used to raise: without it,
+# 500 cells failed, and with it 20,000 cells crashed on Python 3.10 (exit 139).
 @pytest.mark.parametrize("cells", [5_000, 20_000])
 def test_a_5000_element_list_in_a_clause_head_answers(tmp_path, cells):
     done = query(tmp_path, "p(L), length(L, N)", rules="p([%s])." % ", ".join(["1"] * cells))
@@ -166,6 +165,84 @@ def test_a_5000_element_list_in_a_clause_body_answers(tmp_path, cells):
     assert (done.returncode, done.stdout, done.stderr) == (0, "YES.\nN/%d\n" % cells, "")
 
 
-def test_a_sum_of_5000_terms_answers(tmp_path):
-    done = query(tmp_path, "X is " + "+".join(["1"] * 5_000))
-    assert (done.returncode, done.stdout, done.stderr) == (0, "YES.\nX/5000\n", "")
+CELLS = 5_000
+ONES = ", ".join(["1"] * CELLS)
+
+
+@pytest.mark.parametrize("goal, answer", [("r(L, [])", CELLS), ("r([1|L], [])", CELLS - 1)])
+def test_a_5000_cell_list_ending_in_a_variable_in_a_clause_head_answers(tmp_path, goal, answer):
+    # r(L, []) binds L through the argument's builder, r([1|L], []) through
+    # the copy of the head list below its first cell.
+    done = query(tmp_path, goal, rules="r([%s|T], T)." % ONES)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "YES.\nL/[%s]\n" % ",".join(["1"] * answer), "")
+
+
+def test_a_5000_cell_list_ending_in_a_variable_in_a_clause_body_answers(tmp_path):
+    done = query(tmp_path, "q(L)", rules="q(L) :- L = [%s|T], T = []." % ONES)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "YES.\nL/[%s]\n" % ",".join(["1"] * CELLS), "")
+
+
+def test_a_sum_of_20000_terms_answers(tmp_path):
+    done = query(tmp_path, "X is " + "+".join(["1"] * 20_000))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "YES.\nX/20000\n", "")
+
+
+def test_a_rule_built_string_nest_3000_deep_evaluates(tmp_path):
+    rules = "nest(0,E,E) :- !.\nnest(N,E0,E) :- M is N-1, nest(M,string(E0),E).\n"
+    done = query(tmp_path, "nest(3000, a, E), X is E", rules=rules)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "YES.\nE/%sa%s\nX/a\n" % ("string(" * 3000, ")" * 3000)
+
+
+def test_solving_and_transforming_leave_the_recursion_limit_as_it_was(tmp_path):
+    # The parser recurses once per operator level and reports a term nested
+    # past the Python stack as a ParseError, whether or not a Solver was made
+    # first: making one used to raise the limit for the whole process, and
+    # the 1,500-goal body below then parsed.
+    (tmp_path / "nest.tx").write_text(NEST, encoding="utf-8")
+    (tmp_path / "deep.xml").write_text("<a>" * 3000 + "x" + "</a>" * 3000, encoding="utf-8")
+    child = """
+import sys
+from termxform.logic_engine import Solver
+from termxform.rule_language import ParseError, parse_program, parse_query
+from termxform.template_engine import transform_file
+sys.setrecursionlimit(1000)
+def parses(text):
+    try:
+        parse_program(text)
+    except ParseError:
+        return "ParseError"
+    return "parsed"
+deep = "p :- " + ", ".join(["true"] * 1500) + "."
+print(parses(deep))
+solver = Solver(parse_program(%r))
+print(solver.solve_once(parse_query("cnt(3000), X is " + "+".join(["1"] * 3000)).goal))
+report = transform_file(%r, %r)
+print(report.status, report.documents[0].count("<b>"))
+print(parses(deep), sys.getrecursionlimit())
+""" % (RULES, str(tmp_path / "deep.xml"), str(tmp_path / "nest.tx"))
+    assert in_process(child) == ["ParseError", "True", "ok 3000", "ParseError 1000"]
+
+
+def test_disjunctions_nested_20000_deep_in_a_clause_body_compile():
+    # The clause compiler reads a body's `;` nesting over a stack of its own:
+    # both the 300-deep body below, which the parser accepts at the default
+    # recursion limit, and a 20,000-deep one built in Python compile and run.
+    child = """
+import sys
+from termxform.logic_engine import Program, Solver
+from termxform.rule_language import parse_program, parse_query
+from termxform.term_core import Atom, Compound
+sys.setrecursionlimit(1000)
+text = "p :- " + "(fail ; " * 300 + "true" + ")" * 300 + "."
+solver = Solver(parse_program(text))
+print(solver.solve_once(parse_query("p").goal), solver.steps)
+goal = Atom("true")
+for i in range(20000):
+    goal = Compound(";", (Compound(",", (Atom("true"), goal)), Atom("fail")) if i % 2 else (Atom("fail"), goal))
+program = Program()
+program.add(Atom("q"), goal)
+solver = Solver(program)
+print(solver.solve_once(Atom("q")), solver.steps)
+"""
+    assert in_process(child) == ["True 602", "True 40002"]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from termxform.cli import main
 from termxform.metrics import (
     ClassifierConfig,
     DegenerateCountsError,
@@ -275,3 +276,17 @@ def test_classify_never_undercounts_totals(text):
         return
     assert counts.n1 >= counts.eta1
     assert counts.n2 >= counts.eta2
+
+
+def test_a_20000_element_list_is_counted(tmp_path, capsys):
+    # The term walk runs over a stack of its own: when it recursed once per
+    # list cell, 2,000 elements ended in "maximum recursion depth exceeded"
+    # (exit 3), as the metrics path never changed Python's recursion limit.
+    cells = 20_000
+    path = tmp_path / "list.tx"
+    path.write_text("p([%s]).\n" % ", ".join(["1"] * cells), encoding="utf-8")
+    counts = tokenize_classify(path.read_text(encoding="utf-8"))
+    # As for three elements (7 operators, 5 operands), with one more ',' and '1' per element.
+    assert (counts.eta1, counts.eta2, counts.n1, counts.n2) == (6, 3, cells + 4, cells + 2)
+    assert main(["metrics", "--src", str(path)]) == 0
+    assert "total operands     (N2)   = %d" % (cells + 2) in capsys.readouterr().out

@@ -4,7 +4,8 @@ XML documents parse into ``element``/``text``/``comment``/``pi`` terms;
 rule programs written in a small operator-extensible language run on a
 backtracking solver with a built-in navigation/transformation rule set;
 results serialize back to XML.  A Halstead-style metrics calculator for
-the rule language rounds out the toolbox.
+the rule language rounds out the toolbox; it loads on first use, so that
+importing the package for a transformation does not pay for it.
 """
 
 from .logic_engine import (
@@ -15,7 +16,6 @@ from .logic_engine import (
     Solver,
     SolverOptions,
 )
-from .metrics import HalsteadCounts, HalsteadReport, halstead, tokenize_classify
 from .rule_language import (
     OperatorDef,
     OperatorTable,
@@ -56,6 +56,16 @@ from .xml_io import (
 )
 
 __version__ = "0.1.0"
+
+_METRICS_NAMES = ("HalsteadCounts", "HalsteadReport", "halstead", "tokenize_classify")
+
+
+def __getattr__(name: str):
+    if name in _METRICS_NAMES:
+        from . import metrics
+
+        return getattr(metrics, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 __all__ = [
     "Atom",

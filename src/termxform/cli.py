@@ -23,14 +23,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .logic_engine import DEFAULT_STEP_LIMIT, ResourceLimitError, Solver, SolverOptions, call_goal
-from .metrics import (
-    HalsteadCounts,
-    halstead,
-    load_classification_config,
-    render_report,
-    report_csv,
-    tokenize_classify,
-)
 from .rule_language import parse_query
 from .template_engine import TransformOptions, rule_program, transform_file
 from .term_core import (
@@ -279,6 +271,15 @@ def _divergence_path(a: Term, b: Term) -> list[int]:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    from .metrics import (
+        HalsteadCounts,
+        halstead,
+        load_classification_config,
+        render_report,
+        report_csv,
+        tokenize_classify,
+    )
+
     if args.counts is not None:
         parts = [p.strip() for p in args.counts.split(",")]
         if len(parts) != 4:

@@ -41,8 +41,8 @@ Id, and a generator when more can.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterator, Optional, Sequence, TextIO
 
 from .term_core import (
@@ -511,13 +511,20 @@ class Program:
         return dup
 
 
-@dataclass
 class SolverOptions:
     """Knobs for one solver instance."""
 
-    occurs_check: bool = False
-    depth_limit: int = DEFAULT_STEP_LIMIT
-    diagnostics: Optional[TextIO] = None  # default: sys.stderr at use time
+    __slots__ = ("occurs_check", "depth_limit", "diagnostics")
+
+    def __init__(
+        self,
+        occurs_check: bool = False,
+        depth_limit: int = DEFAULT_STEP_LIMIT,
+        diagnostics: Optional[TextIO] = None,  # default: sys.stderr at use time
+    ) -> None:
+        self.occurs_check = occurs_check
+        self.depth_limit = depth_limit
+        self.diagnostics = diagnostics
 
 
 # A native is called as ``native(solver, args)``.  One that succeeds at most
@@ -978,14 +985,22 @@ class Solver:
                 if isinstance(child, Compound) and child.name == "text" and len(child.args) == 1:
                     content = deref(child.args[0])
                     if isinstance(content, Atom):
-                        text = content.name.strip()
-                        try:
-                            return int(text)
-                        except ValueError:
+                        # Only XML's whitespace is stripped, and none of the
+                        # forms int() and float() take beyond XML's numbers
+                        # is read: other whitespace, non-ASCII digits, "1_0",
+                        # "nan", "inf", or an overflow to infinity.
+                        text = content.name.strip(" \t\r\n")
+                        if text.isascii() and "_" not in text and text == text.strip():
                             try:
-                                return float(text)
+                                return int(text)
                             except ValueError:
-                                raise EvalError("text content is not a number: %r" % text)
+                                pass
+                            try:
+                                if math.isfinite(value := float(text)):
+                                    return value
+                            except ValueError:
+                                pass
+                        raise EvalError("text content is not a number: %r" % text)
         raise EvalError(
             "expected a number or an element with a single numeric text child, got %s"
             % render_term(t)

@@ -15,8 +15,7 @@ every occurrence.  File extension: ``.tx``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .logic_engine import Program
 from .term_core import (
@@ -55,8 +54,7 @@ class ParseError(ValueError):
         super().__init__("%s (line %d, column %d)" % (message, line, col))
 
 
-@dataclass(frozen=True)
-class OperatorDef:
+class OperatorDef(NamedTuple):
     """One operator declaration."""
 
     name: str
@@ -155,8 +153,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # atom var int float open open_func close open_list close_list comma bar end eof
     value: object
     line: int
@@ -406,8 +403,7 @@ def parse_program(text: str, table: Optional[OperatorTable] = None) -> Program:
     return program
 
 
-@dataclass
-class Query:
+class Query(NamedTuple):
     """A parsed query goal plus its named variables (for printing answers)."""
 
     goal: Term

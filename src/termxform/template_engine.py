@@ -26,7 +26,6 @@ its compiled clauses.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional
@@ -61,28 +60,50 @@ class TemplateError(ValueError):
     """A template clause violated the traversal contract."""
 
 
-@dataclass
 class TransformOptions:
     """Options for whole-file transformation (CLI flags map 1:1)."""
 
-    all_solutions: bool = False
-    no_wrap: bool = False
-    keep_ws: bool = False
-    pretty: bool = False
-    unmatched_text: str = "drop"
-    depth_limit: int = DEFAULT_STEP_LIMIT
-    occurs_check: bool = False
+    __slots__ = (
+        "all_solutions", "no_wrap", "keep_ws", "pretty", "unmatched_text", "depth_limit", "occurs_check"
+    )
+
+    def __init__(
+        self,
+        all_solutions: bool = False,
+        no_wrap: bool = False,
+        keep_ws: bool = False,
+        pretty: bool = False,
+        unmatched_text: str = "drop",
+        depth_limit: int = DEFAULT_STEP_LIMIT,
+        occurs_check: bool = False,
+    ) -> None:
+        self.all_solutions = all_solutions
+        self.no_wrap = no_wrap
+        self.keep_ws = keep_ws
+        self.pretty = pretty
+        self.unmatched_text = unmatched_text
+        self.depth_limit = depth_limit
+        self.occurs_check = occurs_check
 
 
-@dataclass
 class TransformReport:
     """Outcome of one whole-file transformation."""
 
-    status: str  # "ok" or "no_solution"
-    solutions: int
-    outputs: list[str] = field(default_factory=list)
-    documents: list[str] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
+    __slots__ = ("status", "solutions", "outputs", "documents", "timings")
+
+    def __init__(
+        self,
+        status: str,  # "ok" or "no_solution"
+        solutions: int,
+        outputs: Optional[list[str]] = None,
+        documents: Optional[list[str]] = None,
+        timings: Optional[dict[str, float]] = None,
+    ) -> None:
+        self.status = status
+        self.solutions = solutions
+        self.outputs = [] if outputs is None else outputs
+        self.documents = [] if documents is None else documents
+        self.timings = {} if timings is None else timings
 
 
 def traverse(node: Term, program: Program, unmatched_text: str = "drop") -> list[Term]:

@@ -470,6 +470,62 @@ def test_eval_node_arithmetic():
     assert solutions(solver, "X is div(element(a, [], [text('9')]), 2)") == [{"X": "4.5"}]
 
 
+# A node's text is a number when, without XML whitespace around it, it is
+# an optional sign, ASCII digits with at most one point, and an optional
+# exponent.  An integer reads as an int, anything else as a finite float.
+_XML_NUMBER = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def _node_number_oracle(text):
+    text = text.strip(" \t\r\n")
+    if _XML_NUMBER.fullmatch(text):
+        value = int(text) if re.fullmatch(r"[+-]?[0-9]+", text) else float(text)
+        if value - value == 0:  # not inf or nan
+            return value
+    return "text content is not a number: %r" % text
+
+
+def _node_number_outcome(text):
+    node = Compound("element", (Atom("n"), EMPTY_LIST, mk_list([Compound("text", (Atom(text),))])))
+    try:
+        value = make_solver("").eval_is(Compound("plus", (node, 0)))
+    except EvalError as exc:
+        return str(exc)
+    return value
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("1_0", None), ("nan", None), ("-NaN", None), ("Infinity", None), ("inf", None), ("1e400", None),
+        (" ٣ ", None), ("１", None), ("²", None), ("\x0c5", None), ("5\x0b", None), ("\xa05", None),
+        ("5 5", None), ("", None), ("0x10", None),
+        ("+5", 5), ("-5", -5), ("007", 7), (".5", 0.5), ("5.", 5.0), ("1e3", 1000.0), ("-2.5E-1", -0.25),
+        (" \t5\r\n", 5),
+    ],
+)
+def test_node_text_reads_as_a_number_only_in_xml_number_forms(text, value):
+    outcome = _node_number_outcome(text)
+    assert outcome == _node_number_oracle(text)
+    if value is None:
+        assert outcome == "text content is not a number: %r" % text.strip(" \t\r\n")
+    else:
+        assert (outcome, type(outcome)) == (value, type(value))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet=st.sampled_from("0123456789+-.eE_ \t\r\n\x0b\x0c\x1c\xa0٣²naifty"), max_size=8))
+def test_node_text_numbers_follow_the_regex_oracle(text):
+    outcome, expected = _node_number_outcome(text), _node_number_oracle(text)
+    assert (outcome, type(outcome)) == (expected, type(expected))
+
+
+def test_node_text_that_is_no_number_warns_and_fails():
+    solver = make_solver("")
+    assert solutions(solver, "X is plus(element(p, [], [text('1_0')]), 1)") == []
+    assert "text content is not a number: '1_0'" in solver.options.diagnostics.getvalue()
+
+
 def test_comparisons():
     solver = make_solver("")
     assert solutions(solver, "1 < 2") == [{}]

@@ -7,9 +7,14 @@ punctuation, end, symbol run); its symbol characters are
 ``term_core.SYMBOL_CHAR``, the class the renderer quotes by.  Terms are built
 by an operator-precedence parser over a user-extensible operator table
 (``:-op(Precedence, Fixity, Name)`` directives take effect for all following
-clauses).  Quoted atoms escape an embedded single quote by doubling it.
-Variables start with an uppercase letter or ``_``; the bare ``_`` is fresh at
-every occurrence.  File extension: ``.tx``.
+clauses).  The parser is one loop over a stack of open terms, so a term
+nests as deep as memory allows.  Each frame is a term waiting for its next
+subterm, with the precedence it was read at: an infix or prefix operator's
+operand, the inside of parentheses, a compound's next argument, a list's
+next item or its tail.  A term once read is extended with infix operators,
+and then closes every frame it completes.  Quoted atoms escape an embedded
+single quote by doubling it.  Variables start with an uppercase letter or
+``_``; the bare ``_`` is fresh at every occurrence.  File extension: ``.tx``.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .term_core import (
     SYMBOL_CHAR,
     Atom,
     Compound,
+    PositionError,
     Term,
     Var,
     fresh_var,
@@ -43,15 +49,8 @@ __all__ = [
 ]
 
 
-class ParseError(ValueError):
+class ParseError(PositionError):
     """A position-tagged syntax error in rule-language source."""
-
-    def __init__(self, message: str, line: int, col: int, expected: str = "", found: str = "") -> None:
-        self.line = line
-        self.col = col
-        self.expected = expected
-        self.found = found
-        super().__init__("%s (line %d, column %d)" % (message, line, col))
 
 
 class OperatorDef(NamedTuple):
@@ -207,6 +206,9 @@ def tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # Parser
 
+_COMMA = OperatorDef(",", 1000, "xfy")
+_TERM_STARTS = ("int", "float", "var", "open", "open_list")
+
 
 class _Parser:
     def __init__(self, tokens: list[Token], table: OperatorTable) -> None:
@@ -228,111 +230,94 @@ class _Parser:
         found = "end of input" if token.kind == "eof" else repr(str(token.value))
         return ParseError(message, token.line, token.col, expected, found)
 
-    # -- terms -------------------------------------------------------------
-
-    def parse_top(self) -> Term:
-        try:
-            return self.parse_term(1200)[0]
-        except RecursionError:  # a term nested past the Python stack
-            raise self.error("term nested too deeply", self.peek()) from None
-
-    def parse_term(self, max_prec: int) -> tuple[Term, int]:
-        left, left_prec = self.parse_primary(max_prec)
-        while True:
-            token = self.peek()
-            if token.kind == "comma":
-                if max_prec < 1000:
-                    break
-                op = OperatorDef(",", 1000, "xfy")
-            elif token.kind == "atom" and not token.quoted and token.value in self.table.infix:
-                op = self.table.infix[str(token.value)]
-                if op.precedence > max_prec:
-                    break
-            else:
-                break
-            left_max = op.precedence if op.fixity == "yfx" else op.precedence - 1
-            if left_prec > left_max:
-                break
-            self.next()
-            right_max = op.precedence if op.fixity == "xfy" else op.precedence - 1
-            right, _ = self.parse_term(right_max)
-            left = Compound(op.name, (left, right))
-            left_prec = op.precedence
-        return left, left_prec
-
-    def parse_primary(self, max_prec: int) -> tuple[Term, int]:
-        token = self.next()
-        if token.kind == "int" or token.kind == "float":
-            return token.value, 0  # type: ignore[return-value]
-        if token.kind == "var":
-            name = str(token.value)
-            if name == "_":
-                return fresh_var("_"), 0
-            if name not in self.var_map:
-                self.var_map[name] = fresh_var(name)
-            return self.var_map[name], 0
-        if token.kind == "open":
-            term, _ = self.parse_term(1200)
-            self.expect("close")
-            return term, 0
-        if token.kind == "open_list":
-            return self.parse_list(), 0
-        if token.kind == "atom":
-            name = str(token.value)
-            follower = self.peek()
-            if follower.kind == "open_func":
-                self.next()
-                args = [self.parse_term(999)[0]]
-                while self.peek().kind == "comma":
-                    self.next()
-                    args.append(self.parse_term(999)[0])
-                self.expect("close")
-                return Compound(name, tuple(args)), 0
-            if not token.quoted and name == "-" and follower.kind in ("int", "float"):
-                self.next()
-                return -follower.value, 0  # type: ignore[operator, return-value]
-            if not token.quoted and name in self.table.prefix:
-                op = self.table.prefix[name]
-                if op.precedence <= max_prec and self.starts_term(follower):
-                    arg_max = op.precedence if op.fixity == "fy" else op.precedence - 1
-                    operand, _ = self.parse_term(arg_max)
-                    return Compound(name, (operand,)), op.precedence
-            return Atom(name), 0
-        raise self.error("expected a term", token, expected="term")
-
-    def starts_term(self, token: Token) -> bool:
-        if token.kind in ("int", "float", "var", "open", "open_list"):
-            return True
-        if token.kind == "atom":
-            if token.quoted:
-                return True
-            name = str(token.value)
-            # An infix-only operator cannot begin a term.
-            if name in self.table.infix and name not in self.table.prefix:
-                return False
-            return True
-        return False
-
-    def parse_list(self) -> Term:
-        if self.peek().kind == "close_list":
-            self.next()
-            return Atom("[]")
-        items = [self.parse_term(999)[0]]
-        while self.peek().kind == "comma":
-            self.next()
-            items.append(self.parse_term(999)[0])
-        tail: Term = Atom("[]")
-        if self.peek().kind == "bar":
-            self.next()
-            tail = self.parse_term(999)[0]
-        self.expect("close_list")
-        return mk_list(items, tail)
-
     def expect(self, kind: str) -> Token:
         token = self.next()
         if token.kind != kind:
             raise self.error("unexpected token", token, expected=kind)
         return token
+
+    def parse_top(self) -> Term:
+        """Read one term of precedence at most 1200 (the loop is in the module docstring)."""
+        tokens, pos, infix, prefix = self.tokens, self.pos, self.table.infix, self.table.prefix
+        # The open terms, innermost last, each [kind, precedence read at, ...]: "infix" adds
+        # the operator, its precedence and the left operand, "prefix" the operator and its
+        # precedence, "args" the functor and the arguments so far, "[" and "|" the items.
+        stack: list[list] = []
+        max_prec = 1200
+        while True:
+            # A primary term, or a frame for its first subterm.
+            token = tokens[pos]
+            kind, value, _, _, quoted = token
+            pos += 1  # past an eof only to raise below
+            if kind == "atom":
+                follower = tokens[pos]
+                if follower.kind == "open_func":
+                    stack.append(["args", max_prec, value, []])
+                    pos, max_prec = pos + 1, 999
+                    continue
+                op = None if quoted else prefix.get(value)
+                if not quoted and value == "-" and (follower.kind == "int" or follower.kind == "float"):
+                    term, pos = -follower.value, pos + 1
+                elif op is not None and op.precedence <= max_prec and (
+                    # An infix-only operator cannot begin a term.
+                    follower.kind in _TERM_STARTS or follower.kind == "atom"
+                    and (follower.quoted or follower.value in prefix or follower.value not in infix)
+                ):
+                    stack.append(["prefix", max_prec, value, op.precedence])
+                    max_prec = op.precedence if op.fixity == "fy" else op.precedence - 1
+                    continue
+                else:
+                    term = Atom(value)
+            elif kind == "var":
+                term = fresh_var("_") if value == "_" else self.var_map.get(value)
+                if term is None:
+                    term = self.var_map[value] = fresh_var(value)
+            elif kind == "int" or kind == "float":
+                term = value
+            elif kind == "open" or kind == "open_list" and tokens[pos].kind != "close_list":
+                stack.append(["(", max_prec] if kind == "open" else ["[", max_prec, []])
+                max_prec = 1200 if kind == "open" else 999
+                continue
+            elif kind == "open_list":
+                term, pos = Atom("[]"), pos + 1
+            else:
+                raise self.error("expected a term", token, expected="term")
+            prec = 0
+            while True:
+                # Extend the term with an infix operator, or close the innermost frame.
+                token = tokens[pos]
+                kind = token.kind
+                op = _COMMA if kind == "comma" else infix.get(token.value) if kind == "atom" and not token.quoted else None
+                if op is not None and op.precedence <= max_prec and (
+                    prec <= (op.precedence if op.fixity == "yfx" else op.precedence - 1)
+                ):
+                    stack.append(["infix", max_prec, op.name, op.precedence, term])
+                    pos, max_prec = pos + 1, op.precedence if op.fixity == "xfy" else op.precedence - 1
+                    break
+                if not stack:
+                    self.pos = pos
+                    return term
+                frame = stack.pop()
+                what, max_prec, prec = frame[0], frame[1], 0
+                if what == "infix" or what == "prefix":
+                    term, prec = Compound(frame[2], (frame[4], term) if what == "infix" else (term,)), frame[3]
+                    continue
+                if what == "args" or what == "[":
+                    frame[-1].append(term)
+                    if kind == "comma" or kind == "bar" and what == "[":
+                        if kind == "bar":
+                            frame[0] = "|"
+                        stack.append(frame)
+                        pos, max_prec = pos + 1, 999
+                        break
+                closer = "close" if what == "(" or what == "args" else "close_list"
+                if kind != closer:
+                    raise self.error("unexpected token", token, expected=closer)
+                pos += 1
+                if what == "args":
+                    term = Compound(frame[2], tuple(frame[3]))
+                elif what != "(":
+                    term = mk_list(frame[2], term) if what == "|" else mk_list(frame[2])
 
 
 def read_terms(

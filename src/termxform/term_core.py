@@ -35,6 +35,7 @@ __all__ = [
     "Compound",
     "Term",
     "TermError",
+    "PositionError",
     "EMPTY_LIST",
     "TRUE",
     "CONS",
@@ -62,6 +63,20 @@ __all__ = [
 
 class TermError(ValueError):
     """Raised when a term constructor is given invalid pieces."""
+
+
+class PositionError(ValueError):
+    """A syntax error tagged with its line and column, and what was expected and found there.
+
+    ``xml_io.ParseError`` and ``rule_language.ParseError`` are its two kinds.
+    """
+
+    def __init__(self, message: str, line: int, col: int, expected: str = "", found: str = "") -> None:
+        self.line = line
+        self.col = col
+        self.expected = expected
+        self.found = found
+        super().__init__("%s (line %d, column %d)" % (message, line, col))
 
 
 class Atom:

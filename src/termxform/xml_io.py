@@ -23,6 +23,7 @@ from .term_core import (
     EMPTY_LIST,
     Atom,
     Compound,
+    PositionError,
     Term,
     Var,
     _NAME_RE,
@@ -44,15 +45,8 @@ __all__ = [
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 
 
-class ParseError(ValueError):
+class ParseError(PositionError):
     """A position-tagged XML syntax error."""
-
-    def __init__(self, message: str, line: int, col: int, expected: str = "", found: str = "") -> None:
-        self.line = line
-        self.col = col
-        self.expected = expected
-        self.found = found
-        super().__init__("%s (line %d, column %d)" % (message, line, col))
 
 
 class ValidationError(ValueError):

@@ -4,14 +4,33 @@ Before ``Solver.eval_is`` became one loop over a list of generators,
 it recursed once per level of an expression: every functor evaluated its
 operands by calling ``eval_is`` again, and ``cat`` flattened nested lists
 by calling ``_stringify`` on each item.  The methods below are that code,
-unchanged but for the class they sit in.  ``tests/test_eval_is.py``
-compares the two on random expressions: the value, or the EvalError text.
+unchanged but for the class they sit in and for ``_node_number``, which
+reads an element's text by ``xml_number``: a regular expression for XML's
+number forms, where the old code took whatever ``int()`` and ``float()``
+took.  ``tests/test_eval_is.py`` compares the two on random expressions:
+the value, or the EvalError text.
 """
 
+import re
 from typing import Optional
 
 from termxform.logic_engine import EvalError
 from termxform.term_core import CONS, Atom, Compound, Term, Var, deref, list_items, list_parts, render_term
+
+# A node's text is a number when, without XML whitespace around it, it is
+# an optional sign, ASCII digits with at most one point, and an optional
+# exponent.  An integer reads as an int, anything else as a finite float.
+_XML_NUMBER = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def xml_number(text: str):
+    """The number an element's text reads as, by the regular expression above."""
+    text = text.strip(" \t\r\n")
+    if _XML_NUMBER.fullmatch(text):
+        value = int(text) if re.fullmatch(r"[+-]?[0-9]+", text) else float(text)
+        if value - value == 0:  # not inf or nan
+            return value
+    raise EvalError("text content is not a number: %r" % text)
 
 
 class RecursiveEvaluator:
@@ -167,14 +186,7 @@ class RecursiveEvaluator:
                 if isinstance(child, Compound) and child.name == "text" and len(child.args) == 1:
                     content = deref(child.args[0])
                     if isinstance(content, Atom):
-                        text = content.name.strip()
-                        try:
-                            return int(text)
-                        except ValueError:
-                            try:
-                                return float(text)
-                            except ValueError:
-                                raise EvalError("text content is not a number: %r" % text)
+                        return xml_number(content.name)
         raise EvalError(
             "expected a number or an element with a single numeric text child, got %s"
             % render_term(t)

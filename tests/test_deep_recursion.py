@@ -7,10 +7,11 @@ crashed the interpreter (exit 139).  ``not/1``, ``findall/3`` and
 ``traverse/2`` hand their goals to the machine that called them, so
 recursion through them is bounded the same way; when each ran a solve of its
 own on the Python stack, 100,000 levels through any of them crashed too.
-The clause compiler and ``is/2`` walk a term over lists of their own as
-well, so the package leaves Python's recursion limit as it finds it (pinned
-below).  Each test runs ``termxform``, or the solver itself, in a fresh
-interpreter, so that a crash fails one test instead of the run.
+The rule reader, the clause compiler and ``is/2`` walk a term over lists of
+their own as well, so the package leaves Python's recursion limit as it
+finds it (pinned below).  Each test runs ``termxform``, or the solver
+itself, in a fresh interpreter, so that a crash fails one test instead of
+the run.
 """
 
 import os
@@ -195,10 +196,10 @@ def test_a_rule_built_string_nest_3000_deep_evaluates(tmp_path):
 
 
 def test_solving_and_transforming_leave_the_recursion_limit_as_it_was(tmp_path):
-    # The parser recurses once per operator level and reports a term nested
-    # past the Python stack as a ParseError, whether or not a Solver was made
-    # first: making one used to raise the limit for the whole process, and
-    # the 1,500-goal body below then parsed.
+    # The reader keeps its open terms on a stack of its own, so the
+    # 1,500-goal body below parses at the default limit, before and after a
+    # Solver is made.  Making one used to raise the limit for the whole
+    # process, and the body then parsed only after it.
     (tmp_path / "nest.tx").write_text(NEST, encoding="utf-8")
     (tmp_path / "deep.xml").write_text("<a>" * 3000 + "x" + "</a>" * 3000, encoding="utf-8")
     child = """
@@ -221,20 +222,20 @@ report = transform_file(%r, %r)
 print(report.status, report.documents[0].count("<b>"))
 print(parses(deep), sys.getrecursionlimit())
 """ % (RULES, str(tmp_path / "deep.xml"), str(tmp_path / "nest.tx"))
-    assert in_process(child) == ["ParseError", "True", "ok 3000", "ParseError 1000"]
+    assert in_process(child) == ["parsed", "True", "ok 3000", "parsed 1000"]
 
 
 def test_disjunctions_nested_20000_deep_in_a_clause_body_compile():
-    # The clause compiler reads a body's `;` nesting over a stack of its own:
-    # both the 300-deep body below, which the parser accepts at the default
-    # recursion limit, and a 20,000-deep one built in Python compile and run.
+    # The clause compiler reads a body's `;` nesting over a stack of its own,
+    # and the reader reads it over another: a 20,000-deep body read from
+    # text, and one built in Python, compile and run at the default limit.
     child = """
 import sys
 from termxform.logic_engine import Program, Solver
 from termxform.rule_language import parse_program, parse_query
 from termxform.term_core import Atom, Compound
 sys.setrecursionlimit(1000)
-text = "p :- " + "(fail ; " * 300 + "true" + ")" * 300 + "."
+text = "p :- " + "(fail ; " * 20000 + "true" + ")" * 20000 + "."
 solver = Solver(parse_program(text))
 print(solver.solve_once(parse_query("p").goal), solver.steps)
 goal = Atom("true")
@@ -245,4 +246,4 @@ program.add(Atom("q"), goal)
 solver = Solver(program)
 print(solver.solve_once(Atom("q")), solver.steps)
 """
-    assert in_process(child) == ["True 602", "True 40002"]
+    assert in_process(child) == ["True 40002", "True 40002"]

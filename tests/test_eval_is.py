@@ -37,7 +37,7 @@ def _text_node(content):
     return Compound("text", (Atom(content),))
 
 
-TEXTS = st.sampled_from(["12", " 4 ", "2.5", "0", "x", "", "1e3"])
+TEXTS = st.sampled_from(["12", " 4 ", "2.5", "0", "x", "", "1e3", "1_0", "nan", "Infinity", "1e400", " ٣ ", "\x0c5"])
 NODES = st.one_of(
     NUMBERS,
     st.builds(lambda t: Compound("element", (Atom("n"), mk_list([]), mk_list([_text_node(t)]))), TEXTS),

@@ -7,6 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eval_oracle import xml_number
 from termxform import logic_engine
 from termxform.logic_engine import (
     _BUILTINS,
@@ -470,19 +471,11 @@ def test_eval_node_arithmetic():
     assert solutions(solver, "X is div(element(a, [], [text('9')]), 2)") == [{"X": "4.5"}]
 
 
-# A node's text is a number when, without XML whitespace around it, it is
-# an optional sign, ASCII digits with at most one point, and an optional
-# exponent.  An integer reads as an int, anything else as a finite float.
-_XML_NUMBER = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-
-
 def _node_number_oracle(text):
-    text = text.strip(" \t\r\n")
-    if _XML_NUMBER.fullmatch(text):
-        value = int(text) if re.fullmatch(r"[+-]?[0-9]+", text) else float(text)
-        if value - value == 0:  # not inf or nan
-            return value
-    return "text content is not a number: %r" % text
+    try:
+        return xml_number(text)
+    except EvalError as exc:
+        return str(exc)
 
 
 def _node_number_outcome(text):

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from termxform.logic_engine import Solver
+from termxform import RuleParseError, XmlParseError, parse_document
 from termxform.rule_language import parse_program, parse_query
 
 from termxform.term_core import (
     Atom,
     Compound,
+    PositionError,
     TermError,
     Var,
     atom_needs_quotes,
@@ -323,3 +325,26 @@ def test_needs_quotes_is_consistent_with_render(name):
         assert rendered.startswith("'")
     else:
         assert rendered == name
+
+
+@pytest.mark.parametrize(
+    "read, text, other, outcome",
+    [
+        (parse_query, "f(a,\n  ]", XmlParseError,
+         (RuleParseError, "expected a term (line 2, column 3)", 2, 3, "term", "']'")),
+        (parse_document, "<a>\n<b></a>", RuleParseError,
+         (XmlParseError, "mismatched closing tag 'a' for element 'b' (line 2, column 7)", 2, 7, "b", "'>'")),
+    ],
+    ids=["rule", "xml"],
+)
+def test_a_syntax_error_of_either_kind_is_a_position_error(read, text, other, outcome):
+    # One base holds the position and the message format; the two kinds
+    # stay apart, so neither catches the other.
+    with pytest.raises(PositionError) as info:
+        try:
+            read(text)
+        except other:
+            pytest.fail("%s caught a %s" % (other.__name__, outcome[0].__name__))
+    exc = info.value
+    assert (type(exc), str(exc), exc.line, exc.col, exc.expected, exc.found) == outcome
+    assert not issubclass(RuleParseError, XmlParseError) and not issubclass(XmlParseError, RuleParseError)

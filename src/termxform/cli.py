@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
 from .logic_engine import DEFAULT_STEP_LIMIT, ResourceLimitError, Solver, SolverOptions, call_goal
@@ -170,8 +169,13 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as source:
+        return source.read()
+
+
 def _cmd_query(args: argparse.Namespace) -> int:
-    text = None if args.rules == PRELUDE_ONLY else Path(args.rules).read_text(encoding="utf-8")
+    text = None if args.rules == PRELUDE_ONLY else _read(args.rules)
     _, program = rule_program(text)
     query = parse_query(args.goal, program.operators)
     solver = Solver(
@@ -183,7 +187,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     )
     doc_bound = False
     if args.input is not None:
-        doc = parse_document(Path(args.input).read_text(encoding="utf-8"))
+        doc = parse_document(_read(args.input))
         if "Doc" in query.variables:
             solver.unify(query.variables["Doc"], doc)
             doc_bound = True
@@ -216,7 +220,7 @@ def _check_acyclic(name: str, term: Term) -> None:
 
 
 def _cmd_roundtrip(args: argparse.Namespace) -> int:
-    first = parse_document(Path(args.input).read_text(encoding="utf-8"))
+    first = parse_document(_read(args.input))
     second = parse_document(serialize_document(first))
     if term_equal(first, second):
         print("roundtrip OK")
@@ -289,8 +293,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         label = args.label or "counts"
     else:
         config = load_classification_config(args.config) if args.config else None
-        counts = tokenize_classify(Path(args.src).read_text(encoding="utf-8"), config)
-        label = args.label or Path(args.src).name
+        counts = tokenize_classify(_read(args.src), config)
+        label = args.label or os.path.basename(args.src)
     report = halstead(counts)
     if args.csv:
         print(report_csv([(label, report)]), end="")
@@ -300,7 +304,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    user, combined = rule_program(Path(args.rules).read_text(encoding="utf-8"))
+    user, combined = rule_program(_read(args.rules))
     warnings: list[str] = []
 
     defined = set(combined.clauses)

@@ -416,25 +416,22 @@ def call_goal(target: Term, extra: Sequence[Term]) -> Optional[Term]:
     return None
 
 
-def _functor_key(t: Term) -> Optional[tuple[str, int]]:
-    t = deref(t)
-    if isinstance(t, Atom):
-        return (t.name, 0)
-    if isinstance(t, Compound):
-        return (t.name, len(t.args))
-    return None
-
-
 def _index_key(t: Term) -> Optional[tuple]:
     """First-argument key: the principal functor, or (type, value) for a number.
 
     None for an unbound variable.  Numbers keep their type because ``unify``
-    keeps ``1`` and ``1.0`` apart.
+    keeps ``1`` and ``1.0`` apart.  A clause head's key is its predicate's.
     """
-    t = deref(t)
+    while type(t) is Var and t.ref is not None:
+        t = t.ref
+    kind = type(t)
+    if kind is Compound:
+        return (t.name, len(t.args))
+    if kind is Atom:
+        return (t.name, 0)
     if isinstance(t, (int, float)):
-        return (type(t), t)
-    return _functor_key(t)
+        return (kind, t)
+    return None
 
 
 class Program:
@@ -456,8 +453,8 @@ class Program:
         self.index: dict[tuple[str, int], tuple[dict[tuple, list[Clause]], list[Clause]]] = {}
 
     def add(self, head: Term, body: Term = TRUE) -> None:
-        key = _functor_key(head)
-        if key is None:
+        key = _index_key(head)
+        if key is None or type(key[0]) is not str:
             raise ValueError("clause head must be an atom or compound: %s" % render_term(head))
         self._store(key, Clause(head, body))
 
@@ -564,29 +561,34 @@ class Solver:
     solution), and a list of choicepoints.  With an *env*, the clause's slot
     list, the frame's site is a compiled body site (see
     :meth:`Clause.compile`); without one it is a goal term, read into the
-    site it would compile to.  Entering a call site takes one step, builds
-    the argument tuple from *env* and calls the native, or the clauses that
-    ``self.program`` holds for the name and arity: a site never holds
-    clauses, so a clause shared by two programs calls each one's own.
+    site it would compile to.  Entering a site counts its step in the loop
+    itself (natives that enumerate without end call :meth:`_step`).  A call
+    site builds the argument tuple from *env* and calls its native, or asks
+    ``self.program``'s :meth:`Program.candidates` for the clauses that the
+    name, arity and first argument select: a site never holds clauses, so a
+    clause shared by two programs calls each one's own.
 
     A choicepoint exists only while a choice remains.  A call's is data,
-    ``[trail mark, clauses, rest, next index, args]``: :meth:`_select`
-    enters the first candidate whose head matches, and pushes one only when
-    a later candidate remains, so the last candidate runs with none (Warren's
-    try / retry / trust).  A ``;``'s is ``[trail mark, None, frames of the
-    right branch]``.  A native's is ``[trail mark, generator, rest]``, and
-    its solutions go on with *rest*.  For a request ``(goal, template)`` it
-    yields, the goal runs here behind its choicepoint, and the generator is
-    sent whether the goal has a solution (template None: the first is
-    committed) or the list of template copies, one per solution; it returns
-    True or False, its last answer.  On failure the machine undoes the trail
-    to the newest mark and resumes that choicepoint: a call's goes back to
+    ``[trail mark, clauses, rest, next index, args]``: :meth:`_select` runs
+    the candidates' head matchers in turn, undoing a failed match's bindings
+    itself, and returns the first matching clause's body frames, consed onto
+    *rest*.  It pushes a choicepoint only when a later candidate remains, so
+    the last candidate runs with none (Warren's try / retry / trust).  A
+    ``;``'s is ``[trail mark, None, frames of the right branch]``.  A
+    native's is ``[trail mark, generator, rest]``, and its solutions go on
+    with *rest*.  For a request ``(goal, template)`` it yields, the goal runs
+    here behind its choicepoint, and the generator is sent whether the goal
+    has a solution (template None: the first is committed) or the list of
+    template copies, one per solution; it returns True or False, its last
+    answer.  On failure the machine undoes the trail, in the loop, to the
+    newest mark and resumes that choicepoint: a call's goes back to
     :meth:`_select`, a ``;``'s goes and runs its frames, and a generator's
     next item (which undoes its own bindings) moves the mark up to the trail
     height.  ``!`` deletes the choicepoints above its clause's call-time
     height, and a ``;`` branch keeps its clause's; ``call/N`` and a request
     record a new height.  Steps: one per goal entered other than ``,``, so a
-    fact's call is one step and a clause body of k goals adds k.
+    fact's call is one step and a clause body of k goals adds k; a solve
+    reads ``options.depth_limit`` when it starts.
     """
 
     def __init__(self, program: Program, options: Optional[SolverOptions] = None) -> None:
@@ -702,6 +704,8 @@ class Solver:
         """Run *goal* on the machine (see the class docstring); yields once per solution."""
         trail = self.trail
         start = len(trail)
+        limit = self.options.depth_limit
+        candidates = self.program.candidates
         choicepoints: list = []
         requests: list = []  # [barrier, template, answer] per native waiting on its goal, newest last
         frame: Optional[tuple] = (goal, None, 0, None)
@@ -715,7 +719,7 @@ class Solver:
                         choicepoints[-1][0] = len(trail)  # its bindings stay
                         requests[-1][2] = True
                     else:
-                        requests[-1][2].append(copy_term(requests[-1][1], {}))
+                        requests[-1][2].append(copy_term(requests[-1][1]))
                 else:
                     site, env, cut, frame = frame
                     if env is not None and site[0] is CALL:
@@ -740,7 +744,9 @@ class Solver:
                             kind, site = OR, (OR, args[:1], args[1:])
                         else:
                             kind, native = CALL, _BUILTINS.get((name, arity))
-                    self._step()
+                    self.steps += 1  # as _step(), inline: one step per goal entered
+                    if self.steps > limit:
+                        raise ResourceLimitError("step limit of %d resolution steps exceeded" % limit)
                     if kind is CALL:
                         if native is not None:
                             result = native(self, args)
@@ -749,7 +755,7 @@ class Solver:
                             if result is not False:
                                 choicepoints.append([len(trail), result, frame])
                         else:
-                            clauses = self.program.candidates(name, arity, args)
+                            clauses = candidates(name, arity, args)
                             if clauses is None:
                                 self.warn("unknown predicate %s/%d (goal fails)" % (name, arity))
                             elif clauses:
@@ -777,8 +783,9 @@ class Solver:
                 # Fail: resume the newest choicepoint that has an alternative left.
                 while choicepoints:
                     point = choicepoints[-1]
-                    if len(trail) > point[0]:
-                        self.undo_to(point[0])
+                    mark = point[0]
+                    while len(trail) > mark:
+                        trail.pop().ref = None
                     if len(point) == 5:  # a call's clauses, from the next candidate on
                         choicepoints.pop()
                         frame = self._select(choicepoints, point[1], point[3], point[4], point[2])
@@ -822,14 +829,17 @@ class Solver:
         cut = len(choicepoints)
         last = len(clauses) - 1
         while True:
-            slot_count, match, goals = clauses[index].code or clauses[index].compile()
+            clause = clauses[index]
+            slot_count, match, goals = clause.code or clause.compile()
             env: list = [None] * slot_count
             if match(args, env, self):
                 if index < last:
                     choicepoints.append([mark, clauses, rest, index + 1, args])
-                return _sequence(goals, env, cut, rest)
-            if len(trail) > mark:
-                self.undo_to(mark)
+                for goal in reversed(goals):
+                    rest = (goal, env, cut, rest)
+                return rest
+            while len(trail) > mark:
+                trail.pop().ref = None
             if index == last:
                 return _EXHAUSTED
             index += 1
@@ -1059,20 +1069,28 @@ def _bi_not_identical(solver: Solver, args) -> bool:
     return not term_equal(args[0], args[1])
 
 
-def _type_test(predicate):
-    return lambda solver, args: predicate(deref(args[0]))
+def _type_test(kinds: type | tuple, wanted: bool = True) -> Callable:
+    """A native that succeeds when its argument is (*wanted* False: is not) an instance of *kinds*."""
+
+    def test(solver: Solver, args) -> bool:
+        t = args[0]
+        while type(t) is Var and t.ref is not None:
+            t = t.ref
+        return isinstance(t, kinds) is wanted
+
+    return test
 
 
-_BUILTINS[("var", 1)] = _type_test(lambda t: isinstance(t, Var))
-_BUILTINS[("nonvar", 1)] = _type_test(lambda t: not isinstance(t, Var))
-_BUILTINS[("atom", 1)] = _type_test(lambda t: isinstance(t, Atom))
-_BUILTINS[("number", 1)] = _BUILTINS[("isnumber", 1)] = _type_test(lambda t: isinstance(t, (int, float)))
-_BUILTINS[("integer", 1)] = _BUILTINS[("inumber", 1)] = _type_test(lambda t: isinstance(t, int))
-_BUILTINS[("float", 1)] = _BUILTINS[("fnumber", 1)] = _type_test(lambda t: isinstance(t, float))
-_BUILTINS[("compound", 1)] = _type_test(lambda t: isinstance(t, Compound))
-_BUILTINS[("atomic", 1)] = _type_test(lambda t: isinstance(t, (Atom, int, float)))
-_BUILTINS[("list", 1)] = _type_test(is_list)
-_BUILTINS[("ground", 1)] = _type_test(is_ground)
+_BUILTINS[("var", 1)] = _type_test(Var)
+_BUILTINS[("nonvar", 1)] = _type_test(Var, False)
+_BUILTINS[("atom", 1)] = _type_test(Atom)
+_BUILTINS[("number", 1)] = _BUILTINS[("isnumber", 1)] = _type_test((int, float))
+_BUILTINS[("integer", 1)] = _BUILTINS[("inumber", 1)] = _type_test(int)
+_BUILTINS[("float", 1)] = _BUILTINS[("fnumber", 1)] = _type_test(float)
+_BUILTINS[("compound", 1)] = _type_test(Compound)
+_BUILTINS[("atomic", 1)] = _type_test((Atom, int, float))
+_BUILTINS[("list", 1)] = lambda solver, args: is_list(args[0])
+_BUILTINS[("ground", 1)] = lambda solver, args: is_ground(args[0])
 
 
 @_builtin("is", 2)

@@ -15,7 +15,10 @@ template goal is a request (see ``Solver``): the caller's machine runs it for
 
 Whole-file transformation works in one of two modes: if the rule program
 defines ``go/2``, the goal ``go(Doc, Result)`` is solved against the parsed
-input document; otherwise template traversal runs.  Result lists are
+input document; otherwise template traversal runs.  Goal mode commits to
+the first solution as traversal commits to a template's, and serializes its
+own terms; only ``all_solutions`` copies each solution's ``Result`` before
+the next one undoes it.  Result lists are
 wrapped for serialization: a singleton is emitted directly, anything else
 inside a synthetic ``result`` root (``no_wrap`` emits a fragment stream).
 :func:`rule_program` parses, merges and indexes a rule text once per
@@ -25,9 +28,9 @@ its compiled clauses.
 
 from __future__ import annotations
 
+import os
 import time
 from functools import lru_cache
-from pathlib import Path
 from typing import Optional
 
 from .logic_engine import DEFAULT_STEP_LIMIT, Program, Solver, SolverOptions, _builtin
@@ -128,10 +131,16 @@ def _traverse(node: Term, solver: Solver, unmatched_text: str = "drop") -> list[
             goal, _ = walk.send(found)
         except StopIteration as done:
             return done.value
-        mark, solutions = len(solver.trail), solver.solve(goal)
-        found = next(solutions, False) is None
-        del solver.trail[mark:]  # at top level, nothing can backtrack into the committed bindings
-        solutions.close()
+        found = _commit_first(solver, goal)
+
+
+def _commit_first(solver: Solver, goal: Term) -> bool:
+    """Whether *goal* has a solution; the first one's bindings stay, as after ``goal, !``."""
+    mark, solutions = len(solver.trail), solver.solve(goal)
+    found = next(solutions, False) is None
+    del solver.trail[mark:]  # at top level, nothing can backtrack into the committed bindings
+    solutions.close()
+    return found
 
 
 def _walk(node: Term, solver: Solver, unmatched_text: str = "drop"):
@@ -199,13 +208,16 @@ def transform_file(
     timings: dict[str, float] = {}
 
     started = time.perf_counter()
-    doc = parse_document(Path(input_path).read_text(encoding="utf-8"), keep_ws=options.keep_ws)
+    with open(input_path, encoding="utf-8") as source:
+        doc = parse_document(source.read(), keep_ws=options.keep_ws)
     timings["parse"] = time.perf_counter() - started
 
     started = time.perf_counter()
-    user, program = rule_program(
-        Path(rules_path).read_text(encoding="utf-8") if rules_path is not None else None
-    )
+    rules = None
+    if rules_path is not None:
+        with open(rules_path, encoding="utf-8") as source:
+            rules = source.read()
+    user, program = rule_program(rules)
     timings["rules"] = time.perf_counter() - started
 
     solver = Solver(
@@ -217,12 +229,13 @@ def transform_file(
     if user is not None and user.get("go", 2) is not None:
         result_var = fresh_var("Result")
         goal = Compound("go", (doc, result_var))
-        for _ in solver.solve(goal):
-            solution = copy_term(result_var)
+        if options.all_solutions:  # each solution is copied before the next undoes it
+            solutions = [copy_term(result_var) for _ in solver.solve(goal)]
+        else:  # the first solution's own terms: nothing is copied
+            solutions = [result_var] if _commit_first(solver, goal) else []
+        for solution in solutions:
             items = list_items(solution)
             result_sets.append(items if items is not None else [solution])
-            if not options.all_solutions:
-                break
     else:
         results = _traverse(doc, solver, options.unmatched_text)
         if results:
@@ -239,13 +252,17 @@ def transform_file(
 
     outputs: list[str] = []
     if output_path is not None:
-        base = Path(output_path)
+        directory, name = os.path.split(output_path)
+        dot = name.rfind(".")  # the suffix starts at the last dot, if not the first or last character
+        if not 0 < dot < len(name) - 1:
+            dot = len(name)
         for index, text in enumerate(documents, start=1):
-            target = base
+            target = output_path
             if options.all_solutions:
-                target = base.with_name("%s.%d%s" % (base.stem, index, base.suffix))
-            target.write_text(text + ("" if text.endswith("\n") else "\n"), encoding="utf-8")
-            outputs.append(str(target))
+                target = os.path.join(directory, "%s.%d%s" % (name[:dot], index, name[dot:]))
+            with open(target, "w", encoding="utf-8") as out:
+                out.write(text + ("" if text.endswith("\n") else "\n"))
+            outputs.append(target)
     return TransformReport("ok", len(result_sets), outputs, documents, timings)
 
 

@@ -311,8 +311,21 @@ def copy_term(t: Term, mapping: Optional[dict[int, Var]] = None) -> Term:
     Terms are immutable, so a compound is rebuilt only when an argument's
     copy is a different object: a subterm with no ``Var`` in it is returned
     as it is.  A ``Var`` argument, bound or not, always rebuilds its parent,
-    because backtracking may unbind it after the copy is taken.
+    because backtracking may unbind it after the copy is taken.  A first
+    walk over a plain stack stops at the first ``Var`` below *t*'s value; a
+    value with none (a document node, say) is returned without a second walk.
     """
+    while type(t) is Var and t.ref is not None:
+        t = t.ref
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if type(node) is Compound:
+            stack.extend(node.args)
+        elif type(node) is Var:
+            break
+    else:
+        return t
     if mapping is None:
         mapping = {}
     # One walk with an explicit stack, since documents may nest deeply.  A

@@ -232,6 +232,24 @@ def assert_same_as_every_clause_copied(program, goal, out, depth_limit=20_000):
     assert indexed == every_clause == every_clause_copied, render_term(goal)
 
 
+def test_the_machine_finds_clauses_only_through_program_candidates(monkeypatch):
+    # The differential test swaps Program.candidates for the full clause
+    # list; it compares anything only while the machine calls it.
+    program = parse_program("p(a). q(X) :- p(X).")
+    assert answers(program, "q(X)") == ["a"]
+    calls = []
+
+    def no_clauses(self, name, arity, args):
+        calls.append((name, arity))
+        return []
+
+    monkeypatch.setattr(Program, "candidates", no_clauses)
+    assert answers(program, "q(X)") == []
+    assert calls == [("q", 1)]
+    monkeypatch.setattr(Program, "candidates", _full_list)
+    assert answers(program, "q(X)") == ["a"]
+
+
 PRELUDE = load_prelude()
 
 

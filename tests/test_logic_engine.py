@@ -23,11 +23,13 @@ from termxform.term_core import (
     Atom,
     Compound,
     Var,
+    copy_term,
     deref,
     fresh_var,
     list_parts,
     mk_list,
     render_term,
+    term_variables,
 )
 from termxform.transform_prelude import load_prelude
 from test_clause_index import _outcome
@@ -878,6 +880,49 @@ def test_step_limit_raises():
     solver = make_solver("loop :- loop.", depth_limit=500)
     with pytest.raises(ResourceLimitError):
         solutions(solver, "loop")
+
+
+TEMPLATES = "template(element(a, _, [C]), [element(b, [], R)]) :- traverse(C, R). template(text(T), [text(T)])."
+
+
+def first_answer(program_text, goal_text, depth_limit):
+    """The steps of the first solution and its answer, with variables named by first occurrence."""
+    solver = make_solver(program_text, depth_limit=depth_limit)
+    query = parse_query(goal_text, solver.program.operators)
+    for _ in solver.solve(query.goal):
+        answer = copy_term(Compound("answer", tuple(query.variables.values()) or (Atom("yes"),)))
+        for number, var in enumerate(term_variables(answer)):
+            var.ref = Atom("v%d" % number)
+        return solver.steps, render_term(answer)
+    return solver.steps, None
+
+
+@pytest.mark.parametrize(
+    "program_text, goal_text, steps, answer",
+    [
+        # a clause chain: each call and each body goal is a step
+        ("cnt(0). cnt(N) :- N > 0, M is N - 1, cnt(M).", "cnt(3)", 10, "answer(yes)"),
+        # member/2, length/2 and append/3's relational fallback count the
+        # cells they add to an open list with solver._step()
+        ("", "member(c, L), L = [a, b, c | _]", 7, "answer([a,b,c|v0])"),
+        ("", "length(L, N), N >= 3", 9, "answer([v0,v1,v2],3)"),
+        ("", "append(X, Y, Z), X = [_, _]", 7, "answer([v0,v1],v2,[v0,v1|v2])"),
+        # findall/3's goal runs on the caller's machine as a request
+        ("", "findall(X, (member(X, [a, b, c]), X \\== b), L)", 5, "answer(v0,[a,c])"),
+        # traverse/2's template goals do too
+        (TEMPLATES, "traverse(element(a, [], [element(a, [], [text(x)])]), R)", 6,
+         "answer([element(b,[],[element(b,[],[text(x)])])])"),
+    ],
+)
+def test_a_query_answers_at_the_limit_of_its_steps_and_stops_one_below(program_text, goal_text, steps, answer):
+    assert first_answer(program_text, goal_text, 10_000) == (steps, answer)
+    assert first_answer(program_text, goal_text, steps) == (steps, answer)
+    solver = make_solver(program_text, depth_limit=steps - 1)
+    query = parse_query(goal_text, solver.program.operators)
+    with pytest.raises(ResourceLimitError) as raised:
+        next(solver.solve(query.goal))
+    assert str(raised.value) == "step limit of %d resolution steps exceeded" % (steps - 1)
+    assert solver.steps == steps
 
 
 def test_program_copy_is_independent():

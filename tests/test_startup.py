@@ -4,9 +4,11 @@
 (which pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``) nor the
 metrics calculator (and ``csv``): the package's own records are named
 tuples or plain classes with ``__slots__``, and ``termxform.metrics`` loads
-on first use.  Each import case runs in a fresh interpreter, since this
-test process has long since imported everything.  The second half checks
-that the hand-written records behave as the dataclasses they replaced.
+on first use.  Nor do they load ``pathlib``: files are read and written
+with ``open`` and named with ``os.path``.  Each import case runs in a fresh
+interpreter, since this test process has long since imported everything.
+The second half checks that the hand-written records behave as the
+dataclasses they replaced.
 """
 
 import os
@@ -68,6 +70,29 @@ def test_the_transform_command_loads_no_dataclasses_or_metrics(tmp_path):
     }
     assert "termxform.template_engine" in imported
     assert sorted(imported.intersection(HEAVY)) == []
+
+
+def test_a_transformation_loads_no_pathlib_without_site(tmp_path):
+    # Python's `site` may import pathlib itself (a .pth file can), which would
+    # hide an import by the package; -S leaves `site` out.
+    rules = tmp_path / "books.tx"
+    rules.write_text(BOOKS, encoding="utf-8")
+    source = os.path.join(CORPUS, "02_nested.xml")
+    code = (
+        "import sys, termxform\n"
+        "termxform.load_prelude()\n"
+        "print(termxform.transform_file(sys.argv[1], sys.argv[2]).documents)\n"
+        "print('pathlib' in sys.modules)\n"
+    )
+    done = run_python("-S", "-c", code, source, str(rules))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "['<item>Logic</item>']\nFalse\n"
+    done = run_python(
+        "-S", "-X", "importtime", "-m", "termxform.cli", "transform", "--rules", str(rules), "--in", source
+    )
+    assert (done.returncode, done.stdout) == (0, "<item>Logic</item>\n")
+    imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines() if "|" in line}
+    assert "termxform.template_engine" in imported and "pathlib" not in imported
 
 
 def test_metrics_still_load_on_first_use():

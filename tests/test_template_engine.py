@@ -208,6 +208,32 @@ def test_transform_file_all_solutions_numbered_outputs(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "name, numbered",
+    [
+        ("out.xml", ["out.1.xml", "out.2.xml"]),
+        ("out", ["out.1", "out.2"]),
+        ("d.x/out", ["d.x/out.1", "d.x/out.2"]),
+        ("d.x/a.tar.gz", ["d.x/a.tar.1.gz", "d.x/a.tar.2.gz"]),
+        (".hidden", [".hidden.1", ".hidden.2"]),
+        ("out.", ["out..1", "out..2"]),
+    ],
+)
+def test_all_solutions_number_each_output_before_its_suffix(tmp_path, name, numbered):
+    # The suffix is pathlib's: from the last dot of the file name, unless
+    # that dot is its first or last character.
+    rules = write(tmp_path, "rules.tx", "go(Doc, [Res]) :- transform(Doc / item, Res).")
+    source = write(tmp_path, "in.xml", "<r><item>1</item><item>2</item></r>")
+    (tmp_path / "d.x").mkdir()
+    out = tmp_path / name
+    stem, suffix = (out.stem, out.suffix)
+    assert [out.with_name("%s.%d%s" % (stem, n, suffix)) for n in (1, 2)] == [tmp_path / p for p in numbered]
+    report = transform_file(source, rules, str(out), TransformOptions(all_solutions=True))
+    assert report.outputs == [str(tmp_path / p) for p in numbered]
+    assert [(tmp_path / p).read_text(encoding="utf-8") for p in numbered] == ["<item>1</item>\n", "<item>2</item>\n"]
+    assert not out.exists()
+
+
 def test_transform_file_goal_failure_writes_nothing(tmp_path):
     rules = write(tmp_path, "rules.tx", "go(_, _) :- fail.")
     source = write(tmp_path, "in.xml", "<a/>")

@@ -227,6 +227,9 @@ def with_variables(tree, pool):
 @given(elements(max_depth=3))
 def test_copy_of_a_generated_tree_is_a_fresh_variant(tree):
     assert copy_term(tree) is tree
+    reference = fresh_var("R")
+    reference.ref = tree
+    assert copy_term(reference) is tree
     pool = [fresh_var("A"), fresh_var("B"), fresh_var("C")]
     pool[0].ref = Atom("bound")
     term = Compound("doc", (with_variables(tree, pool), pool[1], tree))

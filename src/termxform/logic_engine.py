@@ -29,8 +29,9 @@ Native predicates cover the term inspection, list, and arithmetic catalog
 (``append/3`` is fully nondeterministic, ``delete/3`` removes all unifying
 occurrences without binding), and ``is/2`` evaluates both numeric operators
 and the string/node functor family (``cat``, ``substring``, ``translate``,
-``plus`` over single-text elements, ...).  Evaluation errors make the goal
-fail with a diagnostic warning rather than raising.  A native that succeeds
+and ``plus``/``minus``/``mult``/``div``, which are ``+ - * /`` over
+single-text elements).  Evaluation errors make the goal fail with a
+diagnostic warning rather than raising.  A native that succeeds
 at most once returns True or False, so its call leaves no choicepoint; the
 ones that can succeed again (``append/3``, ``member/2`` and ``length/2``)
 or run goals (``not/1``, ``findall/3``, ``traverse/2``) are generators.
@@ -113,6 +114,10 @@ def _text(value: Term) -> str:
     if isinstance(value, (int, float)):
         return _num_text(value)
     raise EvalError("expected an atom, got %s" % render_term(value))
+
+
+# is/2's node forms, each its operator over node numbers (see Solver._node_number).
+_NODE_FORMS = {"plus": "+", "minus": "-", "mult": "*", "div": "/"}
 
 
 # The kinds of body-goal site (see :meth:`Clause.compile`).  A site is a tuple
@@ -694,6 +699,18 @@ class Solver:
             return True
         return False
 
+    def commit_first(self, goal: Term) -> bool:
+        """Whether *goal* has a solution; the first one's bindings stay, as after ``goal, !``.
+
+        For a goal solved at top level only: the bindings leave the trail, so
+        nothing can undo them.
+        """
+        mark, solutions = len(self.trail), self.solve(goal)
+        found = next(solutions, False) is None
+        del self.trail[mark:]
+        solutions.close()
+        return found
+
     def _step(self) -> None:
         self.steps += 1
         limit = self.options.depth_limit
@@ -890,9 +907,13 @@ class Solver:
         """A generator that yields each subterm whose value it needs, is sent that value, and returns *expr*'s."""
         name, args = expr.name, expr.args
         arity = len(args)
-        if name in ("+", "-", "*", "/", "mod") and arity == 2:
-            left = _number((yield args[0]))
-            right = _number((yield args[1]))
+        if arity == 2 and (name in ("+", "-", "*", "/", "mod") or name in _NODE_FORMS):
+            if name in _NODE_FORMS:  # operands are read, not evaluated
+                name = _NODE_FORMS[name]
+                left, right = self._node_number(args[0]), self._node_number(args[1])
+            else:
+                left = _number((yield args[0]))
+                right = _number((yield args[1]))
             if name == "+":
                 return left + right
             if name == "-":
@@ -908,6 +929,8 @@ class Solver:
             if right == 0:
                 raise EvalError("mod by zero")
             return left % right
+        if name == "-" and arity == 1:
+            return -_number((yield args[0]))
 
         if name == "cat" and 2 <= arity <= 8:
             parts: list[str] = []
@@ -957,31 +980,9 @@ class Solver:
             text = _text((yield args[0]))
             source = _text((yield args[1]))
             target = _text((yield args[2]))
-            mapping: dict[str, Optional[str]] = {}
-            for position, ch in enumerate(source):
-                if ch not in mapping:
-                    mapping[ch] = target[position] if position < len(target) else None
-            out: list[str] = []
-            for ch in text:
-                if ch in mapping:
-                    if mapping[ch] is not None:
-                        out.append(mapping[ch])  # type: ignore[arg-type]
-                else:
-                    out.append(ch)
-            return Atom("".join(out))
-        if name in ("plus", "minus", "mult", "div") and arity == 2:
-            left = self._node_number(args[0])
-            right = self._node_number(args[1])
-            if name == "plus":
-                return left + right
-            if name == "minus":
-                return left - right
-            if name == "mult":
-                return left * right
-            if right == 0:
-                raise EvalError("division by zero")
-            return left / right
-
+            # A character's first position in *source* wins; past *target*'s end it is deleted.
+            table = {ord(ch): target[i] if i < len(target) else None for i, ch in reversed(list(enumerate(source)))}
+            return Atom(text.translate(table))
         raise EvalError("unknown evaluable functor %s/%d" % (name, arity))
 
     def _node_number(self, t: Term):

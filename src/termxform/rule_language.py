@@ -81,6 +81,7 @@ _DEFAULT_OPS = [
     OperatorDef("-", 500, "yfx"),
     OperatorDef("*", 400, "yfx"),
     OperatorDef("mod", 400, "yfx"),
+    OperatorDef("-", 200, "fy"),
     OperatorDef("/", 100, "yfx"),
     OperatorDef("^", 100, "yfx"),
     OperatorDef("@", 100, "yfx"),
@@ -259,9 +260,11 @@ class _Parser:
                 if not quoted and value == "-" and (follower.kind == "int" or follower.kind == "float"):
                     term, pos = -follower.value, pos + 1
                 elif op is not None and op.precedence <= max_prec and (
-                    # An infix-only operator cannot begin a term.
-                    follower.kind in _TERM_STARTS or follower.kind == "atom"
-                    and (follower.quoted or follower.value in prefix or follower.value not in infix)
+                    # An infix operator begins the operand only as a prefix operator that fits it.
+                    follower.kind in _TERM_STARTS or follower.kind == "atom" and (
+                        follower.quoted or follower.value not in infix or follower.value in prefix
+                        and prefix[follower.value].precedence <= op.precedence - (op.fixity != "fy")
+                    )
                 ):
                     stack.append(["prefix", max_prec, value, op.precedence])
                     max_prec = op.precedence if op.fixity == "fy" else op.precedence - 1

@@ -11,7 +11,7 @@ recurses into its children, concatenating their results; unmatched text
 contributes nothing by default (or itself with the ``copy`` policy).  Each
 template goal is a request (see ``Solver``): the caller's machine runs it for
 ``traverse(Node, Result)``, a native with the ``drop`` policy, and
-``Solver.solve`` runs it at top level.
+``Solver.commit_first`` runs it at top level.
 
 Whole-file transformation works in one of two modes: if the rule program
 defines ``go/2``, the goal ``go(Doc, Result)`` is solved against the parsed
@@ -124,23 +124,14 @@ def _bi_traverse(solver: Solver, args):
 
 
 def _traverse(node: Term, solver: Solver, unmatched_text: str = "drop") -> list[Term]:
-    """The results of :func:`_walk`, with each template goal run by ``solver.solve``."""
+    """The results of :func:`_walk`, with each template goal run by ``solver.commit_first``."""
     walk, found = _walk(node, solver, unmatched_text), None
     while True:
         try:
             goal, _ = walk.send(found)
         except StopIteration as done:
             return done.value
-        found = _commit_first(solver, goal)
-
-
-def _commit_first(solver: Solver, goal: Term) -> bool:
-    """Whether *goal* has a solution; the first one's bindings stay, as after ``goal, !``."""
-    mark, solutions = len(solver.trail), solver.solve(goal)
-    found = next(solutions, False) is None
-    del solver.trail[mark:]  # at top level, nothing can backtrack into the committed bindings
-    solutions.close()
-    return found
+        found = solver.commit_first(goal)
 
 
 def _walk(node: Term, solver: Solver, unmatched_text: str = "drop"):
@@ -232,7 +223,7 @@ def transform_file(
         if options.all_solutions:  # each solution is copied before the next undoes it
             solutions = [copy_term(result_var) for _ in solver.solve(goal)]
         else:  # the first solution's own terms: nothing is copied
-            solutions = [result_var] if _commit_first(solver, goal) else []
+            solutions = [result_var] if solver.commit_first(goal) else []
         for solution in solutions:
             items = list_items(solution)
             result_sets.append(items if items is not None else [solution])

@@ -4,11 +4,12 @@ Before ``Solver.eval_is`` became one loop over a list of generators,
 it recursed once per level of an expression: every functor evaluated its
 operands by calling ``eval_is`` again, and ``cat`` flattened nested lists
 by calling ``_stringify`` on each item.  The methods below are that code,
-unchanged but for the class they sit in and for ``_node_number``, which
-reads an element's text by ``xml_number``: a regular expression for XML's
-number forms, where the old code took whatever ``int()`` and ``float()``
-took.  ``tests/test_eval_is.py`` compares the two on random expressions:
-the value, or the EvalError text.
+unchanged but for the class they sit in, for the ``-``/1 branch (negation,
+added to both evaluators together), and for ``_node_number``, which reads
+an element's text by ``xml_number``: a regular expression for XML's number
+forms, where the old code took whatever ``int()`` and ``float()`` took.
+``tests/test_eval_is.py`` compares the two on random expressions: the
+value, or the EvalError text.
 """
 
 import re
@@ -73,6 +74,8 @@ class RecursiveEvaluator:
             if right == 0:
                 raise EvalError("mod by zero")
             return left % right
+        if name == "-" and arity == 1:
+            return -self._eval_number(args[0])
 
         if name == "cat" and 2 <= arity <= 8:
             return Atom("".join(self._stringify(a) for a in args))

@@ -77,23 +77,23 @@ class RecursiveParser(_Parser):
                 return -follower.value, 0  # type: ignore[operator, return-value]
             if not token.quoted and name in self.table.prefix:
                 op = self.table.prefix[name]
-                if op.precedence <= max_prec and self.starts_term(follower):
-                    arg_max = op.precedence if op.fixity == "fy" else op.precedence - 1
+                arg_max = op.precedence if op.fixity == "fy" else op.precedence - 1
+                if op.precedence <= max_prec and self.starts_term(follower, arg_max):
                     operand, _ = self.parse_term(arg_max)
                     return Compound(name, (operand,)), op.precedence
             return Atom(name), 0
         raise self.error("expected a term", token, expected="term")
 
-    def starts_term(self, token: Token) -> bool:
+    def starts_term(self, token: Token, arg_max: int) -> bool:
         if token.kind in ("int", "float", "var", "open", "open_list"):
             return True
         if token.kind == "atom":
             if token.quoted:
                 return True
             name = str(token.value)
-            # An infix-only operator cannot begin a term.
-            if name in self.table.infix and name not in self.table.prefix:
-                return False
+            # An infix operator begins the operand only as a prefix operator that fits it.
+            if name in self.table.infix:
+                return name in self.table.prefix and self.table.prefix[name].precedence <= arg_max
             return True
         return False
 

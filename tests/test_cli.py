@@ -290,6 +290,27 @@ def test_shared_subterms_of_an_answer_are_not_cycles(capsys):
     assert (code, capsys.readouterr().out) == (0, "YES.\nY/f(a)\nX/g(f(a),[f(a),f(a)])\n")
 
 
+@pytest.mark.parametrize(
+    "goal, out",
+    [
+        # `-` is a prefix operator (fy 200), and is/2 negates; a sign before
+        # a number still reads as a negative number.
+        ("Y = 2, X is - Y", "YES.\nY/2\nX/-2\n"),
+        ("X = -a", "YES.\nX/-(a)\n"),
+        ("X is -(1+2)", "YES.\nX/-3\n"),
+        ("X = - 1, Y = a - -1", "YES.\nX/-1\nY/-(a,-1)\n"),
+        # A prefix operator atom before `-` is an operand of the infix `-`,
+        # since the prefix `-` (200) does not fit its argument (100).
+        ("X = name - 1", "YES.\nX/-(name,1)\n"),
+        ("X = count-N, N = 2", "YES.\nX/-(count,2)\nN/2\n"),
+        ("member(name-V, [name-1])", "YES.\nV/1\n"),
+    ],
+)
+def test_prefix_minus_reads_and_negates(goal, out, capsys):
+    code = main(["query", "--rules", "prelude-only", goal])
+    assert (code, capsys.readouterr()) == (0, (out, ""))
+
+
 def test_last_of_a_proper_list_has_one_answer(capsys):
     code = main(["query", "--rules", "prelude-only", "--max", "5", "last([a, b, c], X)"])
     assert (code, capsys.readouterr().out) == (0, "YES.\nX/c\n")

@@ -52,7 +52,7 @@ NODES = st.one_of(
 LEAVES = st.one_of(NUMBERS, ATOMS, st.builds(lambda: fresh_var("U")))
 
 FUNCTORS = [
-    ("+", 2), ("-", 2), ("*", 2), ("/", 2), ("mod", 2),
+    ("+", 2), ("-", 2), ("*", 2), ("/", 2), ("mod", 2), ("-", 1),
     ("cat", 2), ("cat", 3), ("cat", 5), ("cat", 8),
     ("string", 1), ("substring", 3), ("substring_after", 2), ("substring_before", 2), ("translate", 3),
     ("foo", 1), ("+", 3), ("cat", 1), ("cat", 9), ("string", 2), ("mod", 1), ("plus", 3),
@@ -113,6 +113,14 @@ def test_eval_is_gives_the_recursive_evaluators_value_or_error(expr):
         ("1 + a", ("EvalError", "expected a number, got a")),
         ("substring(abc, 1, 1.0)", ("EvalError", "expected an integer, got 1.0")),
         ("[1, 2]", ("Compound", "[1,2]")),
+        # translate: a character's first position in the source wins, one past
+        # the target's end is deleted, extra target characters are ignored,
+        # and numbers are read as text.
+        ("translate(abcabc, aba, xyz)", ("Atom", "xycxyc")),
+        ("translate(abc, abc, x)", ("Atom", "x")),
+        ("translate(ab, a, xyz)", ("Atom", "xb")),
+        ("translate(1212, 1, 9)", ("Atom", "'9292'")),
+        ("div(6, element(n, [], [text('0')]))", ("EvalError", "division by zero")),
     ],
 )
 def test_evaluation_order_and_errors(text, outcome):

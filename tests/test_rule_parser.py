@@ -177,7 +177,7 @@ def test_a_run_of_tokens_reads_as_the_oracle_reads_it(tokens, ops):
         "- 1", "- (1)", "-(1)", "- a", "-(-(1))", "- - 1", "a - -1", "a- 1", "[a|b]", "[a|b,c]", "[a,b|c|d]", "[]",
         "f(a, b | c)", "\\+ \\+ a", "\\+ (a, b)", "(a :- b :- c)", "a = b = c", "child child x", "- = x", "f(:-, ;)",
         "[-]", "[- , a]", "X(", "(", ")", "f(a,", "[a", "'[]'(a)", "a ; b , c ; d", "a , b ; c , d", "f(a :- b)",
-        "f((a :- b))", "a :- b.", "a :- .", ":- a", "- -",
+        "f((a :- b))", "a :- b.", "a :- .", ":- a", "- -", "- - a", "name - 1", "count - N", "child :- a",
     ],
 )
 def test_edge_cases_read_as_the_oracle_reads_them(text):
@@ -228,11 +228,15 @@ def test_a_disjunction_20000_deep_reads():
 
 
 def test_20000_prefix_minus_signs_read():
-    # `-` is infix only by default: the signs alternate as operands and operators.
+    # `-` is also prefix (fy 200) by default: every sign but the last is a
+    # compound, and the last one and the number read as -1.
     (clause,) = read_terms("p(%s1)." % ("- " * DEPTH))[0]
-    assert _spine(clause.args[0], "-", 0) == (DEPTH // 2, Atom("-"))
-    directive, clause = read_terms(":- op(200, fy, -).\np(%s1)." % ("- " * DEPTH))[0]
     assert _spine(clause.args[0], "-", 0) == (DEPTH - 1, -1)
+    # Where `-` is infix only, the signs alternate as operands and operators.
+    infix_only = OperatorTable()
+    del infix_only.prefix["-"]
+    (clause,) = read_terms("p(%s1)." % ("- " * DEPTH), infix_only)[0]
+    assert _spine(clause.args[0], "-", 0) == (DEPTH // 2, Atom("-"))
 
 
 def test_lists_20000_deep_and_long_read():

@@ -15,7 +15,7 @@ call tries only the clauses in its first-argument bucket (see
 :class:`Program`) and runs each one's head matcher, Python code generated
 from the clause once, without copying the clause (see :class:`Clause`).
 
-One loop, :meth:`Solver._solve`, runs every goal on lists of its own, so rule
+One loop, :meth:`Solver.solve`, runs every goal on lists of its own, so rule
 recursion does not grow the Python stack; the clause compiler and ``is/2``
 walk terms on lists of their own too, and Python's recursion limit is left
 as it is.  A clause body runs site by site (see :meth:`Clause.compile`): a
@@ -557,11 +557,11 @@ def _ascii_lower(s: str) -> str:
 class Solver:
     """Runs queries against a :class:`Program` under :class:`SolverOptions`.
 
-    ``solve`` is a generator yielding once per solution; bindings live in the
-    query's variables while the generator is suspended, so capture (render or
-    copy) anything you need *before* advancing or abandoning it.
+    :meth:`solve` is the machine's own generator, yielding once per solution;
+    bindings live in the query's variables while it is suspended, so capture
+    (render or copy) anything you need *before* advancing or abandoning it.
 
-    :meth:`_solve` is one loop over the goals still to run, a linked list of
+    It is one loop over the goals still to run, a linked list of
     frames ``(site, env, cut height, rest)`` (a *rest* of None is a
     solution), and a list of choicepoints.  With an *env*, the clause's slot
     list, the frame's site is a compiled body site (see
@@ -683,18 +683,10 @@ class Solver:
 
     # -- solving ------------------------------------------------------------
 
-    def solve(self, goal: Term) -> Iterator[None]:
-        """Enumerate solutions of *goal* (yields once per solution).
-
-        This is the machine's own generator: a ``yield from`` layer around it
-        would add a generator to every solve, resume and close.
-        """
-        return self._solve(goal)
-
     def solve_once(self, goal: Term) -> bool:
         """True iff *goal* has at least one solution; bindings are undone."""
         mark = len(self.trail)
-        for _ in self._solve(goal):
+        for _ in self.solve(goal):
             self.undo_to(mark)
             return True
         return False
@@ -717,7 +709,7 @@ class Solver:
         if self.steps > limit:
             raise ResourceLimitError("step limit of %d resolution steps exceeded" % limit)
 
-    def _solve(self, goal: Term) -> Iterator[None]:
+    def solve(self, goal: Term) -> Iterator[None]:
         """Run *goal* on the machine (see the class docstring); yields once per solution."""
         trail = self.trail
         start = len(trail)
@@ -863,7 +855,7 @@ class Solver:
 
     @staticmethod
     def is_builtin(name: str, arity: int) -> bool:
-        """True when ``_solve`` runs name/arity itself or by a native, never by clauses."""
+        """True when ``solve`` runs name/arity itself or by a native, never by clauses."""
         if (name, arity) in ((",", 2), (";", 2), ("!", 0)) or (name == "call" and arity >= 1):
             return True
         return (name, arity) in _BUILTINS

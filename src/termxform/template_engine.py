@@ -8,22 +8,22 @@ its clause).  That solution is committed, as ``template(Node, Result), !``
 would: the list is the solution's own terms, not a copy, and a variable in
 the node that the template binds stays bound.  An unmatched element
 recurses into its children, concatenating their results; unmatched text
-contributes nothing by default (or itself with the ``copy`` policy).  Each
-template goal is a request (see ``Solver``): the caller's machine runs it for
-``traverse(Node, Result)``, a native with the ``drop`` policy, and
-``Solver.commit_first`` runs it at top level.
+contributes nothing, unless the ``copy`` policy adds XSLT's built-in rule
+``template(text(T), [text(T)])`` after the program's own templates.  The
+walk is the native ``traverse(Node, Result)``: the machine that runs it
+runs each template goal as a request (see ``Solver``).
 
-Whole-file transformation works in one of two modes: if the rule program
-defines ``go/2``, the goal ``go(Doc, Result)`` is solved against the parsed
-input document; otherwise template traversal runs.  Goal mode commits to
-the first solution as traversal commits to a template's, and serializes its
-own terms; only ``all_solutions`` copies each solution's ``Result`` before
-the next one undoes it.  Result lists are
-wrapped for serialization: a singleton is emitted directly, anything else
-inside a synthetic ``result`` root (``no_wrap`` emits a fragment stream).
-:func:`rule_program` parses, merges and indexes a rule text once per
-process; every later document with the same text reuses that program and
-its compiled clauses.
+Whole-file transformation solves ``go(Doc, Result)`` against the parsed
+input document if the rule program defines ``go/2``, and
+``traverse(Doc, Result)`` (template mode, where an empty result is no
+solution) otherwise.  It commits to the first solution as traversal commits
+to a template's, and serializes its own terms; only ``all_solutions``
+copies each solution's ``Result`` before the next one undoes it.  Result
+lists are wrapped for serialization: a singleton is emitted directly,
+anything else inside a synthetic ``result`` root (``no_wrap`` emits a
+fragment stream).  :func:`rule_program` parses, merges and indexes a rule
+text once per process; every later document with the same text reuses
+that program and its compiled clauses.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class TransformOptions:
         self.no_wrap = no_wrap
         self.keep_ws = keep_ws
         self.pretty = pretty
-        self.unmatched_text = unmatched_text
+        self.unmatched_text = _check_text_policy(unmatched_text)
         self.depth_limit = depth_limit
         self.occurs_check = occurs_check
 
@@ -115,7 +115,28 @@ def traverse(node: Term, program: Program, unmatched_text: str = "drop") -> list
     *program* should already include the built-in rule set when template
     bodies rely on it.  *unmatched_text* is ``"drop"`` or ``"copy"``.
     """
-    return _traverse(node, Solver(program), unmatched_text)
+    if _check_text_policy(unmatched_text) == "copy":
+        program = _with_text_rule(program)
+    result = fresh_var("Result")
+    Solver(program).commit_first(Compound("traverse", (node, result)))
+    return list_items(result)
+
+
+def _check_text_policy(unmatched_text: str) -> str:
+    if unmatched_text not in ("drop", "copy"):
+        raise ValueError("unmatched text policy must be 'drop' or 'copy', not %r" % (unmatched_text,))
+    return unmatched_text
+
+
+@lru_cache(maxsize=8)
+def _with_text_rule(program: Program) -> Program:
+    """*program* and then XSLT's built-in ``template(text(T), [text(T)])``.
+
+    Made once per program: callers must not change *program* afterwards.
+    """
+    extended, text = program.copy(), Compound("text", (fresh_var("T"),))
+    extended.add(Compound("template", (text, mk_list([text]))))
+    return extended
 
 
 @_builtin("traverse", 2)
@@ -123,18 +144,7 @@ def _bi_traverse(solver: Solver, args):
     return solver.unify(args[1], mk_list((yield from _walk(args[0], solver))))
 
 
-def _traverse(node: Term, solver: Solver, unmatched_text: str = "drop") -> list[Term]:
-    """The results of :func:`_walk`, with each template goal run by ``solver.commit_first``."""
-    walk, found = _walk(node, solver, unmatched_text), None
-    while True:
-        try:
-            goal, _ = walk.send(found)
-        except StopIteration as done:
-            return done.value
-        found = solver.commit_first(goal)
-
-
-def _walk(node: Term, solver: Solver, unmatched_text: str = "drop"):
+def _walk(node: Term, solver: Solver):
     # Pre-order over an explicit stack: a node's results all come before
     # those of its later siblings.
     templates = solver.program.defines("template", 2)
@@ -153,14 +163,11 @@ def _walk(node: Term, solver: Solver, unmatched_text: str = "drop"):
                     % (render_term(node), render_term(out))
                 )
             results.extend(items)
-        else:  # no template matched
-            if node.name == "element" and len(node.args) == 3:
-                for child in reversed(list_items(deref(node.args[2])) or []):
-                    child = deref(child)
-                    if isinstance(child, Compound) and child.name != ".":
-                        stack.append(child)
-            elif node.name == "text" and len(node.args) == 1 and unmatched_text == "copy":
-                results.append(node)
+        elif node.name == "element" and len(node.args) == 3:  # no template matched
+            for child in reversed(list_items(deref(node.args[2])) or []):
+                child = deref(child)
+                if isinstance(child, Compound) and child.name != ".":
+                    stack.append(child)
     return results
 
 
@@ -211,26 +218,25 @@ def transform_file(
     user, program = rule_program(rules)
     timings["rules"] = time.perf_counter() - started
 
+    if _check_text_policy(options.unmatched_text) == "copy":
+        program = _with_text_rule(program)
     solver = Solver(
         program, SolverOptions(occurs_check=options.occurs_check, depth_limit=options.depth_limit)
     )
 
     started = time.perf_counter()
+    goal_mode = user is not None and user.defines("go", 2)
+    result_var = fresh_var("Result")
+    goal = Compound("go" if goal_mode else "traverse", (doc, result_var))
+    if options.all_solutions:  # each solution is copied before the next undoes it
+        solutions = [copy_term(result_var) for _ in solver.solve(goal)]
+    else:  # the first solution's own terms: nothing is copied
+        solutions = [result_var] if solver.commit_first(goal) else []
     result_sets: list[list[Term]] = []
-    if user is not None and user.get("go", 2) is not None:
-        result_var = fresh_var("Result")
-        goal = Compound("go", (doc, result_var))
-        if options.all_solutions:  # each solution is copied before the next undoes it
-            solutions = [copy_term(result_var) for _ in solver.solve(goal)]
-        else:  # the first solution's own terms: nothing is copied
-            solutions = [result_var] if solver.commit_first(goal) else []
-        for solution in solutions:
-            items = list_items(solution)
+    for solution in solutions:
+        items = list_items(solution)
+        if goal_mode or items:  # an empty walk is no solution
             result_sets.append(items if items is not None else [solution])
-    else:
-        results = _traverse(doc, solver, options.unmatched_text)
-        if results:
-            result_sets.append(results)
     timings["solve"] = time.perf_counter() - started
 
     if not result_sets:

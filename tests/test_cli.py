@@ -89,6 +89,21 @@ def test_transform_default_text_copy(tmp_path, capsys):
     assert captured.out == "kept\n"
 
 
+@pytest.mark.parametrize(
+    "rule, code, out",
+    [("template(text(_), _) :- !, fail.", 1, ""), ("template(text(_), _) :- fail.", 0, "keep\n")],
+)
+def test_default_text_copy_comes_after_the_programs_own_templates(tmp_path, capsys, rule, code, out):
+    # A text template that cuts commits to its clause, so its failure
+    # blocks the built-in copy; one that fails without a cut lets it through.
+    rules = write(tmp_path, "rules.tx", rule)
+    source = write(tmp_path, "in.xml", "<a>keep</a>")
+    assert main(["transform", "--rules", rules, "--in", source, "--default-text", "copy"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert ("no solution" in captured.err) == (code == 1)
+
+
 def test_transform_pretty_and_no_wrap(tmp_path, capsys):
     rules = write(tmp_path, "rules.tx", "go(Doc, [Doc, Doc]).")
     source = write(tmp_path, "in.xml", "<a><b/></a>")
@@ -304,6 +319,9 @@ def test_shared_subterms_of_an_answer_are_not_cycles(capsys):
         ("X = name - 1", "YES.\nX/-(name,1)\n"),
         ("X = count-N, N = 2", "YES.\nX/-(count,2)\nN/2\n"),
         ("member(name-V, [name-1])", "YES.\nV/1\n"),
+        # `/` (100) binds tighter than the prefix `-` (200), so a negation
+        # is `/`'s right operand only in brackets.
+        ("Y = 2, X is 6 / (- Y)", "YES.\nY/2\nX/-3.0\n"),
     ],
 )
 def test_prefix_minus_reads_and_negates(goal, out, capsys):

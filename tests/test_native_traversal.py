@@ -273,9 +273,9 @@ def test_traverse_and_transform_file_run_the_same_walk(tmp_path, monkeypatch):
     calls = []
     walk = template_engine._walk
 
-    def counted(node, solver, unmatched_text="drop"):
+    def counted(node, solver):
         calls.append(render_term(node))
-        return walk(node, solver, unmatched_text)
+        return walk(node, solver)
 
     monkeypatch.setattr(template_engine, "_walk", counted)
     rules = tmp_path / "rules.tx"

@@ -178,6 +178,7 @@ def test_a_run_of_tokens_reads_as_the_oracle_reads_it(tokens, ops):
         "f(a, b | c)", "\\+ \\+ a", "\\+ (a, b)", "(a :- b :- c)", "a = b = c", "child child x", "- = x", "f(:-, ;)",
         "[-]", "[- , a]", "X(", "(", ")", "f(a,", "[a", "'[]'(a)", "a ; b , c ; d", "a , b ; c , d", "f(a :- b)",
         "f((a :- b))", "a :- b.", "a :- .", ":- a", "- -", "- - a", "name - 1", "count - N", "child :- a",
+        "6 / - Y", "- Y / 2",
     ],
 )
 def test_edge_cases_read_as_the_oracle_reads_them(text):

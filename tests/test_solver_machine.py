@@ -1,6 +1,6 @@
 """The solver's one loop against the nested-generator solver it replaced.
 
-``Solver._solve`` resolves goals on an explicit list of frames and a stack
+``Solver.solve`` resolves goals on an explicit list of frames and a stack
 of choicepoints.  Before it, two cooperating generator paths did the same
 work: ``_solve`` for ``;`` ``!`` ``call/N``, natives and the clause loop, and
 ``_solve_body`` for goal sequences, with cut barriers held in one-element
@@ -11,7 +11,8 @@ fact, whose compiled body has no goals, succeeds at once, and by the native
 protocol: a native that returns True succeeds once, False fails, and
 anything else is its generator, whose requests (``not/1``, ``findall/3``,
 ``traverse/2``) the oracle answers with a nested solve, as the machine did
-before it ran them on its own lists.  It matches and
+before it ran them on its own lists.  Its ``solve`` enters its own
+``_solve``, as the machine's did when ``solve`` wrapped ``_solve``.  It matches and
 builds clauses with the skeleton interpreter of ``skeleton_oracle``, which
 the generated clause code replaced, so it shares no clause code with the
 machine.  Both solvers
@@ -36,6 +37,9 @@ from xmlgen import elements, elements_of
 
 class GeneratorSolver(Solver):
     """The solver as it was: one Python generator per goal and per sequence."""
+
+    def solve(self, goal):
+        return self._solve(goal)
 
     def _solve(self, goal, barrier=None):
         if barrier is None:
@@ -164,6 +168,11 @@ class GeneratorSolver(Solver):
                     return
             else:
                 return
+
+
+def test_the_oracle_solves_with_its_own_generators():
+    solver = GeneratorSolver(parse_program("p."))
+    assert solver.solve(Atom("p")).gi_code is GeneratorSolver._solve.__code__
 
 
 def assert_same_as_generators(program, goal, out, depth_limit):

@@ -1,5 +1,7 @@
 """Tests for template traversal and whole-file transformation."""
 
+import re
+
 import pytest
 
 from termxform.logic_engine import ResourceLimitError, Solver
@@ -110,6 +112,28 @@ def test_unmatched_text_dropped_by_default_copied_on_request():
     assert rendered(traverse(doc, program)) == ["text(hit)"]
     copied = traverse(doc, program, unmatched_text="copy")
     assert rendered(copied) == ["text(keep)", "text(hit)"]
+
+
+def test_copy_extends_a_copy_of_the_program():
+    program = program_with("template(element(x, _, _), [text(hit)]).")
+    clauses = list(program.get("template", 2))
+    doc = parse_document("<a>keep</a>")
+    assert rendered(traverse(doc, program, unmatched_text="copy")) == ["text(keep)"]
+    assert program.get("template", 2) == clauses
+    assert traverse(doc, program) == []
+
+
+@pytest.mark.parametrize("policy", ["Copy", "keep", ""])
+def test_an_unknown_text_policy_is_rejected(policy, tmp_path):
+    with pytest.raises(ValueError, match=re.escape(repr(policy))):
+        TransformOptions(unmatched_text=policy)
+    program = program_with("template(element(x, _, _), [text(hit)]).")
+    with pytest.raises(ValueError, match=re.escape(repr(policy))):
+        traverse(parse_document("<a>keep</a>"), program, unmatched_text=policy)
+    options = TransformOptions()
+    options.unmatched_text = policy
+    with pytest.raises(ValueError, match=re.escape(repr(policy))):
+        transform_file(write(tmp_path, "in.xml", "<a>keep</a>"), None, options=options)
 
 
 def test_template_matching_text_nodes():
@@ -279,3 +303,49 @@ def test_transform_file_go_result_need_not_be_a_list(tmp_path):
     source = write(tmp_path, "in.xml", "<a><b/></a>")
     report = transform_file(source, rules)
     assert report.documents == ["<a><b/></a>"]
+
+
+def test_copy_applies_to_traverse_in_a_template_and_in_go(tmp_path):
+    # XSLT's built-in text rule applies at every level of the walk.
+    copy = TransformOptions(unmatched_text="copy")
+    rules = write(tmp_path, "rules.tx", "template(element(a,_,[C]), [element(b,[],R)]) :- traverse(C, R).")
+    source = write(tmp_path, "in.xml", "<a><a>x</a></a>")
+    assert transform_file(source, rules).documents == ["<b><b/></b>"]
+    assert transform_file(source, rules, options=copy).documents == ["<b><b>x</b></b>"]
+    rules = write(tmp_path, "go.tx", "go(element(a,_,[C]), [element(c,[],R)]) :- traverse(C, R).")
+    source = write(tmp_path, "in.xml", "<a><x>y</x></a>")
+    assert transform_file(source, rules).documents == ["<c/>"]
+    assert transform_file(source, rules, options=copy).documents == ["<c>y</c>"]
+
+
+def test_template_mode_makes_one_solve_per_document(tmp_path, monkeypatch):
+    goals = []
+    solve = Solver.solve
+
+    def counted(solver, goal):
+        goals.append(goal)
+        return solve(solver, goal)
+
+    rules = write(tmp_path, "rules.tx", "template(element(b, _, C), C).")
+    source = write(tmp_path, "in.xml", "<a><b>one</b><c><b>two</b><d/></c>three</a>")
+    monkeypatch.setattr(Solver, "solve", counted)
+    for options in (TransformOptions(), TransformOptions(all_solutions=True), TransformOptions(unmatched_text="copy")):
+        goals.clear()
+        assert transform_file(source, rules, options=options).status == "ok"
+        assert [(goal.name, len(goal.args)) for goal in goals] == [("traverse", 2)]
+    goals.clear()
+    program = program_with("template(element(b, _, C), C).")
+    assert rendered(traverse(parse_document("<a><b>one</b></a>"), program)) == ["text(one)"]
+    assert [(goal.name, len(goal.args)) for goal in goals] == [("traverse", 2)]
+
+
+def test_template_mode_all_numbers_its_one_output_and_go_may_give_none(tmp_path):
+    rules = write(tmp_path, "rules.tx", "template(element(b, _, C), C).")
+    source = write(tmp_path, "in.xml", "<a><b>one</b><b>two</b></a>")
+    out = tmp_path / "out.xml"
+    report = transform_file(source, rules, str(out), TransformOptions(all_solutions=True))
+    assert report.outputs == [str(tmp_path / "out.1.xml")]
+    assert (tmp_path / "out.1.xml").read_text(encoding="utf-8") == "<result>onetwo</result>\n"
+    # An empty walk is no solution, but go/2 may answer the empty list.
+    rules = write(tmp_path, "go.tx", "go(_, []).")
+    assert transform_file(source, rules).documents == ["<result/>"]

@@ -33,8 +33,9 @@ and ``plus``/``minus``/``mult``/``div``, which are ``+ - * /`` over
 single-text elements).  Evaluation errors make the goal fail with a
 diagnostic warning rather than raising.  A native that succeeds
 at most once returns True or False, so its call leaves no choicepoint; the
-ones that can succeed again (``append/3``, ``member/2`` and ``length/2``)
-or run goals (``not/1``, ``findall/3``, ``traverse/2``) are generators.
+ones that can succeed again (``append/3``, ``member/2``, ``length/2`` and
+the prelude's ``descendantOrSelf/3``) or run goals (``not/1``,
+``findall/3``, ``traverse/2``) are generators.
 ``attribute/3,4`` is either: True or False when at most one entry can match
 Id, and a generator when more can.
 """

@@ -9,7 +9,9 @@ would: the list is the solution's own terms, not a copy, and a variable in
 the node that the template binds stays bound.  An unmatched element
 recurses into its children, concatenating their results; unmatched text
 contributes nothing, unless the ``copy`` policy adds XSLT's built-in rule
-``template(text(T), [text(T)])`` after the program's own templates.  The
+``template(text(T), [text(T)])`` after the program's own templates.  A
+node that the first-argument index gives no ``template/2`` clause is
+unmatched without a goal being run for it.  The
 walk is the native ``traverse(Node, Result)``: the machine that runs it
 runs each template goal as a request (see ``Solver``).
 
@@ -146,8 +148,9 @@ def _bi_traverse(solver: Solver, args):
 
 def _walk(node: Term, solver: Solver):
     # Pre-order over an explicit stack: a node's results all come before
-    # those of its later siblings.
-    templates = solver.program.defines("template", 2)
+    # those of its later siblings.  A node that no template/2 clause is
+    # indexed for is not asked about: its request could only fail.
+    candidates = solver.program.candidates
     results: list[Term] = []
     stack = [node]
     while stack:
@@ -155,7 +158,7 @@ def _walk(node: Term, solver: Solver):
         if not isinstance(node, Compound) or node.name in ("pi", "comment") and len(node.args) == 1:
             continue
         out = fresh_var("Result")
-        if templates and (yield Compound("template", (node, out)), None):
+        if candidates("template", 2, (node,)) and (yield Compound("template", (node, out)), None):
             items = list_items(out)  # the first solution's own terms: nothing is copied
             if items is None:
                 raise TemplateError(

@@ -7,14 +7,18 @@ distinct``), tree editing (``removeElement``, ``remove``,
 check ``checkAttributes/1``, and general helpers (``quicksort/3``,
 ``nth/3``, ``church/2``, ``concat``, ``equals/2``, ...).
 
-Four prelude predicates are native, so that each has one
+Seven prelude predicates are native, so that each has one
 implementation: ``traverse/2`` is the template walk in
 :mod:`.template_engine`; ``checkSerializable/1`` (registered here) is the
-check-and-write walk of :mod:`.xml_io`'s serializer; and
-``sortChildren/3``, the body of ``E sort Att``, and ``leStrings/2``
-(both registered here) order text in code-point order, as the rule-level
-``lexicalle/2`` does over code lists.  The operators are the default
-table of :mod:`.rule_language`; the prelude declares none.
+check-and-write walk of :mod:`.xml_io`'s serializer; ``sortChildren/3``,
+the body of ``E sort Att``, and ``leStrings/2`` (both registered here)
+order text in code-point order, as the rule-level ``lexicalle/2`` does
+over code lists; and the navigation natives registered here do the work
+of ``E ^ Name`` (``descendantOrSelf/3``, a walk over a stack of its own)
+and ``E @ Att`` (``attributeValue/3`` reads the entry and ``textValue/2``
+compares it), each in one call.  ``E / Child`` matches its element in the
+clause head.  The operators are the default table of
+:mod:`.rule_language`; the prelude declares none.
 
 This module also converts a flat attribute-only document into a list of
 facts (one relation row per child element).
@@ -26,15 +30,17 @@ import re
 from functools import lru_cache
 from typing import Optional
 
-from .logic_engine import Clause, Program, Solver, _builtin
+from .logic_engine import Clause, Program, Solver, _builtin, _num_text
 from .rule_language import parse_program
 from .term_core import (
+    CONS,
     EMPTY_LIST,
     Atom,
     Compound,
     Term,
     Var,
     deref,
+    fresh_var,
     is_ground,
     list_items,
     mk_list,
@@ -54,26 +60,23 @@ PRELUDE_SRC = """\
 % Navigation and transformation operators (declared in the
 % default operator table of rule_language).
 
-transform(E1 / Child,element(Child,A,C)):-
-  E1=element(Name,AttList,Children),
+transform(element(_,_,Children) / Child,
+          element(Child,A,C)):-
   member(element(Child,A,C),Children).
 transform(X / Child,Y):-transform(X,X2),
   transform(X2 / Child,Y).
 
 transform(_ ^ Name,_):-
   (var(Name);list(Name)), !, fail.
-transform(element(Name,A,C) ^ Name,
-          element(Name,A,C)).
-transform(element(_,_,C) ^ Name,X):-
-  member(H,C),
-  transform(H ^ Name,X).
+transform(E ^ Name,X):-
+  descendantOrSelf(E,Name,X).
 transform(X ^ Name,Y):-
   transform(X,X2),
   transform(X2 ^ Name,Y).
 
 transform(element(_,AttList,_) @ Att,X):-
-  atom(Att), attribute(AttList,Att,V), !,
-  (X=V; number(X), V is string(X)).
+  attributeValue(AttList,Att,V), !,
+  textValue(X,V).
 transform(X @ Att, Y):-
   transform(X,X2),
   transform(X2 @ Att, Y).
@@ -456,11 +459,82 @@ def load_prelude(user: Optional[Program] = None) -> Program:
     return combined
 
 
-def _sort_key(child: Compound, att: str) -> Optional[str]:
-    """The value of *child*'s first well-formed *att* entry, the one ``@`` reads."""
-    entries = (split_attr(item, att) for item in list_items(child.args[1]) or ())
+def _attribute_value(atts: Term, att: str) -> Optional[str]:
+    """The value of the first well-formed *att* entry of the proper list *atts*, the one ``@`` reads."""
+    entries = (split_attr(item, att) for item in list_items(atts) or ())
     attr = next(filter(None, entries), None)
     return None if attr is None else attr[1]
+
+
+@_builtin("descendantOrSelf", 3)
+def _bi_descendant_or_self(solver: Solver, args):
+    """descendantOrSelf(E, Name, X): the body of ``E ^ Name``, XPath's ``descendant-or-self::Name``.
+
+    X is each element of E's subtree whose name unifies with Name, in
+    pre-order, as the rules ``transform(element(Name,A,C) ^ Name,
+    element(Name,A,C))`` and ``transform(element(_,_,C) ^ Name, X) :-
+    member(H, C), transform(H ^ Name, X)`` gave them.  The walk keeps the
+    rest of each open child list on a stack of its own, so its depth is
+    bounded by memory.  A child list is read as ``member/2`` reads it: it
+    ends at anything but a list cell, and an unbound tail is extended by
+    one cell, at one step.  An unbound node costs a step too: it is first
+    bound to an element named Name, then to an element with an unbound
+    child list, which is extended in turn.  Its walk never ends, so the walk
+    never comes back to the list that held it, and the step limit ends it.
+    """
+    node, name, found = args
+    trail = solver.trail
+    lists: list[Term] = []  # the rest of each child list being walked, innermost last
+    while True:
+        node = deref(node)
+        if type(node) is Var:
+            solver._step()
+            mark = len(trail)
+            named = Compound("element", (name, fresh_var("A"), fresh_var("C")))
+            if solver.unify(node, named) and solver.unify(found, node):  # Name may hold the node: occurs check
+                yield
+            solver.undo_to(mark)
+            children = fresh_var("C")
+            solver.bind(node, Compound("element", (fresh_var("N"), fresh_var("A"), children)))
+            lists.append(children)
+        elif type(node) is Compound and node.name == "element" and len(node.args) == 3:
+            mark = len(trail)
+            if solver.unify(node.args[0], name) and solver.unify(found, node):
+                yield
+            solver.undo_to(mark)
+            lists.append(node.args[2])
+        while lists:
+            rest = deref(lists[-1])
+            if type(rest) is Compound and rest.name == CONS and len(rest.args) == 2:
+                node, lists[-1] = rest.args
+                break
+            if type(rest) is Var:
+                solver._step()
+                node = fresh_var("H")
+                solver.bind(rest, Compound(CONS, (node, fresh_var("T"))))
+                break
+            lists.pop()
+        else:
+            return
+
+
+@_builtin("attributeValue", 3)
+def _bi_attribute_value(solver: Solver, args) -> bool:
+    """attributeValue(Atts, Att, V): V is the value of the first well-formed Att entry of Atts, an atom Att."""
+    att = deref(args[1])
+    value = _attribute_value(args[0], att.name) if type(att) is Atom else None
+    return value is not None and solver.unify(args[2], Atom(value))
+
+
+@_builtin("textValue", 2)
+def _bi_text_value(solver: Solver, args) -> bool:
+    """textValue(X, V): X unifies with V, or else X is a number whose text is V (``V is string(X)``)."""
+    mark = len(solver.trail)
+    if solver.unify(args[0], args[1]):
+        return True
+    solver.undo_to(mark)
+    number = deref(args[0])
+    return isinstance(number, (int, float)) and solver.unify(args[1], Atom(_num_text(number)))
 
 
 @_builtin("sortChildren", 3)
@@ -476,24 +550,28 @@ def _bi_sort_children(solver: Solver, args) -> bool:
     child whose value is above every value emitted so far emits each
     pending child whose value is at most its own, in sorted order.
 
-    Children must be a ground proper list of ``element/3`` nodes (an
-    unbound list is bound to ``[]``), and a non-empty list with a non-ground
-    Att only checks a ground Sorted against the input order, as the rules
-    this replaces did.
+    Children must be a proper list of ``element/3`` nodes whose attribute
+    lists are ground (an unbound list is bound to ``[]``); only what the sort
+    reads is checked, so a variable in a child's name or content does not
+    stop it.  A non-empty list with a non-ground Att only checks a ground
+    Sorted against the input order, as the rules this replaces did.
     """
     children, att, sorted_out = args
     if isinstance(deref(children), Var):
         return solver.unify(children, EMPTY_LIST) and solver.unify(sorted_out, EMPTY_LIST)
     items = list_items(children)
-    if items is None or not is_ground(children):
+    if items is None:
         return False
     nodes = [deref(item) for item in items]
-    if not all(isinstance(n, Compound) and n.name == "element" and len(n.args) == 3 for n in nodes):
+    if not all(
+        isinstance(n, Compound) and n.name == "element" and len(n.args) == 3 and is_ground(n.args[1])
+        for n in nodes
+    ):
         return False
     att = deref(att)
     if nodes and not is_ground(att) and not is_ground(sorted_out):
         return False
-    keys = [_sort_key(node, att.name) if isinstance(att, Atom) else None for node in nodes]
+    keys = [_attribute_value(node.args[1], att.name) if isinstance(att, Atom) else None for node in nodes]
     pending = sorted(
         ((key, node) for key, node in reversed(list(zip(keys, nodes))) if key is not None),
         key=lambda pair: pair[0],

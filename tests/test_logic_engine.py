@@ -340,7 +340,7 @@ def test_only_natives_that_can_succeed_again_are_generators():
 
     generators = {key for key, native in _BUILTINS.items() if inspect.isgeneratorfunction(native)}
     run_goals = {("not", 1), ("findall", 3), ("traverse", 2)}
-    expected = {("append", 3), ("member", 2), ("length", 2)}
+    expected = {("append", 3), ("member", 2), ("length", 2), ("descendantOrSelf", 3)}
     assert generators == expected | run_goals
     solver = make_solver("template(element(b,_,C), C).")
     goal, template, found = Atom("g"), fresh_var("T"), fresh_var("L")
@@ -349,7 +349,8 @@ def test_only_natives_that_can_succeed_again_are_generators():
         (("not", 1), [goal], [((goal, None), True)], False),
         (("not", 1), [goal], [((goal, None), False)], True),
         (("findall", 3), [template, goal, found], [((goal, template), [1, 2])], True),
-        (("traverse", 2), [node, EMPTY_LIST], [(None, False), (None, False)], True),
+        # text(x) has no template/2 candidate, so only element a is asked about
+        (("traverse", 2), [node, EMPTY_LIST], [(None, False)], True),
         (("traverse", 2), [Atom("x"), EMPTY_LIST], [], True),
     ]
     for key, args, answers, last in runs:
@@ -699,7 +700,7 @@ def test_slash_gives_every_same_named_child_in_order_and_builds_no_list_cells(n,
     answers = [render_term(deref(answer)) for _ in solver.solve(goal)]
     assert answers == [render_term(child) for child in children]
     assert cells == []
-    assert solver.steps == 4
+    assert solver.steps == 3
 
 
 def test_slash_over_a_partial_child_list_gives_the_answers_append_gave_in_fewer_steps():
@@ -720,9 +721,9 @@ def test_slash_over_a_partial_child_list_gives_the_answers_append_gave_in_fewer_
     # append/3 gave _H<n>.
     assert re.search(r",text\(x\),_\d+,element\(a,", text)
     assert answers == [
-        ("transform(/(element(e,[],[element(a,[],[]),text(x)|V0]),a),element(a,[],[]))", 3),
-        ("transform(/(element(e,[],[element(a,[],[]),text(x),element(a,V0,V1)|V2]),a),element(a,V0,V1))", 4),
-        ("transform(/(element(e,[],[element(a,[],[]),text(x),V0,element(a,V1,V2)|V3]),a),element(a,V1,V2))", 5),
+        ("transform(/(element(e,[],[element(a,[],[]),text(x)|V0]),a),element(a,[],[]))", 2),
+        ("transform(/(element(e,[],[element(a,[],[]),text(x),element(a,V0,V1)|V2]),a),element(a,V0,V1))", 3),
+        ("transform(/(element(e,[],[element(a,[],[]),text(x),V0,element(a,V1,V2)|V3]),a),element(a,V1,V2))", 4),
     ]
 
 

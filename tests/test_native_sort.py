@@ -112,6 +112,18 @@ def test_a_non_ground_child_list_fails():
         assert native == old == ([], ""), children
 
 
+def test_a_variable_in_a_child_s_name_or_content_does_not_stop_the_sort():
+    # The native checks the groundness of what it reads, each child's shape
+    # and attribute list; the rules failed on any non-ground child list.
+    doc = "[element(b,['k=\"2\"'],[text(X)]),element(N,['k=\"1\"'],[])]"
+    native, old = native_and_old(E=tree(doc), K=Atom("k"))
+    assert old == ([], "")
+    assert native == ([
+        "[element(r,[],[element(b,['k=\"2\"'],[text(_1)]),element(_2,['k=\"1\"'],[])]),k,"
+        "element(r,[],[element(_2,['k=\"1\"'],[]),element(b,['k=\"2\"'],[text(_1)])])]"
+    ], "")
+
+
 def test_an_unbound_child_list_is_bound_to_the_empty_list():
     element = Compound("element", (Atom("r"), EMPTY_LIST, fresh_var("L")))
     native, old = native_and_old(E=element, K=Atom("k"))

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from termxform import template_engine
 from termxform.logic_engine import Solver, SolverOptions
 from termxform.rule_language import parse_program, parse_query
-from termxform.template_engine import TemplateError, transform_file, traverse
+from termxform.template_engine import TemplateError, TransformOptions, transform_file, traverse
 from termxform.term_core import (
     Atom,
     Compound,
@@ -291,6 +291,20 @@ def test_traverse_and_transform_file_run_the_same_walk(tmp_path, monkeypatch):
     assert calls == from_file
     # One call for the root: the walk runs over its own stack, not by recursion.
     assert calls == ["element(a,[],[element(b,[],[text(hi)])])"]
+
+
+def test_the_walk_asks_only_about_nodes_that_have_a_template_candidate(tmp_path, monkeypatch):
+    # The 20,000-deep nest of the CI step "Template nesting stays linear",
+    # under --default-text copy with the prelude alone: no template/2 clause
+    # is indexed for an element, so the walk asks only about the text.  The
+    # traverse/2 goal and the text rule are the two steps.
+    monkeypatch.setattr(template_engine, "Solver", _Recorded)
+    _Recorded.made = []
+    source = tmp_path / "nest.xml"
+    source.write_text("<a>" * 20_000 + "x" + "</a>" * 20_000, encoding="utf-8")
+    report = transform_file(str(source), None, options=TransformOptions(unmatched_text="copy"))
+    assert report.documents == ["x"]
+    assert [solver.steps for solver in _Recorded.made] == [2]
 
 
 # ---------------------------------------------------------------------------

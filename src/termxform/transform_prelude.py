@@ -7,17 +7,19 @@ distinct``), tree editing (``removeElement``, ``remove``,
 check ``checkAttributes/1``, and general helpers (``quicksort/3``,
 ``nth/3``, ``church/2``, ``concat``, ``equals/2``, ...).
 
-Seven prelude predicates are native, so that each has one
+Ten prelude predicates are native, so that each has one
 implementation: ``traverse/2`` is the template walk in
 :mod:`.template_engine`; ``checkSerializable/1`` (registered here) is the
 check-and-write walk of :mod:`.xml_io`'s serializer; ``sortChildren/3``,
 the body of ``E sort Att``, and ``leStrings/2`` (both registered here)
 order text in code-point order, as the rule-level ``lexicalle/2`` does
-over code lists; and the navigation natives registered here do the work
+over code lists; the navigation natives registered here do the work
 of ``E ^ Name`` (``descendantOrSelf/3``, a walk over a stack of its own)
 and ``E @ Att`` (``attributeValue/3`` reads the entry and ``textValue/2``
-compares it), each in one call.  ``E / Child`` matches its element in the
-clause head.  The operators are the default table of
+compares it), each in one call; and so do the tree edits registered here,
+``insertBefore/4``, ``insertAfter/4`` (one native, by anchor or by
+position) and ``removeAttribute/3``.  ``E / Child`` matches its element
+in the clause head.  The operators are the default table of
 :mod:`.rule_language`; the prelude declares none.
 
 This module also converts a flat attribute-only document into a list of
@@ -30,7 +32,7 @@ import re
 from functools import lru_cache
 from typing import Optional
 
-from .logic_engine import Clause, Program, Solver, _builtin, _num_text
+from .logic_engine import Clause, Program, Solver, _append, _builtin, _num_text
 from .rule_language import parse_program
 from .term_core import (
     CONS,
@@ -42,6 +44,7 @@ from .term_core import (
     deref,
     fresh_var,
     is_ground,
+    is_list,
     list_items,
     mk_list,
     split_attr,
@@ -205,55 +208,7 @@ remove(element(N,As,L),Node,
        element(N,As,L2)):-
   delete(Node,L,L2).
 
-removeAttribute(element(N,As,L),Att,
-                element(N,As2,L)):-
-  atom(Att), attribute(As,Att,_,As2), !.
-
-insertBefore(_,_,RecentNode,_):-
-  (var(RecentNode);
-   list(RecentNode)),
-  !, fail.
-insertBefore(_,NewNode,_,_):-
-  (var(NewNode);
-   list(NewNode)),
-  !, fail.
-insertBefore(E1,NewNode,RecentNode,
-             element(N,A,List2)):-
-  E1=element(N,A,List),
-  compound(RecentNode),
-  !,
-  append(Pre,[RecentNode|Post],List),
-  append(Pre,[NewNode,RecentNode|Post],
-         List2).
-insertBefore(E1,NewNode,Position,
-             element(N,A,List2)):-
-  E1=element(N,A,List),
-  integer(Position),
-  !, Position>=1,
-  nth(Position,List,X),
-  append(Pre,[X|Post],List),
-  append(Pre,[NewNode,X|Post],List2).
-
-insertAfter(_,_,RecentNode,_):-
-  (var(RecentNode); list(RecentNode)),
-  !, fail.
-insertAfter(_,NewNode,_,_):-
-  (var(NewNode); list(NewNode)),
-  !, fail.
-insertAfter(E1,NewNode,RecentNode,
-    element(N,A,List2)):-
-  E1=element(N,A,List),
-  compound(RecentNode), !,
-  append(Pre,[RecentNode|Post],List),
-  append(Pre,[RecentNode,NewNode|Post],
-         List2).
-insertAfter(E1,NewNode,Position,
-            element(N,A,List2)):-
-  E1=element(N,A,List), integer(Position),
-  !,
-  Position>=1, nth(Position,List,X),
-  append(Pre,[X|Post],List),
-  append(Pre,[X,NewNode|Post],List2).
+% insertBefore/4, insertAfter/4 and removeAttribute/3 are natives.
 
 % Protected helpers.
 
@@ -535,6 +490,94 @@ def _bi_text_value(solver: Solver, args) -> bool:
     solver.undo_to(mark)
     number = deref(args[0])
     return isinstance(number, (int, float)) and solver.unify(args[1], Atom(_num_text(number)))
+
+
+@_builtin("removeAttribute", 3)
+def _bi_remove_attribute(solver: Solver, args) -> bool:
+    """removeAttribute(E, Att, R): R is the element E without its first well-formed Att entry, an atom Att.
+
+    Of the Att entries, the first whose removal leaves an element that
+    unifies with R is removed, as the rule ``attribute(As, Att, _, As2), !``
+    chose it.  An unbound E, an attribute list that is not proper, or no
+    such entry fails.
+    """
+    element, att = deref(args[0]), deref(args[1])
+    if not (type(element) is Compound and element.name == "element" and len(element.args) == 3 and type(att) is Atom):
+        return False
+    items = list_items(element.args[1])
+    for index, item in enumerate(items or ()):
+        if split_attr(item, att.name) is not None:
+            mark = len(solver.trail)
+            rest = mk_list(items[:index] + items[index + 1 :])
+            if solver.unify(args[2], Compound("element", (element.args[0], rest, element.args[2]))):
+                return True
+            solver.undo_to(mark)
+    return False
+
+
+def _insert(offset: int):
+    """The native of ``insertBefore/4`` (*offset* 0) or ``insertAfter/4`` (*offset* 1).
+
+    insertBefore(E, New, Anchor, R) and insertAfter(E, New, Anchor, R): R
+    is the element E with New put just before or just after a child.  An
+    Anchor or New that is unbound or a proper list fails.  A compound
+    Anchor gives the splits ``append(Pre, [Anchor|Post], Children)`` in
+    order, each with R's children ``Pre`` ++ ``[New, Anchor|Post]`` (or
+    ``[Anchor, New|Post]``), so an open child list is extended at one step
+    per cell.  An integer Anchor P >= 1 is a position, with one answer:
+    New inserted at cell P.  The walk to cell P extends an open child
+    list (or an unbound E's) at one step per cell added, and fails at once
+    when a proper list is shorter than P.  Anything else fails.
+    """
+
+    def insert(solver: Solver, args):
+        element, new, anchor, result = args
+        anchor, new = deref(anchor), deref(new)
+        if type(anchor) is Var or type(new) is Var or is_list(anchor) or is_list(new):
+            return False
+        if type(anchor) is not Compound and type(anchor) is not int:
+            return False
+        name, atts, children, edited = fresh_var("N"), fresh_var("A"), fresh_var("L"), fresh_var("L")
+        if not (
+            solver.unify(result, Compound("element", (name, atts, edited)))
+            and solver.unify(element, Compound("element", (name, atts, children)))
+        ):
+            return False
+        if type(anchor) is int:
+            return anchor >= 1 and _insert_at(solver, children, anchor, anchor - 1 + offset, new, edited)
+        return _insert_by_anchor(solver, children, anchor, (new, anchor) if offset == 0 else (anchor, new), edited)
+
+    return insert
+
+
+def _insert_at(solver: Solver, children: Term, cells: int, at: int, new: Term, edited: Term) -> bool:
+    """*edited* unifies with *children* with *new* inserted at index *at*, after walking *cells* cells of it."""
+    items: list[Term] = []
+    rest = children
+    while len(items) < cells:
+        rest = deref(rest)
+        if type(rest) is Compound and rest.name == CONS and len(rest.args) == 2:
+            items.append(rest.args[0])
+            rest = rest.args[1]
+        elif type(rest) is Var:
+            solver._step()
+            solver.bind(rest, Compound(CONS, (fresh_var("H"), fresh_var("T"))))
+        else:
+            return False
+    items.insert(at, new)
+    return solver.unify(edited, mk_list(items, rest))
+
+
+def _insert_by_anchor(solver: Solver, children: Term, anchor: Term, pair: tuple, edited: Term):
+    """``append(Pre, [Anchor|Post], Children), append(Pre, Pair ++ Post, Edited)``, one solution per split."""
+    pre, post = fresh_var("Pre"), fresh_var("Post")
+    spliced = mk_list(pair, post)
+    for _ in _append(solver, pre, Compound(CONS, (anchor, post)), children):
+        yield from _append(solver, pre, spliced, edited)
+
+
+_builtin("insertBefore", 4)(_insert(0))
+_builtin("insertAfter", 4)(_insert(1))
 
 
 @_builtin("sortChildren", 3)

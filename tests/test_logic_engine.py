@@ -31,6 +31,7 @@ from termxform.term_core import (
     render_term,
     term_variables,
 )
+from termxform import transform_prelude
 from termxform.transform_prelude import load_prelude
 from test_clause_index import _outcome
 from xmlgen import elements, elements_of
@@ -747,6 +748,7 @@ def test_append_splits_give_what_building_every_prefix_first_gave(tree):
         suffix_first = _outcome(program, goal, goal, 5000)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(logic_engine, "_append", _recursive_append)
+            patch.setattr(transform_prelude, "_append", _recursive_append)  # the insert natives' append
             prefix_first = _outcome(program, goal, goal, 5000)
         assert suffix_first == prefix_first, render_term(goal)
 

@@ -21,7 +21,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .logic_engine import DEFAULT_STEP_LIMIT, ResourceLimitError, Solver, SolverOptions, call_goal
+from .logic_engine import AND, CALL, CALL_N, DEFAULT_STEP_LIMIT, OR, ResourceLimitError, Solver, SolverOptions
+from .logic_engine import call_goal, goal_kind
 from .rule_language import parse_query
 from .template_engine import TransformOptions, rule_program, transform_file
 from .term_core import (
@@ -338,24 +339,19 @@ def _referenced_goals(body: Term) -> list[tuple[str, int]]:
     found: list[tuple[str, int]] = []
     stack = [body]
     while stack:
-        goal = deref(stack.pop())
-        if isinstance(goal, Atom):
-            found.append((goal.name, 0))
-            continue
-        if not isinstance(goal, Compound):
-            continue
-        if goal.name in (",", ";") and len(goal.args) == 2:
-            stack.extend(goal.args)
-        elif goal.name == "not" and len(goal.args) == 1:
-            stack.append(goal.args[0])
-        elif goal.name == "findall" and len(goal.args) == 3:
-            stack.append(goal.args[1])
-        elif goal.name == "call":
-            target = call_goal(goal.args[0], goal.args[1:])
+        kind, name, args = goal_kind(deref(stack.pop()))
+        if kind is AND or kind is OR:
+            stack.extend(args)
+        elif kind is CALL_N:
+            target = call_goal(args[0], args[1:])
             if target is not None:
                 stack.append(target)
-        else:
-            found.append((goal.name, len(goal.args)))
+        elif (name, len(args)) == ("not", 1):
+            stack.append(args[0])
+        elif (name, len(args)) == ("findall", 3):
+            stack.append(args[1])
+        elif kind is CALL:
+            found.append((name, len(args)))
     return found
 
 

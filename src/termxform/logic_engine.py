@@ -3,11 +3,12 @@
 The solver enumerates solutions depth-first over an ordered clause store:
 clauses are tried in program order, conjunctions left to right, and bindings
 are undone chronologically (a trail) on backtracking.  The solver runs the
-control constructs ``,`` ``;`` ``!`` and ``call/N`` itself; the cut commits to
-the choices made since the activation of the clause it occurs in.  Every
-other built-in goal, ``true/0``, ``fail/0``, ``false/0``, ``not/1`` and
-``findall/3`` included, is a native in one registry.  ``call/N``, ``not/1``
-and ``findall/3`` run their goal on the caller's machine, behind a cut barrier.
+control constructs ``,`` ``;`` ``!`` and ``call/N`` itself, which one table
+names (see :func:`goal_kind`); the cut commits to the choices made since the
+activation of the clause it occurs in.  Every other built-in goal,
+``true/0``, ``fail/0``, ``false/0``, ``not/1`` and ``findall/3`` included,
+is a native in one registry.  ``call/N``, ``not/1`` and ``findall/3`` run
+their goal on the caller's machine, behind a cut barrier.
 Natives, like the control constructs, shadow program clauses of the same
 name and arity (see :meth:`Solver.is_builtin`).  A step counter turns
 runaway programs into a :class:`ResourceLimitError` instead of a hang.  A
@@ -45,6 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from operator import itemgetter
 from typing import Callable, Generator, Iterator, Optional, Sequence, TextIO
 
 from .term_core import (
@@ -127,8 +129,30 @@ _NODE_FORMS = {"plus": "+", "minus": "-", "mult": "*", "div": "/"}
 #                                       native is None for a program predicate
 #   (CUT,)
 #   (OR, left sites, right sites)       the branches of a ``;``, over the same slots
-#   (TERM, build)                       build(e) is a goal term, run as a query's goal is
-CALL, CUT, OR, TERM = "call", "!", ";", "term"
+#   (TERM, build)                       build(e) is a goal term, read by goal_kind when entered
+# AND (a ``,``) and CALL_N (``call/N``) are kinds of goal term, never of a site.
+CALL, CUT, OR, TERM, AND, CALL_N = "call", "!", ";", "term", ",", "call/N"
+
+# The control constructs, which the machine runs itself: name -> (kind, arity),
+# an arity of None standing for every arity from 1.
+_CONTROL = {",": (AND, 2), ";": (OR, 2), "!": (CUT, 0), "call": (CALL_N, None)}
+
+
+def _control(name: str, arity: int) -> Optional[str]:
+    """The kind of control construct that name/arity is, or None."""
+    kind, wanted = _CONTROL.get(name, (None, 0))
+    return kind if arity == wanted or (wanted is None and arity > 0) else None
+
+
+def goal_kind(goal: Term) -> tuple[str, Optional[str], tuple]:
+    """(kind, name, args) of dereferenced goal *goal*: its ``_CONTROL`` kind, else CALL, or TERM if not callable."""
+    if type(goal) is Compound:
+        name, args = goal.name, goal.args
+    elif type(goal) is Atom:
+        name, args = goal.name, ()
+    else:
+        return TERM, None, ()
+    return _control(name, len(args)) or CALL, name, args
 
 
 class Clause:
@@ -238,22 +262,21 @@ class _ClauseCode:
                 code.append(OR)
                 continue
             goal = deref(goal)
-            name = goal.name if isinstance(goal, (Atom, Compound)) else None
-            args = goal.args if isinstance(goal, Compound) else ()
+            kind, name, args = goal_kind(goal)
             function, lines = "g%d" % next(self.count), []
-            if name == "!" and not args:
+            if kind is CUT:
                 code.append((CUT,))
-            elif name == ";" and len(args) == 2:
+            elif kind is OR:
                 work.append((self.filled, args[1]))
                 self.filled = set(self.filled)
                 code.append(None)
                 work.extend(reversed(_conjuncts(args[0])))
-            elif name is None or (name == "," and len(args) == 2) or (name == "call" and args):
-                self.function(function + "(e)", lines, self.build(goal, lines))
-                code.append((TERM, function))
-            else:
+            elif kind is CALL:
                 self.function(function + "(e)", lines, self.build_args(args, lines))
                 code.append((CALL, function, name, len(args), _BUILTINS.get((name, len(args)))))
+            else:  # a variable, a number, call/N or a nested `,`
+                self.function(function + "(e)", lines, self.build(goal, lines))
+                code.append((TERM, function))
         return code
 
     def link(self, code: list) -> tuple:
@@ -396,18 +419,25 @@ def _conjuncts(t: Term) -> list[Term]:
     """The goals of a right-nested ``,`` chain, left to right."""
     goals = []
     t = deref(t)
-    while type(t) is Compound and t.name == "," and len(t.args) == 2:
+    while goal_kind(t)[0] is AND:
         goals.append(t.args[0])
         t = deref(t.args[1])
     goals.append(t)
     return goals
 
 
-def _sequence(goals: Sequence, env: Optional[list], cut: int, rest: Optional[tuple]) -> Optional[tuple]:
-    """Frames that run *goals* and then *rest* (*rest* itself for no goals)."""
-    for goal in reversed(goals):
-        rest = (goal, env, cut, rest)
+def _sequence(sites: Sequence, env, cut: int, rest: Optional[tuple]) -> Optional[tuple]:
+    """Frames that run *sites* over *env* and then *rest* (*rest* itself for no sites)."""
+    for site in reversed(sites):
+        rest = (site, env, cut, rest)
     return rest
+
+
+# The fixed sites a goal term runs on (see Solver): its env is the goal term
+# itself, or for a ``,`` or ``;`` term the term's argument tuple.
+_GOAL = (TERM, deref)
+_LEFT, _RIGHT = (TERM, itemgetter(0)), (TERM, itemgetter(1))
+_BOTH, _EITHER = (_LEFT, _RIGHT), (OR, (_LEFT,), (_RIGHT,))
 
 
 def call_goal(target: Term, extra: Sequence[Term]) -> Optional[Term]:
@@ -564,11 +594,14 @@ class Solver:
 
     It is one loop over the goals still to run, a linked list of
     frames ``(site, env, cut height, rest)`` (a *rest* of None is a
-    solution), and a list of choicepoints.  With an *env*, the clause's slot
-    list, the frame's site is a compiled body site (see
-    :meth:`Clause.compile`); without one it is a goal term, read into the
-    site it would compile to.  Entering a site counts its step in the loop
-    itself (natives that enumerate without end call :meth:`_step`).  A call
+    solution), and a list of choicepoints.  A site is a compiled body site
+    (see :meth:`Clause.compile`) over *env*, the clause's slot list, or a
+    fixed TERM site: a goal term (a query's, ``call/N``'s, a request's) is
+    the *env* of ``_GOAL``, and a ``,`` or ``;`` term's argument tuple that
+    of ``_LEFT`` and ``_RIGHT``.  A TERM site's goal runs as the site it
+    would compile to, read by :func:`goal_kind`.  Entering a site counts its
+    step in the loop itself (natives that enumerate without end call
+    :meth:`_step`).  A call
     site builds the argument tuple from *env* and calls its native, or asks
     ``self.program``'s :meth:`Program.candidates` for the clauses that the
     name, arity and first argument select: a site never holds clauses, so a
@@ -718,7 +751,7 @@ class Solver:
         candidates = self.program.candidates
         choicepoints: list = []
         requests: list = []  # [barrier, template, answer] per native waiting on its goal, newest last
-        frame: Optional[tuple] = (goal, None, 0, None)
+        frame: Optional[tuple] = (_GOAL, goal, 0, None)
         try:
             while True:
                 if frame is None:
@@ -732,28 +765,21 @@ class Solver:
                         requests[-1][2].append(copy_term(requests[-1][1]))
                 else:
                     site, env, cut, frame = frame
-                    if env is not None and site[0] is CALL:
-                        kind, build, name, arity, native = site
+                    kind = site[0]
+                    if kind is CALL:
+                        _, build, name, arity, native = site
                         args = build(env)
-                    elif env is not None and site[0] is not TERM:
-                        kind = site[0]
-                    else:  # a goal term runs as the site it would compile to
-                        goal = deref(site if env is None else site[1](env))
-                        env = None
-                        name = goal.name if type(goal) is Compound or type(goal) is Atom else None
-                        args = goal.args if type(goal) is Compound else ()
-                        arity = len(args)
-                        if name == "," and arity == 2:
-                            frame = _sequence(_conjuncts(goal), None, cut, frame)
+                    elif kind is TERM:  # a goal term runs as the site it would compile to
+                        goal = deref(site[1](env))
+                        kind, name, args = goal_kind(goal)
+                        if kind is AND:  # no step: each argument runs on a fixed site
+                            frame = _sequence(_BOTH, args, cut, frame)
                             continue
-                        if name is None or (name == "call" and arity >= 1):
-                            kind = TERM
-                        elif name == "!" and arity == 0:
-                            kind = CUT
-                        elif name == ";" and arity == 2:
-                            kind, site = OR, (OR, args[:1], args[1:])
-                        else:
-                            kind, native = CALL, _BUILTINS.get((name, arity))
+                        if kind is OR:
+                            site, env = _EITHER, args
+                        elif kind is CALL:
+                            arity = len(args)
+                            native = _BUILTINS.get((name, arity))
                     self.steps += 1  # as _step(), inline: one step per goal entered
                     if self.steps > limit:
                         raise ResourceLimitError("step limit of %d resolution steps exceeded" % limit)
@@ -777,15 +803,15 @@ class Solver:
                         del choicepoints[cut:]
                         continue
                     elif kind is OR:
-                        right = _sequence(site[2], env, cut, frame)
-                        choicepoints.append([len(trail), None, right])
+                        choicepoints.append([len(trail), None, _sequence(site[2], env, cut, frame)])
                         frame = _sequence(site[1], env, cut, frame)
                         continue
-                    elif name is not None:  # call/N
-                        target = self._call_goal(args[0], args[1:])
+                    elif kind is CALL_N:
+                        target = call_goal(args[0], args[1:])
                         if target is not None:
-                            frame = (target, None, len(choicepoints), frame)
+                            frame = (_GOAL, target, len(choicepoints), frame)
                             continue
+                        self.warn("call/N target is not callable: %s" % render_term(args[0]))
                     elif type(goal) is Var:
                         self.warn("unbound variable called as a goal")
                     else:
@@ -818,7 +844,7 @@ class Solver:
                         frame = point[2]
                     else:  # a request: its goal runs behind the native's choicepoint, a cut barrier
                         requests.append([len(choicepoints), alternative[1], False if alternative[1] is None else []])
-                        frame = (alternative[0], None, len(choicepoints), None)
+                        frame = (_GOAL, alternative[0], len(choicepoints), None)
                     break
                 else:
                     return
@@ -857,15 +883,7 @@ class Solver:
     @staticmethod
     def is_builtin(name: str, arity: int) -> bool:
         """True when ``solve`` runs name/arity itself or by a native, never by clauses."""
-        if (name, arity) in ((",", 2), (";", 2), ("!", 0)) or (name == "call" and arity >= 1):
-            return True
-        return (name, arity) in _BUILTINS
-
-    def _call_goal(self, target: Term, extra: Sequence[Term]) -> Optional[Term]:
-        goal = call_goal(target, extra)
-        if goal is None:
-            self.warn("call/N target is not callable: %s" % render_term(target))
-        return goal
+        return _control(name, arity) is not None or (name, arity) in _BUILTINS
 
     # -- arithmetic / functor evaluation -------------------------------------
 
@@ -1183,6 +1201,14 @@ def _append(solver: Solver, a: Term, b: Term, c: Term) -> Iterator[None]:
         a, c = tail_a, tail_c
 
 
+def _grow(solver: Solver, tail: Var) -> Var:
+    """Bind the unbound list tail *tail* to a fresh cell ``[_|T]``, at one step; returns T."""
+    solver._step()
+    head, rest = fresh_var("_"), fresh_var("_")
+    solver.bind(tail, Compound(CONS, (head, rest)))
+    return rest
+
+
 @_builtin("member", 2)
 def _bi_member(solver: Solver, args) -> Iterator[None]:
     x, lst = args[0], args[1]
@@ -1227,15 +1253,15 @@ def _bi_length(solver: Solver, args) -> Iterator[None]:
         if solver.unify(tail, mk_list([fresh_var("_") for _ in range(missing)])):
             yield
         return
-    if isinstance(n, Var):
+    if isinstance(n, Var):  # the list grows by one cell per answer, at one step each
         k = len(items)
+        solver._step()
         while True:
-            solver._step()
             mark = len(solver.trail)
-            extension = mk_list([fresh_var("_") for _ in range(k - len(items))])
-            if solver.unify(tail, extension) and solver.unify(n, k):
+            if solver.unify(tail, EMPTY_LIST) and solver.unify(n, k):
                 yield
             solver.undo_to(mark)
+            tail = _grow(solver, tail)
             k += 1
     solver.warn("length/2 needs a proper list or an integer length")
 
@@ -1349,28 +1375,8 @@ def _bi_upcase(solver: Solver, args) -> bool:
     return solver.unify(args[0], Atom(_ascii_upper(word.name)))
 
 
-def _atom_pair(solver: Solver, args) -> Optional[tuple[str, str]]:
-    first = deref(args[0])
-    second = deref(args[1])
-    if isinstance(first, Atom) and isinstance(second, Atom):
-        return first.name, second.name
-    return None
-
-
 def _case_order_key(s: str, upper_rank: int) -> tuple:
     return (_ascii_lower(s), tuple(upper_rank if "A" <= c <= "Z" else 1 - upper_rank for c in s))
-
-
-@_builtin("upper_first", 2)
-def _bi_upper_first(solver: Solver, args) -> bool:
-    pair = _atom_pair(solver, args)
-    return pair is not None and _case_order_key(pair[0], 0) <= _case_order_key(pair[1], 0)
-
-
-@_builtin("lower_first", 2)
-def _bi_lower_first(solver: Solver, args) -> bool:
-    pair = _atom_pair(solver, args)
-    return pair is not None and _case_order_key(pair[0], 1) <= _case_order_key(pair[1], 1)
 
 
 def _class_key(s: str, upper_class_first: bool) -> tuple:
@@ -1379,25 +1385,19 @@ def _class_key(s: str, upper_class_first: bool) -> tuple:
     return (rank, s)
 
 
-@_builtin("first_upper", 2)
-def _bi_first_upper(solver: Solver, args) -> bool:
-    pair = _atom_pair(solver, args)
-    return pair is not None and _class_key(pair[0], True) <= _class_key(pair[1], True)
+def _text_test(test: Callable[[str, str], bool]) -> Callable:
+    """A native that succeeds when both arguments are atoms and *test* holds of their names."""
+
+    def native(solver: Solver, args) -> bool:
+        first, second = deref(args[0]), deref(args[1])
+        return isinstance(first, Atom) and isinstance(second, Atom) and test(first.name, second.name)
+
+    return native
 
 
-@_builtin("first_lower", 2)
-def _bi_first_lower(solver: Solver, args) -> bool:
-    pair = _atom_pair(solver, args)
-    return pair is not None and _class_key(pair[0], False) <= _class_key(pair[1], False)
-
-
-@_builtin("contains", 2)
-def _bi_contains(solver: Solver, args) -> bool:
-    pair = _atom_pair(solver, args)
-    return pair is not None and pair[1] in pair[0]
-
-
-@_builtin("starts_with", 2)
-def _bi_starts_with(solver: Solver, args) -> bool:
-    pair = _atom_pair(solver, args)
-    return pair is not None and pair[0].startswith(pair[1])
+_BUILTINS[("upper_first", 2)] = _text_test(lambda a, b: _case_order_key(a, 0) <= _case_order_key(b, 0))
+_BUILTINS[("lower_first", 2)] = _text_test(lambda a, b: _case_order_key(a, 1) <= _case_order_key(b, 1))
+_BUILTINS[("first_upper", 2)] = _text_test(lambda a, b: _class_key(a, True) <= _class_key(b, True))
+_BUILTINS[("first_lower", 2)] = _text_test(lambda a, b: _class_key(a, False) <= _class_key(b, False))
+_BUILTINS[("contains", 2)] = _text_test(lambda a, b: b in a)
+_BUILTINS[("starts_with", 2)] = _text_test(str.startswith)

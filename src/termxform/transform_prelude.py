@@ -19,7 +19,8 @@ and ``E @ Att`` (``attributeValue/3`` reads the entry and ``textValue/2``
 compares it), each in one call; and so do the tree edits registered here,
 ``insertBefore/4``, ``insertAfter/4`` (one native, by anchor or by
 position) and ``removeAttribute/3``.  ``E / Child`` matches its element
-in the clause head.  The operators are the default table of
+in the clause head.  An open list grows by the machine's helper
+``_grow``, one cell at one step.  The operators are the default table of
 :mod:`.rule_language`; the prelude declares none.
 
 This module also converts a flat attribute-only document into a list of
@@ -32,7 +33,7 @@ import re
 from functools import lru_cache
 from typing import Optional
 
-from .logic_engine import Clause, Program, Solver, _append, _builtin, _num_text
+from .logic_engine import Clause, Program, Solver, _append, _builtin, _grow, _num_text
 from .rule_language import parse_program
 from .term_core import (
     CONS,
@@ -464,10 +465,8 @@ def _bi_descendant_or_self(solver: Solver, args):
                 node, lists[-1] = rest.args
                 break
             if type(rest) is Var:
-                solver._step()
-                node = fresh_var("H")
-                solver.bind(rest, Compound(CONS, (node, fresh_var("T"))))
-                break
+                _grow(solver, rest)
+                continue
             lists.pop()
         else:
             return
@@ -560,8 +559,7 @@ def _insert_at(solver: Solver, children: Term, cells: int, at: int, new: Term, e
             items.append(rest.args[0])
             rest = rest.args[1]
         elif type(rest) is Var:
-            solver._step()
-            solver.bind(rest, Compound(CONS, (fresh_var("H"), fresh_var("T"))))
+            _grow(solver, rest)
         else:
             return False
     items.insert(at, new)

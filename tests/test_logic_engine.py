@@ -2,7 +2,10 @@
 
 import inspect
 import io
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -888,16 +891,25 @@ def test_step_limit_raises():
 TEMPLATES = "template(element(a, _, [C]), [element(b, [], R)]) :- traverse(C, R). template(text(T), [text(T)])."
 
 
-def first_answer(program_text, goal_text, depth_limit):
-    """The steps of the first solution and its answer, with variables named by first occurrence."""
+def answers_with_steps(program_text, goal_text, depth_limit, count):
+    """The first *count* solutions' (steps, answer) pairs, variables named by first occurrence, and all steps."""
     solver = make_solver(program_text, depth_limit=depth_limit)
     query = parse_query(goal_text, solver.program.operators)
+    found = []
     for _ in solver.solve(query.goal):
         answer = copy_term(Compound("answer", tuple(query.variables.values()) or (Atom("yes"),)))
         for number, var in enumerate(term_variables(answer)):
             var.ref = Atom("v%d" % number)
-        return solver.steps, render_term(answer)
-    return solver.steps, None
+        found.append((solver.steps, render_term(answer)))
+        if len(found) == count:
+            break
+    return found, solver.steps
+
+
+def first_answer(program_text, goal_text, depth_limit):
+    """The steps of the first solution and its answer, with variables named by first occurrence."""
+    found, steps = answers_with_steps(program_text, goal_text, depth_limit, 1)
+    return found[0] if found else (steps, None)
 
 
 @pytest.mark.parametrize(
@@ -926,6 +938,51 @@ def test_a_query_answers_at_the_limit_of_its_steps_and_stops_one_below(program_t
         next(solver.solve(query.goal))
     assert str(raised.value) == "step limit of %d resolution steps exceeded" % (steps - 1)
     assert solver.steps == steps
+
+
+@pytest.mark.parametrize(
+    "goal_text, first",
+    [
+        ("length(L, N)", ["[],0", "[v0],1", "[v0,v1],2", "[v0,v1,v2],3", "[v0,v1,v2,v3],4"]),
+        ("length([a|T], N)", ["[],1", "[v0],2", "[v0,v1],3", "[v0,v1,v2],4", "[v0,v1,v2,v3],5"]),
+    ],
+)
+def test_length_with_an_unbound_length_grows_its_list_one_cell_per_answer(goal_text, first):
+    # The answers and steps of the code that built a fresh k-cell list for
+    # the k-th answer; now the open tail grows by one cell per step.
+    expected = [(steps, "answer(%s)" % answer) for steps, answer in enumerate(first, 2)]
+    assert answers_with_steps("", goal_text, 10_000, 5)[0] == expected
+    # Grown cells print as `_<n>`, as member/2's do.
+    assert re.fullmatch(r"\[_\d+,_\d+\]", solutions(make_solver(""), "length(L, N)", 3)[2]["L"])
+
+
+def test_length_of_a_list_as_its_own_length_does_constant_work_per_step(monkeypatch):
+    # length(Y, Y) has no answer; it grows Y until the step limit.  Each step
+    # makes two fresh variables (a cell's head and tail), so the work grows
+    # linearly with the limit: the code that rebuilt the list at every step
+    # made k variables at step k, and took 48.9 s to reach a limit of 8,000.
+    made = []
+    monkeypatch.setattr(logic_engine, "fresh_var", lambda *name: made.append(1) or fresh_var(*name))
+    counts = []
+    for limit in (8000, 16000):
+        made.clear()
+        solver = make_solver("", depth_limit=limit)
+        with pytest.raises(ResourceLimitError):
+            solutions(solver, "length(Y, Y)")
+        counts.append(len(made))
+    assert counts == [2 * (8000 - 2), 2 * (16000 - 2)]
+
+
+@pytest.mark.parametrize("limit", [8000, 16000])
+def test_length_of_a_list_as_its_own_length_exits_3_at_the_limit(limit):
+    done = subprocess.run(
+        [sys.executable, "-m", "termxform.cli", "query", "--rules", "prelude-only", "--depth-limit", str(limit),
+         "length(Y, Y)"],
+        capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(logic_engine.__file__)))),
+    )
+    assert done.returncode == 3
+    assert done.stderr == "error: step limit of %d resolution steps exceeded\n" % limit
 
 
 def test_program_copy_is_independent():

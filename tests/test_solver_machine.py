@@ -15,10 +15,12 @@ before it ran them on its own lists.  Its ``solve`` enters its own
 ``_solve``, as the machine's did when ``solve`` wrapped ``_solve``.  It matches and
 builds clauses with the skeleton interpreter of ``skeleton_oracle``, which
 the generated clause code replaced, so it shares no clause code with the
-machine.  Both solvers
+machine; its ``_call_goal`` is the solver method that the machine's loop
+later took in.  Both solvers
 run the same goals, and the tests compare the rendered solutions (order and
 multiplicity), the diagnostics, ``Solver.steps``, and the answers given
-before a ``ResourceLimitError`` at every step limit from 1 to 40.
+before a ``ResourceLimitError`` at every step limit from 1 to 40.  Each
+shape of goal term also runs both as a query and as a compiled clause body.
 """
 
 import random
@@ -26,9 +28,20 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from termxform.logic_engine import _BUILTINS, _EXHAUSTED, Solver, _conjuncts
+from termxform.logic_engine import _BUILTINS, _CONTROL, _EXHAUSTED, CALL, Solver, _conjuncts, call_goal, goal_kind
 from termxform.rule_language import parse_program, parse_query
-from termxform.term_core import Atom, Compound, Var, copy_term, deref, fresh_var, list_items, render_term, split_attr
+from termxform.term_core import (
+    Atom,
+    Compound,
+    Var,
+    copy_term,
+    deref,
+    fresh_var,
+    list_items,
+    mk_list,
+    render_term,
+    split_attr,
+)
 from termxform.transform_prelude import load_prelude
 from skeleton_oracle import _build, _match, skeletons
 from test_clause_index import GOAL_ARGS, _outcome, random_program
@@ -114,6 +127,12 @@ class GeneratorSolver(Solver):
                     return
         finally:
             self.undo_to(mark)
+
+    def _call_goal(self, target, extra):
+        goal = call_goal(target, extra)
+        if goal is None:
+            self.warn("call/N target is not callable: %s" % render_term(target))
+        return goal
 
     def _native_solutions(self, native):
         """A native generator's solutions, each request answered by a nested solve."""
@@ -321,3 +340,75 @@ def test_random_programs_give_the_same_outcome_as_nested_generators(seed):
             query = parse_query("p(%s, %s)" % (first, second))
             for limit in (7, 300):
                 assert_same_as_generators(program, query.goal, Compound("r", (query.goal,)), limit)
+
+
+# ---------------------------------------------------------------------------
+# A goal term runs as the same goal compiled into a clause body
+
+
+GOAL_BASE = "q(1).\nq(2).\nr.\n"
+GOAL_SHAPES = [
+    "X",  # a variable
+    "3",  # a number
+    "r",  # an atom: a program predicate
+    "true",  # an atom: a native
+    "q(X)",  # a program predicate
+    "member(X, [a, b])",  # a native generator
+    "X = f(Y)",  # a native that succeeds once
+    "((q(X), X > 1), r)",  # `,` nested on the left
+    "(q(X), (r, X < 2))",  # `,` nested on the right
+    "(q(X) ; X = 3)",
+    "((q(X), ! ; X = 3), r)",
+    "!",
+    "(q(X), !)",
+    "(q(X), (!, X > 1 ; X = 4))",
+    "call(q, X)",  # call/N with an extra argument
+    "call(member(X), [a, b])",
+    "call((q(X), !))",  # a cut inside call/N stays inside
+    "(call(q, X), X > 1)",
+    "call(3)",
+    "call",  # call/0 is no control construct: an unknown predicate
+    "not(q(3))",
+    "findall(X, q(X), L)",
+]
+
+
+def _goal_forms(text):
+    """(program, goal, out) for *text* run as a query, then as the body of ``p(Vars) :- G``."""
+    base = load_prelude(parse_program(GOAL_BASE))
+    query = parse_query(text, base.operators)
+    names = sorted(query.variables)
+    head = "p(%s)" % ", ".join(names) if names else "p"
+    program = load_prelude(parse_program(GOAL_BASE + "%s :- %s.\n" % (head, text)))
+    called = parse_query(head, program.operators)
+    return (
+        (base, query.goal, mk_list([query.variables[name] for name in names])),
+        (program, called.goal, mk_list([called.variables[name] for name in names])),
+    )
+
+
+@pytest.mark.parametrize("text", GOAL_SHAPES)
+def test_goal_terms_run_as_compiled_bodies_run(text):
+    as_query, as_body = _goal_forms(text)
+    for program, goal, out in (as_query, as_body):
+        for limit in list(range(1, 16)) + [400]:
+            assert_same_as_generators(program, goal, out, limit)
+    # The body takes one step more, the call to p, except `p :- true`: a
+    # body `true` compiles to no sites, so it is a fact.
+    found, warnings, steps = _outcome(*as_query, 400)
+    assert _outcome(*as_body, 400) == (found, warnings, steps + (text != "true"))
+
+
+def test_is_builtin_holds_for_every_control_construct_and_native():
+    import termxform  # noqa: F401 - registers the template and prelude natives
+
+    for name, (kind, arity) in _CONTROL.items():
+        for n in (arity,) if arity is not None else (1, 2, 8):
+            assert Solver.is_builtin(name, n)
+            goal = Compound(name, tuple(Atom("a") for _ in range(n))) if n else Atom(name)
+            assert goal_kind(goal) == (kind, name, goal.args if n else ())
+    assert all(Solver.is_builtin(name, arity) for name, arity in _BUILTINS)
+    program = parse_program(GOAL_BASE)
+    assert program.defines("q", 1) and not Solver.is_builtin("q", 1) and not Solver.is_builtin("r", 0)
+    assert not Solver.is_builtin("call", 0)
+    assert goal_kind(Compound("q", (1,)))[0] is goal_kind(Atom("r"))[0] is CALL

@@ -21,6 +21,12 @@ XML documents are represented with four node conventions::
 
 where each attribute entry is a *single* atom of the surface form
 ``id="value"`` (the ``="`` separator uses code points 61 and 34).
+:func:`attr_atom` writes that form and :func:`split_attr` reads it.  An
+atom keeps the index of its decoded separator: ``attr_atom`` and the XML
+parser (through ``attr_atom``'s builder, as its token pattern has already
+checked the name) set it when they build an entry, and ``split_attr``
+finds and keeps it the first time it reads any other atom.  A list of
+entries may repeat an id; only an XML tag may not.
 """
 
 from __future__ import annotations
@@ -80,12 +86,19 @@ class PositionError(ValueError):
 
 
 class Atom:
-    """A symbolic constant, identified by its name."""
+    """A symbolic constant, identified by its name.
 
-    __slots__ = ("name",)
+    ``_sep`` is :func:`split_attr`'s verdict on the name as an attribute
+    entry: the index of its ``="`` separator, -1 when the name is no
+    well-formed entry, or None until asked.  It is a cache of the name,
+    not part of the atom's value.
+    """
+
+    __slots__ = ("name", "_sep")
 
     def __init__(self, name: str) -> None:
         self.name = name
+        self._sep: Optional[int] = None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Atom) and other.name == self.name
@@ -213,10 +226,24 @@ def list_items(t: Term) -> Optional[list[Term]]:
 
 
 def attr_atom(attr_id: str, value: str) -> Atom:
-    """Render an (id, value) pair into the single-atom surface form."""
+    """Render an (id, value) pair into the single-atom surface form.
+
+    The atom comes with its separator already decoded, so
+    :func:`split_attr` never scans it.
+    """
     if not is_valid_name(attr_id):
         raise TermError("invalid attribute identifier: %r" % attr_id)
-    return Atom('%s="%s"' % (attr_id, value))
+    return _attr_entry(attr_id, value)
+
+
+def _attr_entry(attr_id: str, value: str) -> Atom:
+    """:func:`attr_atom` for an *attr_id* known to be a valid name, as the XML parser's are.
+
+    This is the one place that writes ``id="value"``.
+    """
+    atom = Atom('%s="%s"' % (attr_id, value))
+    atom._sep = len(attr_id)
+    return atom
 
 
 def split_attr(t: Term, name: Optional[str] = None) -> Optional[tuple[str, str]]:
@@ -224,22 +251,28 @@ def split_attr(t: Term, name: Optional[str] = None) -> Optional[tuple[str, str]]
 
     The id is everything before the first ``="``; the value is everything
     between that separator and the final ``"``.  With *name*, an entry whose
-    id is not exactly *name* is None as well, found before the rest is checked.
+    id is not exactly *name* is None as well.  The atom keeps the
+    separator's index (or -1 for a malformed text), so its text is scanned
+    once at most: never, when :func:`attr_atom` or the XML parser made it.
     """
     if type(t) is Var:
         t = deref(t)
-    if not isinstance(t, Atom):
+    if type(t) is not Atom:
         return None
     text = t.name
-    sep = text.find('="')
-    if name is not None and (sep != len(name) or not text.startswith(name)):
+    sep = t._sep
+    if sep is None:
+        sep = text.find('="')
+        if sep <= 0 or not text.endswith('"') or len(text) < sep + 3 or not is_valid_name(text[:sep]):
+            sep = -1
+        t._sep = sep
+    if sep < 0:
         return None
-    if sep <= 0 or not text.endswith('"') or len(text) < sep + 3:
+    if name is None:
+        return text[:sep], text[sep + 2 : -1]
+    if sep != len(name) or not text.startswith(name):
         return None
-    attr_id = text[:sep]
-    if not is_valid_name(attr_id):
-        return None
-    return attr_id, text[sep + 2 : -1]
+    return name, text[sep + 2 : -1]
 
 
 def mk_element(

@@ -416,10 +416,50 @@ def load_prelude(user: Optional[Program] = None) -> Program:
 
 
 def _attribute_value(atts: Term, att: str) -> Optional[str]:
-    """The value of the first well-formed *att* entry of the proper list *atts*, the one ``@`` reads."""
-    entries = (split_attr(item, att) for item in list_items(atts) or ())
-    attr = next(filter(None, entries), None)
-    return None if attr is None else attr[1]
+    """The value of the first well-formed *att* entry of *atts*, the one ``@`` reads.
+
+    None when no entry has it or when *atts* is not a proper list.  The
+    cells are read where they are.
+    """
+    value = None
+    cell = deref(atts)
+    while type(cell) is Compound and cell.name == CONS and len(cell.args) == 2:
+        if value is None:
+            attr = split_attr(cell.args[0], att)
+            if attr is not None:
+                value = attr[1]
+        cell = cell.args[1]
+        if type(cell) is Var:
+            cell = deref(cell)
+    return value if type(cell) is Atom and cell.name == "[]" else None
+
+
+def _sort_key(atts: Term, att: Optional[str]) -> tuple[bool, Optional[str]]:
+    """Whether *atts* is ground, and the key ``sort`` reads from it.
+
+    The key is :func:`_attribute_value`'s answer, or None when *att* is
+    None.  One walk over the cells where they are reads both.
+    """
+    ground = True
+    value = None
+    cell = deref(atts)
+    while type(cell) is Compound and cell.name == CONS and len(cell.args) == 2:
+        entry = cell.args[0]
+        if type(entry) is Var:
+            entry = deref(entry)
+        if type(entry) is Atom:
+            if value is None and att is not None:
+                attr = split_attr(entry, att)
+                if attr is not None:
+                    value = attr[1]
+        elif type(entry) is Var or (type(entry) is Compound and not is_ground(entry)):
+            ground = False
+        cell = cell.args[1]
+        if type(cell) is Var:
+            cell = deref(cell)
+    if type(cell) is Atom and cell.name == "[]":
+        return ground, value
+    return ground and is_ground(cell), None
 
 
 @_builtin("descendantOrSelf", 3)
@@ -603,16 +643,21 @@ def _bi_sort_children(solver: Solver, args) -> bool:
     items = list_items(children)
     if items is None:
         return False
-    nodes = [deref(item) for item in items]
-    if not all(
-        isinstance(n, Compound) and n.name == "element" and len(n.args) == 3 and is_ground(n.args[1])
-        for n in nodes
-    ):
-        return False
     att = deref(att)
+    name = att.name if type(att) is Atom else None
+    nodes = []
+    keys = []
+    for node in items:
+        node = deref(node)
+        if not (type(node) is Compound and node.name == "element" and len(node.args) == 3):
+            return False
+        ground, key = _sort_key(node.args[1], name)
+        if not ground:
+            return False
+        nodes.append(node)
+        keys.append(key)
     if nodes and not is_ground(att) and not is_ground(sorted_out):
         return False
-    keys = [_attribute_value(node.args[1], att.name) if isinstance(att, Atom) else None for node in nodes]
     pending = sorted(
         ((key, node) for key, node in reversed(list(zip(keys, nodes))) if key is not None),
         key=lambda pair: pair[0],

@@ -3,9 +3,15 @@
 Documents map to terms as ``element(Name, Attributes, Children)`` with
 attributes as single atoms of the shape ``name="value"`` and children drawn
 from nested elements, ``text(Atom)``, ``comment(Atom)``, and ``pi(Atom)``.
-The dialect is deliberately small: the five predefined entities only, no
-DOCTYPE, no CDATA, and names restricted to ASCII letters, digits, ``_``,
-``.``, and ``-`` (starting with a letter).
+The parser builds each attribute atom with ``term_core.attr_atom``'s
+builder, so it arrives with its ``="`` separator decoded.  The dialect is
+deliberately small: the five predefined entities only, no DOCTYPE, no
+CDATA, names restricted to ASCII letters, digits, ``_``, ``.``, and ``-``
+(starting with a letter), and no attribute name twice in one tag (XML
+1.0, WFC: Unique Att Spec).  The parser rejects a repeated name with a
+ParseError that names it, and the serializer an element whose attribute
+list repeats an id with a ValidationError; each keeps the names seen in a
+set, so the check is linear in the tag.
 
 Whitespace-only text nodes are dropped by default (``keep_ws=True`` retains
 them).  Comment and processing-instruction content is stored trimmed.
@@ -27,6 +33,7 @@ from .term_core import (
     Term,
     Var,
     _NAME_RE,
+    _attr_entry,
     deref,
     is_valid_name,
     render_term,
@@ -130,13 +137,17 @@ def _parse(text: str, start: int, keep_ws: bool, decl: bool) -> Term:
                 atom = names[name] = Atom(name)
             attr_list = EMPTY_LIST
             if attrs:
+                seen = set()
                 for attr_name, quoted in reversed(_ATTR_RE.findall(attrs)):
+                    if attr_name in seen:  # a repeated name: _error reports the first in the text
+                        raise _error(text, m.start(), stack, root, decl)
+                    seen.add(attr_name)
                     value = quoted[1:-1]
                     if "&" in value:
                         value = _decode(value)
                         if value is None:
                             raise _error(text, m.start(), stack, root, decl)
-                    attr_list = Compound(CONS, (Atom('%s="%s"' % (attr_name, value)), attr_list))
+                    attr_list = Compound(CONS, (_attr_entry(attr_name, value), attr_list))
             if len(tag) == 1:
                 kids = []
                 stack.append((atom, attr_list, kids))
@@ -245,6 +256,7 @@ def _error(
     if name is None:
         return fail("expected an element name", pos + 1, "name")
     i = skip_ws(name.end())
+    seen: set[str] = set()
     while text[i : i + 1] not in ("", ">", "/", "?"):
         name = _NAME_RE.match(text, i)
         if name is None:
@@ -265,6 +277,9 @@ def _error(
         ref = _BAD_REF_RE.search(raw)
         if ref is not None:
             return fail("unknown or malformed entity reference", i + 1 + ref.start())
+        if name.group() in seen:
+            return fail("repeated attribute %r" % name.group(), name.start())
+        seen.add(name.group())
         i = skip_ws(close + 1)
     return fail("expected '>'", i, ">")
 
@@ -302,6 +317,7 @@ def serialize_fragment(terms: list[Term]) -> str:
 _Path = Optional[tuple[int, "_Path"]]
 _UNEXPECTED = "Error: %s was not expected here!"
 _BAD_ATTRS = "Error in remaining attributes list: %s"
+_REPEATED_ATTR = "Error in attributes list: repeated attribute %s"
 
 
 def _write(
@@ -317,6 +333,7 @@ def _write(
     if top and not _is_element(deref(term)):
         raise _reject(path, term)
     stack: list = [(term, path, 0)]
+    ids: set[str] = set()  # the attribute ids of the element being written
     while stack:
         item = stack.pop()
         if item.__class__ is str:
@@ -329,16 +346,21 @@ def _write(
             if not isinstance(name, Atom) or not is_valid_name(name.name):
                 raise _reject(path, name)
             # Both lists are read cell by cell where they are.  An improper
-            # attribute list is reported before a bad entry in it.
+            # attribute list is reported before a bad entry in it; a bad
+            # entry is a malformed one or one whose id an earlier entry has.
             pieces = [name.name]
+            ids.clear()
             bad = None
             cell = attrs
             while type(cell) is Compound and cell.name == CONS and len(cell.args) == 2:
                 if bad is None:
                     pair = split_attr(cell.args[0])
                     if pair is None:
-                        bad = cell.args[0]
+                        bad = cell.args[0], _BAD_ATTRS
+                    elif pair[0] in ids:
+                        bad = Atom(pair[0]), _REPEATED_ATTR
                     else:
+                        ids.add(pair[0])
                         pieces.append('%s="%s"' % (pair[0], _escape_attr(pair[1])))
                 cell = cell.args[1]
                 if type(cell) is Var:
@@ -346,7 +368,7 @@ def _write(
             if not (type(cell) is Atom and cell.name == "[]"):
                 raise _reject(path, attrs, _BAD_ATTRS)
             if bad is not None:
-                raise _reject(path, bad, _BAD_ATTRS)
+                raise _reject(path, *bad)
             child_items = []
             cell = children
             while type(cell) is Compound and cell.name == CONS and len(cell.args) == 2:

@@ -6,9 +6,13 @@ codes ``61,34`` (``="``) instead.  The first part of this file pins every
 behaviour that changed with the switch; the second compares the new
 predicates with the old rule text, kept below under ``old_`` names as the
 oracle, on random trees where both should agree (order and multiplicity).
+The last part checks the separator an atom keeps: ``split_attr`` must
+answer the same for an atom the parser or ``attr_atom`` made, for one
+built some other way, and for a fresh atom of the same text.
 """
 
 import io
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,16 +24,19 @@ from termxform.term_core import (
     EMPTY_LIST,
     Atom,
     Compound,
+    attr_atom,
     copy_term,
+    deref,
     fresh_var,
+    is_valid_name,
     list_items,
     mk_list,
     render_term,
     split_attr,
 )
 from termxform.transform_prelude import load_prelude
-from termxform.xml_io import ValidationError, check_serializable, parse_document
-from xmlgen import elements, elements_of
+from termxform.xml_io import ValidationError, check_serializable, parse_document, serialize_document
+from xmlgen import attr_values, elements, elements_of, names
 
 OLD_RULES = """
 old_at(element(_,AttList,_),Att,X):-
@@ -343,3 +350,89 @@ def _check_against_the_generator(atts):
                     attribute_solutions, solver, args
                 ), render_term(mk_list(args))
         assert solver.trail == []
+
+
+# ---------------------------------------------------------------------------
+# The separator an atom keeps
+
+
+CORPUS = sorted((Path(__file__).parent / "data" / "corpus").glob("*.xml"))
+
+
+def _decoded(text, name=None):
+    """``split_attr``'s answer read from *text* alone, as its docstring states it."""
+    attr_id, sep, rest = text.partition('="')
+    if not sep or not rest.endswith('"') or not is_valid_name(attr_id):
+        return None
+    if name is not None and attr_id != name:
+        return None
+    return attr_id, rest[:-1]
+
+
+def _assert_decodes_as_a_fresh_atom(atom):
+    """*atom* gives a fresh atom's answers, with and without a name, when first asked and again.
+
+    The first question names the atom's own id, so a kept separator is
+    found on a named call as well as read on later ones.
+    """
+    own = atom.name.partition('="')[0]
+    for name in (own, None, own[:-1], own + "a", own + '="', "a", "z0", ""):
+        expected = split_attr(Atom(atom.name), name)
+        assert expected == _decoded(atom.name, name), (atom.name, name)
+        assert split_attr(atom, name) == expected, (atom.name, name)
+        assert split_attr(atom, name) == expected, (atom.name, name)
+    assert atom == Atom(atom.name) and hash(atom) == hash(Atom(atom.name))
+
+
+def _entries(tree):
+    return [deref(entry) for element in elements_of(tree) for entry in list_items(element.args[1])]
+
+
+@pytest.mark.parametrize("keep_ws", [False, True])
+@pytest.mark.parametrize("path", CORPUS, ids=lambda path: path.name)
+def test_parsed_corpus_entries_decode_as_fresh_atoms(path, keep_ws):
+    for entry in _entries(parse_document(path.read_text(encoding="utf-8"), keep_ws=keep_ws)):
+        _assert_decodes_as_a_fresh_atom(entry)
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements())
+def test_generated_and_parsed_entries_decode_as_fresh_atoms(tree):
+    # xmlgen writes its entries with Atom('%s="%s"'), so their separator is
+    # found on first use; the parsed ones arrive with it.
+    text = serialize_document(tree)
+    for entry in _entries(tree):
+        _assert_decodes_as_a_fresh_atom(entry)
+    for keep_ws in (False, True):
+        parsed = _entries(parse_document(text, keep_ws=keep_ws))
+        assert [split_attr(entry) for entry in parsed] == [split_attr(entry) for entry in _entries(tree)]
+        for entry in parsed:
+            _assert_decodes_as_a_fresh_atom(entry)
+
+
+@settings(max_examples=200, deadline=None)
+@given(names, st.one_of(attr_values, st.sampled_from(['="', 'a="b"', '"', "=", 'x="'])))
+def test_attr_atom_entries_decode_as_fresh_atoms(name, value):
+    atom = attr_atom(name, value)
+    assert split_attr(atom) == (name, value)
+    _assert_decodes_as_a_fresh_atom(atom)
+
+
+@pytest.mark.parametrize("text", MALFORMED + ['a="1="2"', 'a=""', 'a.b-c_d="x"', 'a="x"y"'])
+def test_texts_decode_as_fresh_atoms_whoever_built_them(text):
+    _assert_decodes_as_a_fresh_atom(Atom(text))
+    # An atom that is/2 builds with cat/N decodes as any other.
+    attr_id, sep, rest = text.partition('="')
+    x = fresh_var("X")
+    goal = Compound("is", (x, Compound("cat", (Atom(attr_id), Atom(sep), Atom(rest)))))
+    built = [deref(x) for _ in make_solver().solve(goal)]
+    assert built == [Atom(text)]
+    _assert_decodes_as_a_fresh_atom(built[0])
+
+
+def test_term_level_lists_may_repeat_an_id():
+    # Only a tag (parsed or written) may not repeat an attribute name.
+    doc = "element(a,['x=\"1\"','y=\"0\"','x=\"2\"'],[])"
+    assert run("removeAttribute(%s, x, X)" % doc)[0] == ["element(a,['y=\"0\"','x=\"2\"'],[])"]
+    assert run("attribute(As, x, X, _)", As=parse_query(doc).goal.args[1])[0] == ["'1'", "'2'"]
+    assert run("canon(As, X)", As=parse_query(doc).goal.args[1])[0] == ["['x=\"1\"','x=\"2\"','y=\"0\"']"]

@@ -433,6 +433,16 @@ def test_roundtrip_malformed_input(tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
+def test_a_repeated_attribute_name_is_an_input_error_both_ways(tmp_path, capsys):
+    source = write(tmp_path, "in.xml", '<a x="1" x="2"/>')
+    assert main(["roundtrip", "--in", source]) == 2
+    assert capsys.readouterr().err == "error: repeated attribute 'x' (line 1, column 10)\n"
+    rules = write(tmp_path, "rules.tx", "go(_, element(a, ['x=\"1\"', 'x=\"2\"'], [])).")
+    source = write(tmp_path, "in.xml", "<a/>")
+    assert main(["transform", "--rules", rules, "--in", source]) == 2
+    assert capsys.readouterr().err == "error: Error in attributes list: repeated attribute x (at path [])\n"
+
+
 def test_divergence_path_points_at_first_difference():
     first = parse_document("<a><b>x</b><c/></a>")
     second = parse_document("<a><b>x</b><d/></a>")

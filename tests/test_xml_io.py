@@ -123,6 +123,18 @@ def test_attribute_value_rejects_raw_lt():
         parse_document('<a x="a<b"/>')
 
 
+def test_a_tag_may_not_repeat_an_attribute_name():
+    # XML 1.0, WFC: Unique Att Spec.  The error is at the second occurrence.
+    for text, col in (('<a x="1" x="2"/>', 10), ("<r><a b='1' x=\"1\" x='1'></a></r>", 19)):
+        with pytest.raises(ParseError, match="repeated attribute 'x'") as caught:
+            parse_document(text)
+        assert (caught.value.line, caught.value.col) == (1, col)
+    # A fault earlier in the tag is the one reported.
+    with pytest.raises(ParseError, match="unknown or malformed entity reference"):
+        parse_document('<a x="&bad;" x="1"/>')
+    assert parse_document('<a x="1" y="1" X="1"/>') == mk_element("a", [("x", "1"), ("y", "1"), ("X", "1")])
+
+
 def test_parse_error_positions():
     try:
         parse_document("<a>\n<b x=></b></a>")
@@ -196,6 +208,21 @@ def test_validation_rejects_malformed_attribute():
     bad = Compound("element", (Atom("a"), mk_list([Atom("plain")]), Atom("[]")))
     with pytest.raises(ValidationError, match="Error in remaining attributes list: "):
         check_serializable(bad)
+
+
+def test_validation_rejects_a_repeated_attribute_name():
+    entries = [Atom('x="1"'), Atom('y="2"'), Atom('x="2"'), Atom("plain")]
+    bad = mk_element("r", [], [mk_element("a"), Compound("element", (Atom("a"), mk_list(entries), Atom("[]")))])
+    # The first bad entry in list order is reported: the repeat, not "plain".
+    message = "Error in attributes list: repeated attribute x (at path [1])"
+    for call in (check_serializable, serialize_document):
+        with pytest.raises(ValidationError) as caught:
+            call(bad)
+        assert str(caught.value) == message
+    # An improper attribute list is still reported before any entry in it.
+    partial = Compound("element", (Atom("a"), mk_list(entries[:3], fresh_var("T")), Atom("[]")))
+    with pytest.raises(ValidationError, match="Error in remaining attributes list: "):
+        check_serializable(partial)
 
 
 def test_validation_rejects_empty_text():

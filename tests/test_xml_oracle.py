@@ -2,8 +2,10 @@
 against the recursive implementations they replaced.
 
 The oracle below is the earlier recursive code, kept verbatim apart from
-names: ``_skip_misc`` and ``_parse_element`` for parsing, ``_check_node``
-(a full check before any output) and ``_emit`` for serializing.  It raises
+names and from one later rule, that a tag may not repeat an attribute
+name (``_parse_attributes`` and ``_check_node``): ``_skip_misc`` and
+``_parse_element`` for parsing, ``_check_node`` (a full check before any
+output) and ``_emit`` for serializing.  It raises
 the library's own ``ParseError`` and ``ValidationError``, so outcomes are
 compared exactly: the same term or the same error message, line, column,
 ``expected`` and ``found``; the same text or the same error message and path.
@@ -178,11 +180,13 @@ def _decode_text(scanner: _Scanner, raw: str, at: int) -> str:
 
 def _parse_attributes(scanner: _Scanner) -> list[Atom]:
     attrs: list[Atom] = []
+    seen: set[str] = set()
     while True:
         scanner.skip_ws()
         ch = scanner.peek()
         if ch in (">", "/", "?", ""):
             return attrs
+        name_at = scanner.i
         name = scanner.read_name("an attribute name")
         scanner.skip_ws()
         scanner.expect("=")
@@ -199,6 +203,9 @@ def _parse_attributes(scanner: _Scanner) -> list[Atom]:
         if "<" in raw:
             raise scanner.error("'<' is not allowed in attribute values", at=start + raw.index("<"))
         value = _decode_text(scanner, raw, start)
+        if name in seen:  # XML 1.0 WFC: Unique Att Spec, added after the recursive parser
+            raise scanner.error("repeated attribute %r" % name, at=name_at)
+        seen.add(name)
         scanner.i = end + 1
         attrs.append(attr_atom(name, value))
 
@@ -267,12 +274,19 @@ def _check_node(term: Term, path: list[int], top: bool = False) -> None:
             raise ValidationError(
                 list(path), "Error in remaining attributes list: %s" % _show(attrs)
             )
+        ids: set[str] = set()
         for attr in attr_items:
             attr = deref(attr)
             if not isinstance(attr, Atom) or split_attr(attr) is None:
                 raise ValidationError(
                     list(path), "Error in remaining attributes list: %s" % _show(attr)
                 )
+            attr_id = split_attr(attr)[0]
+            if attr_id in ids:  # added after the two-pass serializer, as in the parser
+                raise ValidationError(
+                    list(path), "Error in attributes list: repeated attribute %s" % _show(Atom(attr_id))
+                )
+            ids.add(attr_id)
         child_items = list_items(children)
         if child_items is None:
             raise ValidationError(list(path), "Error: %s was not expected here!" % _show(children))
@@ -495,6 +509,14 @@ def test_prolog_and_epilog_edge_cases_parse_as_the_recursive_parser_did():
         "<a><!-- a--b --></a>",
         "<a><!-- one\n  two --></a>",
         "<a><?p x?y></a>",
+        # A repeated attribute name is reported at its second occurrence,
+        # unless the tag has an earlier fault.
+        '<a x="1" x="1"/>',
+        "<r><a y='1' x='1' y='2'></a></r>",
+        '<a x="1" x="&bad;"/>',
+        '<a x="1" x="2" y>',
+        '<a x="1" x="2"',
+        '<a x="1" X="2"/>',
     ):
         assert_parses_alike(text)
 
@@ -588,6 +610,9 @@ def _break(node: Term, kind: str) -> Term:
     if kind == "bad_attr":
         items = list_items(attrs) or []
         return Compound("element", (name, mk_list(items + [Atom("novalue")]), children))
+    if kind == "repeated_attr":
+        items = list_items(attrs) or []
+        return Compound("element", (name, mk_list(items + [attr_atom("x", "1"), attr_atom("x", "2")]), children))
     if kind == "attr_term":
         items = list_items(attrs) or []
         return Compound("element", (name, mk_list([mk_text("x")] + items), children))
@@ -615,6 +640,7 @@ _KINDS = (
     "unbound_name",
     "bad_attr",
     "attr_term",
+    "repeated_attr",
     "partial_attrs",
     "partial_children",
     "bad_children_tail",

@@ -38,7 +38,11 @@ ones that can succeed again (``append/3``, ``member/2``, ``length/2`` and
 the prelude's ``descendantOrSelf/3``) or run goals (``not/1``,
 ``findall/3``, ``traverse/2``) are generators.
 ``attribute/3,4`` is either: True or False when at most one entry can match
-Id, and a generator when more can.
+Id, and a generator when more can.  A native adds a cell to an open list
+only through :func:`_grow`, one cell at one step (``member/2``,
+``length/2`` in both modes, the prelude's ``descendantOrSelf/3`` and its
+insert by position), so the step limit bounds what it builds;
+``append/3``'s relational walk, over two lists, takes its own step per cell.
 """
 
 from __future__ import annotations
@@ -1220,18 +1224,8 @@ def _bi_member(solver: Solver, args) -> Iterator[None]:
                 yield
             solver.undo_to(mark)
             lst = lst.args[1]
-        elif isinstance(lst, Var):
-            # Extend a partial list: [x|_], [_,x|_], ...
-            solver._step()
-            mark = len(solver.trail)
-            tail = fresh_var("_")
-            solver.bind(lst, Compound(CONS, (x, tail)))
-            yield
-            solver.undo_to(mark)
-            skipped = fresh_var("_")
-            tail = fresh_var("_")
-            solver.bind(lst, Compound(CONS, (skipped, tail)))
-            lst = tail
+        elif isinstance(lst, Var):  # a partial list: add a cell and read it
+            _grow(solver, lst)
         else:
             return
 
@@ -1246,11 +1240,11 @@ def _bi_length(solver: Solver, args) -> Iterator[None]:
         return
     if not isinstance(tail, Var):
         return
-    if isinstance(n, int):
-        missing = n - len(items)
-        if missing < 0:
-            return
-        if solver.unify(tail, mk_list([fresh_var("_") for _ in range(missing)])):
+    if isinstance(n, int):  # the missing cells are added one per step
+        for _ in range(n - len(items)):
+            tail = _grow(solver, tail)
+        if n >= len(items):
+            solver.bind(tail, EMPTY_LIST)
             yield
         return
     if isinstance(n, Var):  # the list grows by one cell per answer, at one step each

@@ -20,7 +20,9 @@ compares it), each in one call; and so do the tree edits registered here,
 ``insertBefore/4``, ``insertAfter/4`` (one native, by anchor or by
 position) and ``removeAttribute/3``.  ``E / Child`` matches its element
 in the clause head.  An open list grows by the machine's helper
-``_grow``, one cell at one step.  The operators are the default table of
+``_grow``, one cell at one step, and ``E ^ Name`` binds an unbound node to
+``element(N, A, C)`` of fresh variables, at one step, and then reads it as
+any element.  The operators are the default table of
 :mod:`.rule_language`; the prelude declares none.
 
 This module also converts a flat attribute-only document into a list of
@@ -473,10 +475,12 @@ def _bi_descendant_or_self(solver: Solver, args):
     rest of each open child list on a stack of its own, so its depth is
     bounded by memory.  A child list is read as ``member/2`` reads it: it
     ends at anything but a list cell, and an unbound tail is extended by
-    one cell, at one step.  An unbound node costs a step too: it is first
-    bound to an element named Name, then to an element with an unbound
-    child list, which is extended in turn.  Its walk never ends, so the walk
-    never comes back to the list that held it, and the step limit ends it.
+    one cell, at one step.  An unbound node costs a step too: it is bound
+    to an element ``element(N, A, C)`` of fresh variables and read as any
+    element is, so N is tried against Name (under the occurs check, Name
+    may hold the node) and C is extended in turn.  Its walk never ends, so
+    the walk never comes back to the list that held it, and the step limit
+    ends it.
     """
     node, name, found = args
     trail = solver.trail
@@ -485,15 +489,10 @@ def _bi_descendant_or_self(solver: Solver, args):
         node = deref(node)
         if type(node) is Var:
             solver._step()
-            mark = len(trail)
-            named = Compound("element", (name, fresh_var("A"), fresh_var("C")))
-            if solver.unify(node, named) and solver.unify(found, node):  # Name may hold the node: occurs check
-                yield
-            solver.undo_to(mark)
-            children = fresh_var("C")
-            solver.bind(node, Compound("element", (fresh_var("N"), fresh_var("A"), children)))
-            lists.append(children)
-        elif type(node) is Compound and node.name == "element" and len(node.args) == 3:
+            element = Compound("element", (fresh_var("N"), fresh_var("A"), fresh_var("C")))
+            solver.bind(node, element)
+            node = element
+        if type(node) is Compound and node.name == "element" and len(node.args) == 3:
             mark = len(trail)
             if solver.unify(node.args[0], name) and solver.unify(found, node):
                 yield

@@ -58,10 +58,29 @@ def query(tmp_path, goal, *options, depth=None, rules=RULES):
     return termxform(tmp_path, "query", *options, goal, depth=depth, rules=rules)
 
 
+# The child's own peak RSS in MB.  On Linux, ru_maxrss keeps the high-water
+# mark across execve, so a child's reading includes the size of the pytest
+# process it was forked from (a trivial child of a 150 MB parent reads 163 MB,
+# against a VmHWM of 13.5 MB); VmHWM is the child's own.  Where /proc is
+# absent, ru_maxrss is the fallback.
+PEAK_MB = """
+def peak_mb():
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) // 1024
+    except OSError:
+        pass
+    import resource
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024
+"""
+
+
 def in_process(child):
-    """The lines *child*, a Python program, prints to standard output."""
+    """The lines *child*, a Python program that may call ``peak_mb()``, prints to standard output."""
     done = subprocess.run(
-        [sys.executable, "-c", child], capture_output=True, text=True, timeout=300,
+        [sys.executable, "-c", PEAK_MB + child], capture_output=True, text=True, timeout=300,
         env=dict(os.environ, PYTHONPATH=SRC),
     )
     assert done.returncode == 0, done.stderr
@@ -116,12 +135,11 @@ def test_a_countdown_of_200000_levels_in_process_peaks_under_100_mb():
     # a level keeps only its trail entry: about 43 MB here, against 288 MB
     # when every native success left a choicepoint behind.
     child = """
-import resource
 from termxform.logic_engine import Solver
 from termxform.rule_language import parse_program, parse_query
 solver = Solver(parse_program(%r))
 print(solver.solve_once(parse_query("cnt(200000)").goal), solver.steps)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+print(peak_mb())
 """ % RULES
     answer, peak_mb = in_process(child)
     assert answer == "True 600001"
@@ -132,12 +150,11 @@ def test_200000_levels_each_running_not_findall_and_traverse_peak_under_100_mb()
     # Each native's choicepoint goes when it gives its answer, so a level
     # keeps no more than in the countdown above: 63 MB here.
     child = """
-import resource
 from termxform.logic_engine import Solver, SolverOptions
 from termxform.rule_language import parse_program, parse_query
 solver = Solver(parse_program(%r), SolverOptions(depth_limit=2_000_000))
 print(solver.solve_once(parse_query("loop(200000)").goal), solver.steps)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+print(peak_mb())
 """ % """
 loop(0).
 loop(N) :- N > 0, not(fail), findall(x, true, [x]), traverse(text(t), []), M is N-1, loop(M).

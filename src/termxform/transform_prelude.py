@@ -22,7 +22,9 @@ position) and ``removeAttribute/3``.  ``E / Child`` matches its element
 in the clause head.  An open list grows by the machine's helper
 ``_grow``, one cell at one step, and ``E ^ Name`` binds an unbound node to
 ``element(N, A, C)`` of fresh variables, at one step, and then reads it as
-any element.  The operators are the default table of
+any element.  ``nodes/2`` and ``flatten/2`` are one difference-list walk,
+and ``concat/2`` appends in front of the rest's result, so each builds a
+cell once.  The operators are the default table of
 :mod:`.rule_language`; the prelude declares none.
 
 This module also converts a flat attribute-only document into a list of
@@ -100,11 +102,8 @@ transform(X ? Att1):-
   atom(Att1), transform(atts X,X2),
   member(Att1,X2).
 
-transform(X id S,Attrib):-
-  X=element(_,_,_),
-  transform(atts X,AttribNames),
-  member(Attrib,AttribNames),
-  transform(X @ Attrib,S).
+transform(element(_,L,_) id S,Attrib):-
+  attribute(L,Attrib,V), textValue(S,V).
 transform(X id S,Id):-
   transform(X,X2),
   transform(X2 id S,Id).
@@ -268,10 +267,6 @@ le(element(N,_,_),element(N2,_,_)):-
   atom_codes(N2,N2Codes),
   lexicalle(NCodes,N2Codes).
 
-concat0([],X,X).
-concat0([H|T],X,Y):-list(H),
-  append(X,H,X2), concat0(T,X2,Y).
-
 checkAttributes([]):-!.
 checkAttributes([H|T]):-
   attribute([H],_,_), !,
@@ -293,7 +288,9 @@ nth(N,L,E):-
 nth(N,L,E):-
   church(N1,N), nth0(N1,L,E).
 
-concat(L,X):-concat0(L,[],X).
+concat([],[]).
+concat([H|T],X):-list(H),
+  append(H,X2,X), concat(T,X2).
 
 church(zero,0):-!.
 church(s(X),N):-
@@ -331,36 +328,25 @@ printChildren([H|T],Res):-
   printChildren(T,Res2),
   Res is cat(Res1,Res2).
 
-flatten(X,_):-
-  (var(X);list(X);number(X)),
-  !, fail.
-flatten(element(N,A,L),
-        [element(N,A,[])|T2]):-
-  !, flattenList(L,T2).
-flatten(X,[X]):-
+flatten(X,L):-nodes0(X,flatten,L,[]).
+
+nodes(X,L):-nodes0(X,nodes,L,[]).
+
+nodes0(X,_,_,_):-var(X), !, fail.
+nodes0(element(N,A,C),Kind,[E|L],T):-
+  !, nodeCell(Kind,element(N,A,C),E),
+  nodesList0(C,Kind,L,T).
+nodes0(X,_,[X|T],T):-
   X=text(_);X=pi(_);X=comment(_).
 
-flattenList([],[]).
-flattenList([H|T],L):-
-  flatten(H,L1),
-  !, flattenList(T,L2), append(L1,L2,L).
+nodesList0([],_,T,T).
+nodesList0([H|C],Kind,L,T):-
+  nodes0(H,Kind,L,L2), !,
+  nodesList0(C,Kind,L2,T).
 
-nodes(X,_):-
-  (var(X);list(X);number(X)),
-  !, fail.
-nodes(element(N,A,L),
-      [element(N,A,L)|T2]):-
-  !, nodesList(L,T2), !.
-nodes(X,[X]):-
-  X=text(_);
-  X=pi(_);
-  X=comment(_).
-
-nodesList([],[]).
-nodesList([H|T],L):-
-  nodes(H,L1),
-  nodesList(T,L2),
-  append(L1,L2,L).
+nodeCell(nodes,E,E).
+nodeCell(flatten,element(N,A,_),
+         element(N,A,[])).
 
 % Sorting and structural equality.
 

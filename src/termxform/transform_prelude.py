@@ -24,7 +24,9 @@ in the clause head.  An open list grows by the machine's helper
 ``element(N, A, C)`` of fresh variables, at one step, and then reads it as
 any element.  ``nodes/2`` and ``flatten/2`` are one difference-list walk,
 and ``concat/2`` appends in front of the rest's result, so each builds a
-cell once.  The operators are the default table of
+cell once.  ``Tree level Node`` counts child positions with an integer
+(``childAt/4``), and ``E # N``, ``E ? N`` and ``E c N`` share
+``nthNode/5``.  The operators are the default table of
 :mod:`.rule_language`; the prelude declares none.
 
 This module also converts a flat attribute-only document into a list of
@@ -89,11 +91,9 @@ transform(X @ Att, Y):-
   transform(X,X2),
   transform(X2 @ Att, Y).
 
-transform(atts element(_,L,_),_):-
-  findall(X,selectattribute(X,L),[]),
-  !, fail.
 transform(atts element(_,L,_),Y):-
-  findall(X,selectattribute(X,L),Y).
+  !, findall(X,selectattribute(X,L),Y),
+  Y=[_|_].
 transform(atts E,Y):-
   transform(E,E2),
   transform(atts E2,Y).
@@ -109,24 +109,18 @@ transform(X id S,Id):-
   transform(X2 id S,Id).
 
 transform(element(_,_,L) # N,Y):-
-  integer(N), N>=1,
-  findall(X,member(text(X),L),Z),
-  nth(N,Z,Y).
+  nthNode(text(X),X,L,N,Y).
 transform(X # N,Y):-
   transform(X,X2), transform(X2 # N,Y).
 
 transform(element(_,_,L) ? N,Y):-
-  integer(N), N>=1,
-  findall(X,member(pi(X),L),Z),
-  nth(N,Z,Y).
+  nthNode(pi(X),X,L,N,Y).
 transform(X ? N,Y):-
   transform(X,X2),
   transform(X2 ? N,Y).
 
 transform(element(_,_,L) c N,Y):-
-  integer(N), N>=1,
-  findall(X,member(comment(X),L),Z),
-  nth(N,Z,Y).
+  nthNode(comment(X),X,L,N,Y).
 transform(X c N,Y):-
   transform(X,X2),
   transform(X2 c N,Y).
@@ -169,11 +163,11 @@ transform(copy_of X,X):-
 transform(copy_of X,Y):-transform(X,Y).
 
 transform(Tree level Node,Y):-
-  level1(Tree,Node,Y).
+  level0(Tree,Node,Y).
 transform(Tree level Node,Y):-
   transform(Tree,Tree2),
   transform(Node,Node2),
-  level1(Tree2,Node2,Y).
+  level0(Tree2,Node2,Y).
 
 transform(last element(_,_,C),Y):-
   last(C,Y).
@@ -214,20 +208,19 @@ remove(element(N,As,L),Node,
 
 % Protected helpers.
 
-level1(Tree,Node,Result):-
-  level0(Tree,Node,[],Result).
+level0(element(_,_,C),Y,[N]):-
+  childAt(C,1,Y,N).
+level0(element(_,_,C),Y,[N|P]):-
+  childAt(C,1,H,N), level0(H,Y,P).
 
-level0(element(_,_,Children),Y,Res0,Res):-
-  nth(N,Children,Y), Res=[N|Res0].
-level0(element(_,_,[H|T]),Y,Res0,Res):-
-  level0(H,Y,Res0,Res1),
-  Res=[1|Res1];
-  levels0([H|T],T,Y,Res0,Res).
+childAt([H|_],I,H,I).
+childAt([_|T],I,H,N):-
+  I2 is I+1, childAt(T,I2,H,N).
 
-levels0(L,[H|T],Y,Res0,Res):-
-  level0(H,Y,Res0,Res1),
-  nth(N,L,H), Res=[N|Res1];
-  levels0(L,T,Y,Res0,Res).
+nthNode(Node,X,L,N,Y):-
+  integer(N), N>=1,
+  findall(X,member(Node,L),Z),
+  nth(N,Z,Y).
 
 nth0(s(zero),[X|_],X).
 nth0(s(M),[_|L],X):-nth0(M,L,X).
@@ -239,10 +232,9 @@ removeDuplicates(L1,_):-not(list(L1)),
   !, fail.
 removeDuplicates([],[]).
 removeDuplicates([H|T],T2):-
-  member(H,T),
+  member(H,T), !,
   removeDuplicates(T,T2).
 removeDuplicates([H|T],[H|T2]):-
-  not(member(H,T)),
   removeDuplicates(T,T2).
 
 lexicalle([],[]).

@@ -11,6 +11,8 @@ solutions in order, diagnostics and step counts.
 
 import io
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,15 @@ def test_an_unbound_first_argument_sees_every_clause():
     firsts = answers(program, "p(A, X)", var="A")
     assert firsts[:2] + firsts[3:] == ["a", "f(x)", "1", "1.0", "foo"]
     assert firsts[2].startswith("_")
+
+
+def test_the_readme_counts_the_transform_clauses_an_attribute_call_tries():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tried, total = re.search(r"tries only the (\w+) `@`\s+clauses of the prelude's (\d+) `transform/2` clauses", readme).groups()
+    program = load_prelude()
+    goal = parse_query("transform(E @ id, V)", program.operators).goal
+    assert (tried, int(total)) == ("two", len(program.clauses[("transform", 2)]))
+    assert len(program.candidates("transform", 2, goal.args)) == 2
 
 
 def test_keys_tell_apart_atoms_compounds_and_number_types():

@@ -8,8 +8,9 @@ attribute list once with ``attribute/3``.  The rules they replace joined
 lists with ``append/3`` on the way back up, or looked up each name from
 the start of the list, so their time grew with the square of the input.
 They are kept below as the oracle: the old program is the prelude with the
-old ``id`` clause back in place of the new one and the old list builders
-added under ``old_`` names.
+old ``id`` clause back in place of the new one, the old ``atts`` clauses
+(which the old ``id`` ran) back in place of theirs, and the old list
+builders added under ``old_`` names.
 
 The first part pins the edges, the two changes of ``id``'s answers and
 the step counts.  The second compares the two programs on ``xmlgen``
@@ -34,7 +35,6 @@ from termxform.term_core import (
     Atom,
     Compound,
     copy_term,
-    deref,
     fresh_var,
     list_items,
     list_parts,
@@ -43,7 +43,8 @@ from termxform.term_core import (
     split_attr,
 )
 from termxform.transform_prelude import PRELUDE_SRC, load_prelude, prelude_program
-from xmlgen import elements, elements_of, plain_trees
+from test_counted_rules import ATTS
+from xmlgen import elements, elements_of, plain_trees, punch
 
 NEW_ID = """\
 transform(element(_,L,_) id S,Attrib):-
@@ -101,9 +102,12 @@ RENAMED = ("nodes", "nodesList", "flatten", "flattenList", "concat", "concat0")
 
 
 def _old_prelude_src():
-    assert PRELUDE_SRC.count(NEW_ID) == 1
+    text = PRELUDE_SRC
+    for new, old in ((NEW_ID, OLD_ID), ATTS):
+        assert text.count(new) == 1, new
+        text = text.replace(new, old)
     renamed = re.sub(r"\b(%s)\(" % "|".join(RENAMED), r"old_\1(", REPLACED)
-    return PRELUDE_SRC.replace(NEW_ID, OLD_ID) + "\n" + renamed
+    return text + "\n" + renamed
 
 
 NEW, OLD = load_prelude(), parse_program(_old_prelude_src())
@@ -297,25 +301,6 @@ def test_steps(name, args, new_steps, old_steps):
 
 # ---------------------------------------------------------------------------
 # Differential tests on random trees
-
-NON_NODES = (5, EMPTY_LIST, Compound("foo", (Atom("x"),)), mk_list([Compound("text", (Atom("a"),))]))
-
-
-def punch(node, data):
-    """*node* with holes drawn by *data*: open child lists, unbound children and children that are no node."""
-    node = deref(node)
-    if not (isinstance(node, Compound) and node.name == "element"):
-        return node
-    children = [punch(child, data) for child in list_items(node.args[2])]
-    hole = data.draw(st.sampled_from((None, None, "open", "unbound", "non-node")))
-    tail = EMPTY_LIST
-    if hole == "open":
-        tail = fresh_var("T")
-    elif hole is not None:
-        at = data.draw(st.integers(0, len(children)))
-        children.insert(at, fresh_var("C") if hole == "unbound" else data.draw(st.sampled_from(NON_NODES)))
-    return Compound("element", (node.args[0], node.args[1], mk_list(children, tail)))
-
 
 def answer(name, args):
     """The output of the new program's first answer to name(*args*), copied out; None without one."""

@@ -281,8 +281,15 @@ def test_copy_of_applies_through_navigation():
 def test_distinct_removes_duplicate_children_keeping_first():
     solver = make_solver()
     doc = parse_document("<r><x>1</x><x>1</x><x>2</x></r>")
-    found = run(solver, "transform(distinct Doc, X)", doc=doc, limit=1)
+    found = run(solver, "transform(distinct Doc, X)", doc=doc)  # every answer: there is one
     assert found == ["element(r,[],[element(x,[],[text('1')]),element(x,[],[text('2')])])"]
+
+
+@pytest.mark.parametrize("count", range(3, 9))
+def test_distinct_answers_once_however_many_children_are_equal(count):
+    doc = parse_document("<r>" + "<x/>" * count + "</r>")
+    found = run(make_solver(), "transform(distinct Doc, X)", doc=doc, limit=10**6)
+    assert found == ["element(r,[],[element(x,[],[])])"]
 
 
 def test_remove_element_deletes_all_children_with_name():

@@ -2,7 +2,7 @@
 
 from hypothesis import strategies as st
 
-from termxform.term_core import Atom, Compound, deref, list_items, mk_list
+from termxform.term_core import EMPTY_LIST, Atom, Compound, deref, fresh_var, list_items, mk_list
 
 names = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=6)
 
@@ -87,3 +87,22 @@ def elements_of(tree):
             found.append(node)
             stack.extend(reversed(list_items(node.args[2]) or []))
     return found
+
+
+NON_NODES = (5, EMPTY_LIST, Compound("foo", (Atom("x"),)), mk_list([Compound("text", (Atom("a"),))]))
+
+
+def punch(node, data):
+    """*node* with holes drawn by *data*: open child lists, unbound children and children that are no node."""
+    node = deref(node)
+    if not (isinstance(node, Compound) and node.name == "element"):
+        return node
+    children = [punch(child, data) for child in list_items(node.args[2])]
+    hole = data.draw(st.sampled_from((None, None, "open", "unbound", "non-node")))
+    tail = EMPTY_LIST
+    if hole == "open":
+        tail = fresh_var("T")
+    elif hole is not None:
+        at = data.draw(st.integers(0, len(children)))
+        children.insert(at, fresh_var("C") if hole == "unbound" else data.draw(st.sampled_from(NON_NODES)))
+    return Compound("element", (node.args[0], node.args[1], mk_list(children, tail)))

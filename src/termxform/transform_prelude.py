@@ -24,8 +24,11 @@ in the clause head.  An open list grows by the machine's helper
 ``element(N, A, C)`` of fresh variables, at one step, and then reads it as
 any element.  ``nodes/2`` and ``flatten/2`` are one difference-list walk,
 and ``concat/2`` appends in front of the rest's result, so each builds a
-cell once.  ``Tree level Node`` counts child positions with an integer
-(``childAt/4``), and ``E # N``, ``E ? N`` and ``E c N`` share
+cell once.  ``Tree level Node`` and ``nth/3`` count positions with an
+integer (``childAt/4``), so ``position/3``, which reads positions through
+``nth/3``, is linear in the children it reads; ``church/2`` converts
+between church numerals and integers for a user program, and no other
+prelude predicate calls it.  ``E # N``, ``E ? N`` and ``E c N`` share
 ``nthNode/5``.  The operators are the default table of
 :mod:`.rule_language`; the prelude declares none.
 
@@ -222,9 +225,6 @@ nthNode(Node,X,L,N,Y):-
   findall(X,member(Node,L),Z),
   nth(N,Z,Y).
 
-nth0(s(zero),[X|_],X).
-nth0(s(M),[_|L],X):-nth0(M,L,X).
-
 selectattribute(X,List):-
   attribute(List,X,_).
 
@@ -276,9 +276,10 @@ last([H],H).
 last([_|T],L):-last(T,L).
 
 nth(N,L,E):-
-  var(N), nth0(N1,L,E), church(N1,N).
+  var(N), !, childAt(L,1,E,N).
 nth(N,L,E):-
-  church(N1,N), nth0(N1,L,E).
+  integer(N), N>=1,
+  childAt(L,1,X,N), !, E=X.
 
 concat([],[]).
 concat([H|T],X):-list(H),
@@ -356,8 +357,7 @@ split0([X|Xs],Pivot,P,[X|Lo],Hi):-
 split0([X|Xs],Pivot,P,Lo,[X|Hi]):-
   split0(Xs,Pivot,P,Lo,Hi).
 
-position(Tree,Child,Pos):-
-  Tree=element(_,_,C),
+position(element(_,_,C),Child,Pos):-
   nth(Pos,C,Child).
 
 equals(X,X):-

@@ -204,6 +204,16 @@ def test_query_prelude_goal_without_document(capsys):
     assert captured.out == "YES.\nX/b\n"
 
 
+@pytest.mark.parametrize("goal", ["nth(1000000000, [a, b], X)", "nth(a, [a, b], X)"])
+def test_nth_past_the_end_or_at_no_number_fails_at_once(goal, capsys):
+    # nth/3 counts with an integer as it walks the list.  When it counted
+    # the position down as a church numeral first, 1,000,000,000 ran to the
+    # step limit (exit 3), and `a` warned from is/2.
+    code = main(["query", "--rules", "prelude-only", goal])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "NO\n", "")
+
+
 @pytest.mark.parametrize("goal", ["nth(-1, [a, b], X)", "church(X, -1)", "church(X, 1.5)"])
 def test_church_of_a_negative_or_fractional_number_fails(goal):
     # Counting such a number down never reached 0, and the recursive solver

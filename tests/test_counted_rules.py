@@ -1,11 +1,13 @@
-"""``level``, ``distinct``, ``atts`` and ``E # N``, ``E ? N``, ``E c N`` against the rules they replace.
+"""``level``, ``distinct``, ``atts``, ``E # N``, ``E ? N``, ``E c N``, ``nth/3`` and ``position/3`` against the rules they replace.
 
-``Tree level Node`` counts each child's position with an integer as
-``childAt/4`` walks the child list, so a node is found once, at its own
-position.  ``distinct`` cuts after the first ``member/2`` that finds an
-equal later item, so it answers once.  ``atts`` on an element is one
+``Tree level Node`` and ``nth/3`` count each child's position with an
+integer as ``childAt/4`` walks the list, so a node is found once, at its
+own position, and ``position/3`` reads positions through ``nth/3``.
+``distinct`` cuts after the first ``member/2`` that finds an equal later
+item, so it answers once.  ``atts`` on an element is one
 ``findall/3`` behind a cut, and ``#``, ``?`` and ``c`` share ``nthNode/5``.
-The rules they replace are kept below as the oracle: the old program is the
+The rules they replace are kept below as the oracle (``nth/3``'s in
+``nth_oracle``, which ``test_native_edits`` shares): the old program is the
 prelude with each old block put back in place of the new one.
 
 The named changes, each pinned in the first part:
@@ -17,13 +19,20 @@ The named changes, each pinned in the first part:
   the position of every sibling that unifies with it;
 - ``atts E`` and ``E ? Att`` on an element no longer add answers through a
   user ``transform/2`` clause on that element;
-- ``#``, ``?`` and ``c`` each take one more step, the call of ``nthNode/5``;
-- ``level1/3``, ``level0/4`` and ``levels0/5`` are gone.
+- ``#``, ``?`` and ``c`` take the same 14 steps at positions 1, 2 and 3 of
+  a three-node element, where the old rules took 18, 24 and 30;
+- ``nth/3`` at a position past the end of a list that ends fails at that
+  end: the old rules counted the position down as a church numeral first,
+  to the step limit at 1,000,000,000;
+- ``nth/3`` at a position that is no number fails without the warning
+  ``is/2: expected a number, got ...``;
+- ``level1/3``, ``level0/4``, ``levels0/5`` and ``nth0/3`` are gone.
 
 The second part compares the two programs on ``xmlgen`` trees, whole and
 with holes: rendered answers, their order and number, and the diagnostics,
 and checks that each difference is one of the changes above.  The third
-pins the exponent of ``level``'s work, counted as Python-level calls.
+pins the exponent of the work of ``level`` and ``position/3``, counted as
+Python-level calls.
 """
 
 import io
@@ -52,6 +61,7 @@ from termxform.term_core import (
     term_equal,
 )
 from termxform.transform_prelude import PRELUDE_SRC, load_prelude, prelude_program
+from nth_oracle import NTH
 from xmlgen import elements, elements_of, plain_trees, punch
 
 # (the prelude's text, the text it replaced)
@@ -157,6 +167,7 @@ removeDuplicates([H|T],[H|T2]):-
   removeDuplicates(T,T2).
 """,
     ),
+    NTH,
 ]
 
 
@@ -244,7 +255,7 @@ def distinct_goal(tree, output=None):
 
 def test_the_old_helpers_are_gone():
     program = prelude_program()
-    for key in (("level1", 3), ("level0", 4), ("levels0", 5)):
+    for key in (("level1", 3), ("level0", 4), ("levels0", 5), ("nth0", 3)):
         assert not program.defines(*key), key
     assert program.defines("level0", 3) and program.defines("childAt", 4) and program.defines("nthNode", 5)
     for _, old in REPLACED:
@@ -319,6 +330,24 @@ EQUAL = [
     "transform(element(a,[],foo) # 1, Y)",
     "transform((element(r,[],[element(b,[],[comment(c)])]) / b) c 1, Y)",
     "transform(X # 1, Y)",
+    # nth: a position that is no number, and a huge one on a list that
+    # ends, are named changes below
+    *(
+        "nth(%s,%s,%s)" % (n, items, e)
+        for n in ("N", "1", "3", "0", "-1", "1.5", "2.0", "1000000000")
+        for items in ("[a,b,c]", "[a|T]", "L", "[a,b|c]")
+        for e in ("E", "b", "z")
+        if not (n == "1000000000" and items in ("[a,b,c]", "[a,b|c]"))
+    ),
+    # position
+    "position(element(a,[],[text(x),text(y)]), C, P)",
+    "position(element(a,[],[text(x),text(y)]), text(y), P)",
+    "position(element(a,[],[text(x),text(y)]), C, 2)",
+    "position(element(a,[],[text(x)|T]), C, P)",
+    "position(element(a,[],foo), C, P)",
+    "position(text(x), C, P)",
+    "position(T, text(x), 2)",
+    "position(T, C, P)",
 ]
 
 
@@ -382,9 +411,25 @@ def test_a_user_clause_adds_no_attribute_names_to_an_element():
 
 @pytest.mark.parametrize("operator", ["#", "?", "c"])
 @pytest.mark.parametrize("position, old_steps", [(1, 18), (2, 24), (3, 30)])
-def test_nth_content_takes_one_more_step(operator, position, old_steps):
+def test_nth_content_steps_do_not_grow_with_the_position(operator, position, old_steps):
+    # One node of each kind: nth/3 reads its one cell, and the old rules
+    # built the position's church numeral first.
     goal = term("transform(element(a,[],[text(x),pi(p),comment(c)]) %s %d, Y)" % (operator, position))
-    assert (steps(NEW, goal), steps(OLD, goal)) == (old_steps + 1, old_steps)
+    assert (steps(NEW, goal), steps(OLD, goal)) == (14, old_steps)
+
+
+@pytest.mark.parametrize("items, new_steps", [("[a,b,c]", 11), ("[a,b|c]", 9)])
+def test_a_position_past_a_list_that_ends_fails_at_its_end(items, new_steps):
+    # The old rules counted 1,000,000,000 down to zero before they read the list.
+    goal = term("nth(1000000000,%s,E)" % items)
+    assert outcome(NEW, goal) == ([], "") and outcome(OLD, goal, depth_limit=5_000) == (["limit"], "")
+    assert steps(NEW, goal) == new_steps
+
+
+@pytest.mark.parametrize("items", ["[a,b,c]", "[a|T]", "L"])
+def test_a_position_that_is_no_number_fails_without_a_warning(items):
+    goal = term("nth(a,%s,E)" % items)
+    assert (outcome(NEW, goal), outcome(OLD, goal)) == (([], ""), ([], "warning: is/2: expected a number, got a\n"))
 
 
 def test_steps():
@@ -474,7 +519,7 @@ def check_level(goal, apart):
 
 
 def check_operators(element, apart):
-    """level, distinct, atts and # ? c on *element*, new against old."""
+    """level, distinct, atts, # ? c and position on *element*, new against old."""
     # A bound node holding a variable could be unified with a term that
     # holds it (no occurs check), and a cyclic answer never renders.
     children = [child for child in list_parts(element.args[2])[0] if is_ground(child)]
@@ -494,6 +539,11 @@ def check_operators(element, apart):
         for position in (1, 2, 3):
             goal = transform(Compound(operator, (element, position)), fresh_var("Y"))
             assert outcome(NEW, goal, depth_limit=5_000) == outcome(OLD, goal, depth_limit=5_000), render_term(element)
+    for child, position in [(fresh_var("C"), fresh_var("P"))] + [(child, fresh_var("P")) for child in children[:2]] + [
+        (fresh_var("C"), position) for position in (1, 2, 3)
+    ]:
+        goal = Compound("position", (element, child, position))
+        assert outcome(NEW, goal, first=8, depth_limit=5_000) == outcome(OLD, goal, first=8, depth_limit=5_000), render_term(element)
 
 
 def check_user_clause(element):
@@ -569,11 +619,28 @@ def calls(goal):
     return count
 
 
-def test_the_work_of_level_grows_linearly():
-    calls(level_findall(rows(10)))  # compiles the clauses the goal runs
+def position_findall(tree):
+    """findall(N-C, position(tree, C, N), L)."""
+    position, child = fresh_var("N"), fresh_var("C")
+    return Compound("findall", (Compound("-", (position, child)), Compound("position", (tree, child, position)), fresh_var("L")))
+
+
+def call_exponent(goal_of):
+    """The slope of log calls against log n for *goal_of* n rows, n = 100, 400 and 1,600; and the counts."""
+    calls(goal_of(rows(10)))  # compiles the clauses the goal runs
     sizes = (100, 400, 1_600)
-    counts = [calls(level_findall(rows(n))) for n in sizes]
+    counts = [calls(goal_of(rows(n))) for n in sizes]
     xs, ys = [math.log(n) for n in sizes], [math.log(c) for c in counts]
     mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs), counts
+
+
+def test_the_work_of_level_grows_linearly():
+    slope, counts = call_exponent(level_findall)
+    assert slope <= 1.1, counts
+
+
+def test_the_work_of_position_grows_linearly():
+    # Through church numerals the exponent was about 2.
+    slope, counts = call_exponent(position_findall)
     assert slope <= 1.1, counts

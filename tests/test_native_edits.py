@@ -2,7 +2,8 @@
 
 The nine clauses they replace are kept below as the oracle.  Native
 predicates shadow program clauses, so the old program is the prelude with
-the clauses put back under ``old_`` names, and each goal runs as
+the clauses put back under ``old_`` names and with the church-numeral
+``nth/3`` they called (``nth_oracle.NTH``), and each goal runs as
 ``insertAfter(...)`` on the prelude and as ``old_insertAfter(...)`` on the
 old program.  The first part pins the edges and the one change: an
 integer position inserts at that cell, once, where the rules inserted at
@@ -35,6 +36,7 @@ from termxform.term_core import (
     term_equal,
 )
 from termxform.transform_prelude import PRELUDE_SRC, load_prelude, prelude_program
+from nth_oracle import NTH
 from xmlgen import elements, elements_of, plain_trees
 
 NATIVES = "% insertBefore/4, insertAfter/4 and removeAttribute/3 are natives.\n"
@@ -95,9 +97,10 @@ EDITS = {"insertBefore": 4, "insertAfter": 4, "removeAttribute": 3}
 
 
 def _old_prelude_src():
-    assert PRELUDE_SRC.count(NATIVES) == 1
+    """The prelude with the edits' clauses under ``old_`` names, and the ``nth/3`` they called."""
+    assert PRELUDE_SRC.count(NATIVES) == 1 and PRELUDE_SRC.count(NTH[0]) == 1
     renamed = re.sub(r"\b(%s)\(" % "|".join(EDITS), r"old_\1(", REPLACED)
-    return PRELUDE_SRC.replace(NATIVES, renamed)
+    return PRELUDE_SRC.replace(NATIVES, renamed).replace(*NTH)
 
 
 NEW, OLD = load_prelude(), parse_program(_old_prelude_src())

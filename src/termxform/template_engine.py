@@ -30,6 +30,7 @@ that program and its compiled clauses.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 from functools import lru_cache
@@ -204,66 +205,78 @@ def transform_file(
     report; otherwise they are written to disk (``all_solutions`` numbers
     them ``base.1.xml``, ``base.2.xml``, ...).  Nothing is written when no
     solution exists.
+
+    The cyclic garbage collector is paused for the call and turned back on
+    afterwards only if it was on before.  Terms are trees, so reference
+    counting frees every one of them; the collector's passes over a large
+    document only cost time.  The pause is process-wide, and termxform runs
+    on one thread.
     """
-    options = options or TransformOptions()
-    timings: dict[str, float] = {}
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        options = options or TransformOptions()
+        timings: dict[str, float] = {}
 
-    started = time.perf_counter()
-    with open(input_path, encoding="utf-8") as source:
-        doc = parse_document(source.read(), keep_ws=options.keep_ws)
-    timings["parse"] = time.perf_counter() - started
+        started = time.perf_counter()
+        with open(input_path, encoding="utf-8") as source:
+            doc = parse_document(source.read(), keep_ws=options.keep_ws)
+        timings["parse"] = time.perf_counter() - started
 
-    started = time.perf_counter()
-    rules = None
-    if rules_path is not None:
-        with open(rules_path, encoding="utf-8") as source:
-            rules = source.read()
-    user, program = rule_program(rules)
-    timings["rules"] = time.perf_counter() - started
+        started = time.perf_counter()
+        rules = None
+        if rules_path is not None:
+            with open(rules_path, encoding="utf-8") as source:
+                rules = source.read()
+        user, program = rule_program(rules)
+        timings["rules"] = time.perf_counter() - started
 
-    if _check_text_policy(options.unmatched_text) == "copy":
-        program = _with_text_rule(program)
-    solver = Solver(
-        program, SolverOptions(occurs_check=options.occurs_check, depth_limit=options.depth_limit)
-    )
+        if _check_text_policy(options.unmatched_text) == "copy":
+            program = _with_text_rule(program)
+        solver = Solver(
+            program, SolverOptions(occurs_check=options.occurs_check, depth_limit=options.depth_limit)
+        )
 
-    started = time.perf_counter()
-    goal_mode = user is not None and user.defines("go", 2)
-    result_var = fresh_var("Result")
-    goal = Compound("go" if goal_mode else "traverse", (doc, result_var))
-    if options.all_solutions:  # each solution is copied before the next undoes it
-        solutions = [copy_term(result_var) for _ in solver.solve(goal)]
-    else:  # the first solution's own terms: nothing is copied
-        solutions = [result_var] if solver.commit_first(goal) else []
-    result_sets: list[list[Term]] = []
-    for solution in solutions:
-        items = list_items(solution)
-        if goal_mode or items:  # an empty walk is no solution
-            result_sets.append(items if items is not None else [solution])
-    timings["solve"] = time.perf_counter() - started
+        started = time.perf_counter()
+        goal_mode = user is not None and user.defines("go", 2)
+        result_var = fresh_var("Result")
+        goal = Compound("go" if goal_mode else "traverse", (doc, result_var))
+        if options.all_solutions:  # each solution is copied before the next undoes it
+            solutions = [copy_term(result_var) for _ in solver.solve(goal)]
+        else:  # the first solution's own terms: nothing is copied
+            solutions = [result_var] if solver.commit_first(goal) else []
+        result_sets: list[list[Term]] = []
+        for solution in solutions:
+            items = list_items(solution)
+            if goal_mode or items:  # an empty walk is no solution
+                result_sets.append(items if items is not None else [solution])
+        timings["solve"] = time.perf_counter() - started
 
-    if not result_sets:
-        timings["serialize"] = 0.0
-        return TransformReport("no_solution", 0, timings=timings)
+        if not result_sets:
+            timings["serialize"] = 0.0
+            return TransformReport("no_solution", 0, timings=timings)
 
-    started = time.perf_counter()
-    documents = [_serialize_results(items, options) for items in result_sets]
-    timings["serialize"] = time.perf_counter() - started
+        started = time.perf_counter()
+        documents = [_serialize_results(items, options) for items in result_sets]
+        timings["serialize"] = time.perf_counter() - started
 
-    outputs: list[str] = []
-    if output_path is not None:
-        directory, name = os.path.split(output_path)
-        dot = name.rfind(".")  # the suffix starts at the last dot, if not the first or last character
-        if not 0 < dot < len(name) - 1:
-            dot = len(name)
-        for index, text in enumerate(documents, start=1):
-            target = output_path
-            if options.all_solutions:
-                target = os.path.join(directory, "%s.%d%s" % (name[:dot], index, name[dot:]))
-            with open(target, "w", encoding="utf-8") as out:
-                out.write(text + ("" if text.endswith("\n") else "\n"))
-            outputs.append(target)
-    return TransformReport("ok", len(result_sets), outputs, documents, timings)
+        outputs: list[str] = []
+        if output_path is not None:
+            directory, name = os.path.split(output_path)
+            dot = name.rfind(".")  # the suffix starts at the last dot, if not the first or last character
+            if not 0 < dot < len(name) - 1:
+                dot = len(name)
+            for index, text in enumerate(documents, start=1):
+                target = output_path
+                if options.all_solutions:
+                    target = os.path.join(directory, "%s.%d%s" % (name[:dot], index, name[dot:]))
+                with open(target, "w", encoding="utf-8") as out:
+                    out.write(text + ("" if text.endswith("\n") else "\n"))
+                outputs.append(target)
+        return TransformReport("ok", len(result_sets), outputs, documents, timings)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _serialize_results(items: list[Term], options: TransformOptions) -> str:

@@ -28,12 +28,16 @@ compile to, and both run through the same code.
 
 Native predicates cover the term inspection, list, and arithmetic catalog
 (``append/3`` is fully nondeterministic, ``delete/3`` removes all unifying
-occurrences without binding), and ``is/2`` evaluates both numeric operators
-and the string/node functor family (``cat``, ``substring``, ``translate``,
-and ``plus``/``minus``/``mult``/``div``, which are ``+ - * /`` over
-single-text elements).  Evaluation errors make the goal fail with a
-diagnostic warning rather than raising.  A native that succeeds
-at most once returns True or False, so its call leaves no choicepoint; the
+occurrences without binding), and ``is/2`` evaluates the functors of one
+table, ``_EVALUABLE``: the numeric operators and the string/node functor
+family (``cat``, ``substring``, ``translate``, and
+``plus``/``minus``/``mult``/``div``, which are ``+ - * /`` over single-text
+elements).  An ``is/2`` goal of clause text over these functors compiles
+into its clause's code; any other runs the native over
+:meth:`Solver.eval_is`.  Both give the same values, and an evaluation error
+makes the goal fail with the same diagnostic warning rather than raising.
+A native that succeeds at most once returns True or False, so its call
+leaves no choicepoint; the
 ones that can succeed again (``append/3``, ``member/2``, ``length/2`` and
 the prelude's ``descendantOrSelf/3``) or run goals (``not/1``,
 ``findall/3``, ``traverse/2``) are generators.
@@ -50,8 +54,8 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from operator import itemgetter
-from typing import Callable, Generator, Iterator, Optional, Sequence, TextIO
+from operator import add, itemgetter, mul, neg, sub
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 from .term_core import (
     CONS,
@@ -103,6 +107,10 @@ def _num_text(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _value(value: Term) -> Term:
+    return value
+
+
 def _number(value: Term):
     if isinstance(value, (int, float)):
         return value
@@ -123,8 +131,153 @@ def _text(value: Term) -> str:
     raise EvalError("expected an atom, got %s" % render_term(value))
 
 
-# is/2's node forms, each its operator over node numbers (see Solver._node_number).
-_NODE_FORMS = {"plus": "+", "minus": "-", "mult": "*", "div": "/"}
+def _item(value: Term) -> str:
+    """The text ``cat`` makes of an evaluated operand, an atom or a number."""
+    return value.name if isinstance(value, Atom) else _num_text(value)
+
+
+def _node_number(t: Term):
+    """The number of a node-form operand: a number, or an element's single text child read as one."""
+    while type(t) is Var and t.ref is not None:
+        t = t.ref
+    if type(t) is int or type(t) is float:
+        return t
+    if type(t) is Compound and t.name == "element" and len(t.args) == 3:
+        cell = deref(t.args[2])  # the child is read in place: a first cell whose tail is no cell
+        if type(cell) is Compound and cell.name == CONS and len(cell.args) == 2:
+            rest, child = deref(cell.args[1]), deref(cell.args[0])
+            single = not (type(rest) is Compound and rest.name == CONS and len(rest.args) == 2)
+            if single and type(child) is Compound and child.name == "text" and len(child.args) == 1:
+                content = deref(child.args[0])
+                if type(content) is Atom:
+                    # Only XML's whitespace is stripped, and none of the forms
+                    # int() and float() take beyond XML's numbers is read: other
+                    # whitespace, non-ASCII digits, "1_0", "nan", "inf", or an
+                    # overflow to infinity.
+                    text = content.name.strip(" \t\r\n")
+                    if text.isascii() and "_" not in text and text == text.strip():
+                        try:
+                            return int(text)
+                        except ValueError:
+                            pass
+                        try:
+                            if math.isfinite(value := float(text)):
+                                return value
+                        except ValueError:
+                            pass
+                    raise EvalError("text content is not a number: %r" % text)
+    raise EvalError("expected a number or an element with a single numeric text child, got %s" % render_term(t))
+
+
+def _divide(left, right):
+    if right == 0:
+        raise EvalError("division by zero")
+    return left / right
+
+
+def _mod(left, right):
+    if not (isinstance(left, int) and isinstance(right, int)):
+        raise EvalError("mod requires integers")
+    if right == 0:
+        raise EvalError("mod by zero")
+    return left % right
+
+
+def _cat(*texts: str) -> Atom:
+    return Atom("".join(texts))
+
+
+def _string(value: Term) -> Atom:
+    if isinstance(value, Atom):
+        return value
+    if isinstance(value, (int, float)):
+        return Atom(_num_text(value))
+    raise EvalError("string/1 expects a number or atom")
+
+
+def _substring(text: str, start: int, length: int) -> Atom:
+    if start < 1 or length < 0 or start - 1 + length > len(text):
+        raise EvalError("substring out of range: start=%d len=%d on %r" % (start, length, text))
+    return Atom(text[start - 1 : start - 1 + length])
+
+
+def _translate(text: str, source: str, target: str) -> Atom:
+    # A character's first position in *source* wins; past *target*'s end it is deleted.
+    return Atom(text.translate({ord(ch): target[i] if i < len(target) else None for i, ch in reversed(list(enumerate(source)))}))
+
+
+# is/2's evaluable functors: (name, arity) -> (how each operand is read, the
+# function of the operands read).  An operand is read as its evaluated value
+# through a check (_number, _integer, _text, or _value for any value), as a
+# node number (_node_number reads the operand term itself, unevaluated), or
+# as a ``cat`` item (_item: an atom or a number is its text, a list's items
+# are read in its place, anything else is evaluated).  Both the runtime walk
+# (:func:`_evaluate`) and clause code (:meth:`_ClauseCode.value`) read it.
+_EVALUABLE: dict[tuple[str, int], tuple[tuple[Callable, ...], Callable]] = {
+    ("mod", 2): ((_number, _number), _mod),
+    ("-", 1): ((_number,), neg),
+    ("string", 1): ((_value,), _string),
+    ("substring", 3): ((_text, _integer, _integer), _substring),
+    ("substring_after", 2): ((_text, _text), lambda text, sep: Atom(text[text.find(sep) + len(sep) :] if sep in text else "")),
+    ("substring_before", 2): ((_text, _text), lambda text, sep: Atom(text[: text.find(sep)] if sep and sep in text else "")),
+    ("translate", 3): ((_text, _text, _text), _translate),
+}
+_ARITHMETIC = (("+", "plus", add), ("-", "minus", sub), ("*", "mult", mul), ("/", "div", _divide))
+_EVALUABLE.update(((name, 2), ((_number, _number), function)) for name, _, function in _ARITHMETIC)
+_EVALUABLE.update(((form, 2), ((_node_number, _node_number), function)) for _, form, function in _ARITHMETIC)
+_EVALUABLE.update((("cat", arity), ((_item,) * arity, _cat)) for arity in range(2, 9))
+
+
+def _evaluate(function: Callable, reader: Callable, expr: Term):
+    """*function* of *expr*'s value read by *reader* (see ``_EVALUABLE``), walked over a list of frames.
+
+    A frame is (function, its (reader, operand) pairs still to read, last
+    first, the values read so far, the reader of its own value).  Operands
+    are read left to right and each is checked as soon as it is read, so the
+    first error in text order is raised; a list read as a ``cat`` item puts
+    its items in its place.  Depth is bounded by memory.
+    """
+    frames: list[tuple] = [(function, [(reader, expr)], [], None)]
+    while True:
+        function, pending, values, reader = frames[-1]
+        if not pending:
+            frames.pop()
+            value = function(*values)
+            if not frames:
+                return value
+            frames[-1][2].append(reader(value))
+            continue
+        reader, t = pending.pop()
+        t = deref(t)
+        if type(t) is not Compound or reader is _node_number:
+            values.append(_read(reader, t))
+        elif t.name != CONS or len(t.args) != 2:
+            entry = _EVALUABLE.get((t.name, len(t.args)))
+            if entry is None:
+                raise EvalError("unknown evaluable functor %s/%d" % (t.name, len(t.args)))
+            frames.append((entry[1], list(zip(entry[0], t.args))[::-1], [], reader))
+        elif reader is not _item:
+            values.append(reader(t))
+        else:
+            items = list_items(t)
+            if items is None:
+                raise EvalError("cat cannot flatten an improper list")
+            pending.extend((_item, item) for item in reversed(items))
+
+
+def _read(reader: Callable, t: Term):
+    """Operand *t* read by *reader* (see ``_EVALUABLE``): an atom or a number here, a compound by :func:`_evaluate`."""
+    if reader is _node_number:
+        return _node_number(t)
+    while type(t) is Var:
+        if t.ref is None:
+            raise EvalError("unbound variable in evaluable expression")
+        t = t.ref
+    if type(t) is Atom and reader is _item:
+        return "" if t.name == "[]" else t.name
+    if type(t) is not Compound:
+        return reader(t)
+    return _evaluate(_cat, _item, t).name if reader is _item else _evaluate(_value, reader, t)
 
 
 # The kinds of body-goal site (see :meth:`Clause.compile`).  A site is a tuple
@@ -134,8 +287,10 @@ _NODE_FORMS = {"plus": "+", "minus": "-", "mult": "*", "div": "/"}
 #   (CUT,)
 #   (OR, left sites, right sites)       the branches of a ``;``, over the same slots
 #   (TERM, build)                       build(e) is a goal term, read by goal_kind when entered
+#   (EVAL, run, goal)                   an is/2 goal: run(e, solver) evaluates its right side
+#                                       and unifies its left side with the value
 # AND (a ``,``) and CALL_N (``call/N``) are kinds of goal term, never of a site.
-CALL, CUT, OR, TERM, AND, CALL_N = "call", "!", ";", "term", ",", "call/N"
+CALL, CUT, OR, TERM, EVAL, AND, CALL_N = "call", "!", ";", "term", "is", ",", "call/N"
 
 # The control constructs, which the machine runs itself: name -> (kind, arity),
 # an arity of None standing for every arity from 1.
@@ -192,9 +347,12 @@ class Clause:
         :mod:`termxform` is imported.  ``!`` becomes a CUT site and ``;`` an
         OR site of its two branches' sites.  Any other goal (a variable, a
         number, ``call/N``, a nested ``,``) is a TERM site whose ``g<i>``
-        builds the goal term.  Ground subterms are namespace constants shared
-        by every call and names are ``repr`` literals: no rule text becomes
-        code.  A body ``true`` (a fact, or ``p :- true``) has no sites.
+        builds the goal term.  An ``is/2`` goal whose right side is no
+        variable and holds only ``_EVALUABLE``'s functors is an EVAL site
+        whose ``g<i>(e, solver)`` evaluates it in place (see
+        :meth:`_ClauseCode.value`).  Ground subterms are namespace constants
+        shared by every call and names are ``repr`` literals: no rule text
+        becomes code.  A body ``true`` (a fact, or ``p :- true``) has no sites.
         """
         head = deref(self.head)
         body = deref(self.body)
@@ -217,8 +375,8 @@ class _ClauseCode:
     goal again).  Each head argument that holds variables gets one builder,
     for a goal variable in its place; a goal variable below the top of an
     argument is bound to the subterm :func:`_copy_in` builds.  ``match``,
-    ``build`` and ``sites`` walk over lists of their own, so a clause's depth
-    is bounded by memory, and the source is linear in the clause.
+    ``build``, ``sites`` and ``value`` walk over lists of their own, so a
+    clause's depth is bounded by memory, and the source is linear in the clause.
     """
 
     def __init__(self) -> None:
@@ -227,21 +385,36 @@ class _ClauseCode:
         self.constants: dict[int, bool] = {}  # id of a compound -> holds no variable
         self.names: dict[str, object] = {"Atom": Atom, "Compound": Compound, "Var": Var, "slots": self.slots}
         self.names.update(bind=_bind_built, copy_in=_copy_in, deref=deref, fresh_var=fresh_var)
+        self.named: dict[int, str] = {}  # id of a constant -> its name in the namespace
         self.functions: list[str] = []
+        self.defined: list[str] = []  # the names of the functions, in source order
         self.count = itertools.count()  # numbers the locals and functions
 
     def generate(self, args: Sequence[Term], goals: Sequence[Term]) -> tuple[int, Callable, tuple]:
+        """(slot count, head matcher, body sites).
+
+        A function's ``__globals__`` is the namespace, so the namespace keeps
+        none of them: ``match`` reaches the head builders through its
+        defaults, and once ``link`` has read them every function name goes.
+        A dropped clause is then freed by reference counting.
+        """
         unpack = "".join("x%d, " % i for i in range(len(args)))
         lines = ["    %s= args" % unpack] if args else []
         for i, arg in enumerate(args):
             self.match(arg, "x%d" % i, lines)
-        self.function("match(args, e, solver)", lines, "True")
+        builders = "".join(", %s=%s" % (name, name) for name in self.defined)
+        self.function("match(args, e, solver%s)" % builders, lines, "True")
         code = self.sites(goals)
         exec("".join(self.functions), self.names)
-        return len(self.slots), self.names["match"], self.link(code)
+        sites = self.link(code)
+        match = self.names["match"]
+        for name in self.defined:
+            del self.names[name]
+        return len(self.slots), match, sites
 
     def function(self, signature: str, lines: list[str], result: str) -> None:
         body = "".join(line + "\n" for line in lines)
+        self.defined.append(signature[: signature.index("(")])
         self.functions.append("def %s:\n%s    return %s\n" % (signature, body, result))
 
     def sites(self, goals: Sequence[Term]) -> list:
@@ -275,6 +448,12 @@ class _ClauseCode:
                 self.filled = set(self.filled)
                 code.append(None)
                 work.extend(reversed(_conjuncts(args[0])))
+            elif kind is CALL and name == "is" and len(args) == 2 and self.evaluable(args[1]):
+                for var in term_variables(goal):  # unfilled slots first, in the order building the goal fills them
+                    self.slot(var, lines)
+                value = self.value(args[1], lines)
+                self.function(function + "(e, solver)", lines, "solver.unify(%s, %s)" % (self.build(args[0], lines), value))
+                code.append((EVAL, function, goal))
             elif kind is CALL:
                 self.function(function + "(e)", lines, self.build_args(args, lines))
                 code.append((CALL, function, name, len(args), _BUILTINS.get((name, len(args)))))
@@ -318,10 +497,21 @@ class _ClauseCode:
             )
         return constants[id(t)]
 
-    def constant(self, t: Term) -> str:
-        name = "k%d" % len(self.names)
-        self.names[name] = t
+    def constant(self, t: object) -> str:
+        """The namespace name of *t*, one per object."""
+        name = self.named.get(id(t))
+        if name is None:
+            name = self.named[id(t)] = "k%d" % len(self.names)
+            self.names[name] = t
         return name
+
+    def slot(self, var: Var, lines: list[str]) -> str:
+        """``e[k]`` for clause variable *var*; where it is not yet filled, *lines* fill it with a fresh variable."""
+        slot = self.slots.setdefault(var.id, len(self.slots))
+        if slot not in self.filled:
+            self.filled.add(slot)
+            lines.append("    if e[%d] is None: e[%d] = fresh_var(%r)" % (slot, slot, var.name))
+        return "e[%d]" % slot
 
     def match(self, arg: Term, x: str, lines: list[str]) -> None:
         """Lines that match the goal argument in local *x* against head argument *arg*, in pre-order."""
@@ -367,11 +557,7 @@ class _ClauseCode:
         while True:
             t = deref(t)
             if isinstance(t, Var):
-                slot = self.slots.setdefault(t.id, len(self.slots))
-                if slot not in self.filled:
-                    self.filled.add(slot)
-                    lines.append("    if e[%d] is None: e[%d] = fresh_var(%r)" % (slot, slot, t.name))
-                built = "e[%d]" % slot
+                built = self.slot(t, lines)
             elif self.is_constant(t):
                 built = self.constant(t)
             else:
@@ -398,6 +584,76 @@ class _ClauseCode:
         if all(self.is_constant(arg) for arg in args):
             return self.constant(tuple(deref(arg) for arg in args))
         return "(%s)" % "".join(self.build(arg, lines) + ", " for arg in args)
+
+    @staticmethod
+    def evaluable(t: Term) -> bool:
+        """Whether is/2's right side *t* compiles: not a variable, and every functor read evaluated is in ``_EVALUABLE``."""
+        stack = [deref(t)]
+        if type(stack[0]) is Var:
+            return False
+        while stack:
+            t = deref(stack.pop())
+            if type(t) is Compound:
+                entry = _EVALUABLE.get((t.name, len(t.args)))
+                if entry is None:  # a list, too
+                    return False
+                stack.extend(arg for reader, arg in zip(entry[0], t.args) if reader is not _node_number)
+        return True
+
+    def value(self, t: Term, lines: list[str]) -> str:
+        """An expression for the value of evaluable clause term *t*, read as :func:`_evaluate` reads it.
+
+        Each compound is one statement ``r<i> = reader(function(operands))``,
+        in post-order, so the source does not nest with the term.  An operand
+        read that can raise goes to a local before a later sibling's
+        statements run, so errors come in the walk's order.  Locals are a
+        stack: a compound's statement reuses its operands' locals.
+        """
+        frames: list[list] = []  # [compound, the reader of its value, its readers, its function, its operands' reads]
+        held = 0  # locals r0..r<held-1> hold reads still to be used
+        reader = _value
+        while True:
+            t = deref(t)
+            if type(t) is Compound and reader is not _node_number:
+                readers, function = _EVALUABLE[(t.name, len(t.args))]
+                if frames:  # the reads before this operand run first
+                    reads = frames[-1][4]
+                    for i, read in enumerate(reads):
+                        if read.endswith(")"):
+                            lines.append("    r%d = %s" % (held, read))
+                            reads[i], held = "r%d" % held, held + 1
+                frames.append([t, reader, readers, function, []])
+                t, reader = t.args[0], readers[0]
+                continue
+            read = self.read(reader, t, lines)
+            while frames:  # hand *read* to its compound; finish every compound that completes
+                compound, value_reader, readers, function, reads = frames[-1]
+                reads.append(read)
+                if len(reads) < len(compound.args):
+                    t, reader = compound.args[len(reads)], readers[len(reads)]
+                    break
+                frames.pop()
+                read = "%s(%s)" % (self.constant(function), ", ".join(reads))
+                if value_reader is not _value:
+                    read = "%s(%s)" % (self.constant(value_reader), read)
+                if frames:
+                    held -= sum(1 for read in reads if read.startswith("r"))
+                    lines.append("    r%d = %s" % (held, read))
+                    read, held = "r%d" % held, held + 1
+            else:
+                return read
+
+    def read(self, reader: Callable, t: Term, lines: list[str]) -> str:
+        """An expression for operand *t* (a leaf, or a node form's operand) read by *reader* (see :func:`_read`).
+
+        An atom or a number that reads without an error is read now.
+        """
+        if type(t) is not Var and type(t) is not Compound:
+            try:
+                return self.constant(_read(reader, t))
+            except EvalError:  # raised when the goal runs, in its turn
+                pass
+        return "%s(%s, %s)" % (self.constant(_read), self.constant(reader), self.build(t, lines))
 
 
 def _bind_built(solver: "Solver", var: Var, term: Term) -> Optional[Term]:
@@ -603,13 +859,16 @@ class Solver:
     fixed TERM site: a goal term (a query's, ``call/N``'s, a request's) is
     the *env* of ``_GOAL``, and a ``,`` or ``;`` term's argument tuple that
     of ``_LEFT`` and ``_RIGHT``.  A TERM site's goal runs as the site it
-    would compile to, read by :func:`goal_kind`.  Entering a site counts its
+    would compile to, read by :func:`goal_kind` (an ``is/2`` goal term as a
+    call of the native).  Entering a site counts its
     step in the loop itself (natives that enumerate without end call
     :meth:`_step`).  A call
     site builds the argument tuple from *env* and calls its native, or asks
     ``self.program``'s :meth:`Program.candidates` for the clauses that the
     name, arity and first argument select: a site never holds clauses, so a
-    clause shared by two programs calls each one's own.
+    clause shared by two programs calls each one's own.  An EVAL site runs
+    its own code, and warns and fails on an :class:`EvalError` as the
+    ``is/2`` native does.
 
     A choicepoint exists only while a choice remains.  A call's is data,
     ``[trail mark, clauses, rest, next index, args]``: :meth:`_select` runs
@@ -803,6 +1062,12 @@ class Solver:
                                 if body is not _EXHAUSTED:
                                     frame = body
                                     continue
+                    elif kind is EVAL:
+                        try:
+                            if site[1](env, self):
+                                continue
+                        except EvalError as exc:
+                            self.warn("is/2: %s" % exc)
                     elif kind is CUT:
                         del choicepoints[cut:]
                         continue
@@ -895,142 +1160,11 @@ class Solver:
         """Evaluate an ``is``-expression to an int, float, or atom (a list, for ``cat``, to itself).
 
         Raises :class:`EvalError` on type errors, unbound operands, unknown
-        functors, or out-of-range string indexes.  One loop over a generator per
-        compound under evaluation (see :meth:`_evaluate`): depth is bounded by memory.
+        functors, or out-of-range string indexes.  A compound is walked over
+        a list of frames that reads ``_EVALUABLE`` (see :func:`_evaluate`):
+        depth is bounded by memory.
         """
-        waiting: list = []  # a generator per compound under evaluation, innermost last
-        while True:
-            expr = deref(expr)
-            if type(expr) is Compound and (expr.name != CONS or len(expr.args) != 2):
-                waiting.append(self._evaluate(expr))
-                value = None
-            elif type(expr) is Var:
-                raise EvalError("unbound variable in evaluable expression")
-            else:
-                value = expr
-            while waiting:  # send *value* to the innermost generator, until one asks for a subterm
-                try:
-                    expr = waiting[-1].send(value)
-                    break
-                except StopIteration as done:
-                    waiting.pop()
-                    value = done.value
-            else:
-                return value
-
-    def _evaluate(self, expr: Compound) -> Generator[Term, Term, Term]:
-        """A generator that yields each subterm whose value it needs, is sent that value, and returns *expr*'s."""
-        name, args = expr.name, expr.args
-        arity = len(args)
-        if arity == 2 and (name in ("+", "-", "*", "/", "mod") or name in _NODE_FORMS):
-            if name in _NODE_FORMS:  # operands are read, not evaluated
-                name = _NODE_FORMS[name]
-                left, right = self._node_number(args[0]), self._node_number(args[1])
-            else:
-                left = _number((yield args[0]))
-                right = _number((yield args[1]))
-            if name == "+":
-                return left + right
-            if name == "-":
-                return left - right
-            if name == "*":
-                return left * right
-            if name == "/":
-                if right == 0:
-                    raise EvalError("division by zero")
-                return left / right
-            if not (isinstance(left, int) and isinstance(right, int)):
-                raise EvalError("mod requires integers")
-            if right == 0:
-                raise EvalError("mod by zero")
-            return left % right
-        if name == "-" and arity == 1:
-            return -_number((yield args[0]))
-
-        if name == "cat" and 2 <= arity <= 8:
-            parts: list[str] = []
-            pending = list(reversed(args))  # a list is flattened when reached, so errors come in text order
-            while pending:
-                t = deref(pending.pop())
-                if isinstance(t, Atom):
-                    parts.append("" if t.name == "[]" else t.name)
-                elif isinstance(t, (int, float)):
-                    parts.append(_num_text(t))
-                elif isinstance(t, Compound) and t.name == CONS and len(t.args) == 2:
-                    items = list_items(t)
-                    if items is None:
-                        raise EvalError("cat cannot flatten an improper list")
-                    pending.extend(reversed(items))
-                else:  # another compound's value is a number or an atom; a variable raises
-                    value = yield t
-                    parts.append(value.name if isinstance(value, Atom) else _num_text(value))
-            return Atom("".join(parts))
-        if name == "string" and arity == 1:
-            value = yield args[0]
-            if isinstance(value, Atom):
-                return value
-            if isinstance(value, (int, float)):
-                return Atom(_num_text(value))
-            raise EvalError("string/1 expects a number or atom")
-        if name == "substring" and arity == 3:
-            text = _text((yield args[0]))
-            start = _integer((yield args[1]))
-            length = _integer((yield args[2]))
-            if start < 1 or length < 0 or start - 1 + length > len(text):
-                raise EvalError(
-                    "substring out of range: start=%d len=%d on %r" % (start, length, text)
-                )
-            return Atom(text[start - 1 : start - 1 + length])
-        if name == "substring_after" and arity == 2:
-            text = _text((yield args[0]))
-            sep = _text((yield args[1]))
-            index = text.find(sep) if sep else 0
-            return Atom(text[index + len(sep) :] if index >= 0 else "")
-        if name == "substring_before" and arity == 2:
-            text = _text((yield args[0]))
-            sep = _text((yield args[1]))
-            index = text.find(sep) if sep else -1
-            return Atom(text[:index] if index >= 0 else "")
-        if name == "translate" and arity == 3:
-            text = _text((yield args[0]))
-            source = _text((yield args[1]))
-            target = _text((yield args[2]))
-            # A character's first position in *source* wins; past *target*'s end it is deleted.
-            table = {ord(ch): target[i] if i < len(target) else None for i, ch in reversed(list(enumerate(source)))}
-            return Atom(text.translate(table))
-        raise EvalError("unknown evaluable functor %s/%d" % (name, arity))
-
-    def _node_number(self, t: Term):
-        t = deref(t)
-        if isinstance(t, (int, float)):
-            return t
-        if isinstance(t, Compound) and t.name == "element" and len(t.args) == 3:
-            children = list_parts(t.args[2])[0]
-            if len(children) == 1:
-                child = deref(children[0])
-                if isinstance(child, Compound) and child.name == "text" and len(child.args) == 1:
-                    content = deref(child.args[0])
-                    if isinstance(content, Atom):
-                        # Only XML's whitespace is stripped, and none of the
-                        # forms int() and float() take beyond XML's numbers
-                        # is read: other whitespace, non-ASCII digits, "1_0",
-                        # "nan", "inf", or an overflow to infinity.
-                        text = content.name.strip(" \t\r\n")
-                        if text.isascii() and "_" not in text and text == text.strip():
-                            try:
-                                return int(text)
-                            except ValueError:
-                                pass
-                            try:
-                                if math.isfinite(value := float(text)):
-                                    return value
-                            except ValueError:
-                                pass
-                        raise EvalError("text content is not a number: %r" % text)
-        raise EvalError(
-            "expected a number or an element with a single numeric text child, got %s"
-            % render_term(t)
-        )
+        return _read(_value, expr)
 
 
 # ---------------------------------------------------------------------------

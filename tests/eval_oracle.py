@@ -1,15 +1,16 @@
 """The recursive ``is/2`` evaluator that ``Solver.eval_is`` replaced, kept as a test oracle.
 
-Before ``Solver.eval_is`` became one loop over a list of generators,
-it recursed once per level of an expression: every functor evaluated its
-operands by calling ``eval_is`` again, and ``cat`` flattened nested lists
-by calling ``_stringify`` on each item.  The methods below are that code,
+Before ``Solver.eval_is`` became one loop, now over a list of frames that
+reads ``logic_engine``'s table of evaluable functors, it recursed once per
+level of an expression: every functor evaluated its operands by calling
+``eval_is`` again, and ``cat`` flattened nested lists by calling
+``_stringify`` on each item.  The methods below are that code,
 unchanged but for the class they sit in, for the ``-``/1 branch (negation,
 added to both evaluators together), and for ``_node_number``, which reads
 an element's text by ``xml_number``: a regular expression for XML's number
 forms, where the old code took whatever ``int()`` and ``float()`` took.
-``tests/test_eval_is.py`` compares the two on random expressions: the
-value, or the EvalError text.
+``tests/test_eval_is.py`` compares it with ``eval_is`` and with compiled
+``is/2`` goals on random expressions: the value, or the EvalError text.
 """
 
 import re

@@ -5,7 +5,9 @@ transformation only rescans live terms.  ``transform_file`` turns the
 collector off for the call and back on afterwards if it was on before.
 These tests pin that the collector's state is the same after every exit
 path, that a large document starts no collection while it is transformed,
-and that a transformation leaves no cyclic garbage for a later collection.
+that a transformation leaves no cyclic garbage for a later collection, and
+that the compiled clauses of a program ``rule_program`` drops are freed by
+reference counting.
 """
 
 import gc
@@ -17,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 
 from termxform import rule_language, xml_io
-from termxform.logic_engine import ResourceLimitError
+from termxform.logic_engine import ResourceLimitError, Solver
+from termxform.rule_language import parse_query
 from termxform.template_engine import TemplateError, TransformOptions, rule_program, transform_file
 from termxform.xml_io import serialize_document
 
@@ -138,3 +141,15 @@ def test_a_transformation_leaves_no_cyclic_garbage(tree):
         assert gc.collect() == 0
     assert template.status in ("ok", "no_solution")
     assert goal.status == "ok"
+
+
+def test_the_clause_code_of_dropped_programs_is_freed_by_reference_counting():
+    # Each clause's generated functions have its namespace as their globals;
+    # a namespace that held them back would make a cycle per clause.
+    gc.collect()
+    for n in range(20):  # rule_program's cache holds 8, so 12 programs are dropped here
+        user, program = rule_program("p(X, Y) :- q(X, Z), Y is Z + %d.\nq(a, %d)." % (n, n))
+        assert Solver(program).solve_once(parse_query("p(a, %d)" % (2 * n)).goal)
+    del user, program
+    rule_program.cache_clear()  # and the other 8
+    assert gc.collect() == 0

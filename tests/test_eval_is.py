@@ -1,10 +1,12 @@
-"""``Solver.eval_is`` against the recursive evaluator it replaced.
+"""``Solver.eval_is`` and compiled ``is/2`` goals against the recursive evaluator.
 
-``eval_is`` is one loop over a list of generators, one per compound under
-evaluation, so an expression's depth is bounded by memory.
+``eval_is`` is one loop over a list of frames that reads the table of
+evaluable functors, so an expression's depth is bounded by memory; an
+``is/2`` goal in a clause body whose right side holds only evaluable
+functors is compiled into clause code over the same table.
 ``eval_oracle.RecursiveEvaluator`` keeps the code that recursed once per
-level.  On random expressions both must give the same value (its type and
-its text) or fail with the same EvalError message: the operators and
+level.  On random expressions all three must give the same value (its type
+and its text) or fail with the same EvalError message: the operators and
 functors are drawn with their own arities and with wrong ones, over
 numbers, atoms, lists (proper, improper and partial), unbound and bound
 variables, and ``element`` nodes.  The last tests run expressions far
@@ -12,13 +14,16 @@ deeper than the recursive evaluator could take under Python's default
 recursion limit, which the package leaves as it is.
 """
 
+import io
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eval_oracle import RecursiveEvaluator
-from termxform.logic_engine import EvalError, Program, Solver
-from termxform.rule_language import parse_query
-from termxform.term_core import Atom, Compound, fresh_var, mk_list, render_term
+from termxform.logic_engine import EVAL, EvalError, Program, Solver, SolverOptions
+from termxform.rule_language import parse_program, parse_query
+from termxform.term_core import Atom, Compound, Var, deref, fresh_var, mk_list, render_term
 
 NUMBERS = st.one_of(
     st.integers(-20, 20),
@@ -127,6 +132,88 @@ def test_evaluation_order_and_errors(text, outcome):
     expr = parse_query(text).goal
     assert _outcome(Solver(Program()).eval_is, expr) == outcome
     assert _outcome(RecursiveEvaluator().eval_is, expr) == outcome
+
+
+# The functors an is/2 goal in a clause compiles over; a node form's operands are not evaluated.
+EVALUABLE = {
+    ("+", 2), ("-", 2), ("*", 2), ("/", 2), ("mod", 2), ("-", 1), ("string", 1),
+    ("substring", 3), ("substring_after", 2), ("substring_before", 2), ("translate", 3),
+} | {("cat", arity) for arity in range(2, 9)}
+NODE_FORMS = {("plus", 2), ("minus", 2), ("mult", 2), ("div", 2)}
+
+
+def _compilable(expr):
+    """Whether ``R is expr`` in a clause body compiles: not a variable, and only evaluable functors outside node forms."""
+    stack = [expr]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Compound):
+            key = (t.name, len(t.args))
+            if key not in EVALUABLE | NODE_FORMS:
+                return False
+            if key in EVALUABLE:
+                stack.extend(t.args)
+        elif isinstance(t, Var) and t is expr:
+            return False
+    return True
+
+
+def _clause_text(expr, variables):
+    """*expr* with each variable (bound or not) replaced by a clause variable of its own, in *variables*."""
+    if isinstance(expr, Var):
+        return variables.setdefault(expr.id, (fresh_var("V"), expr))[0]
+    if isinstance(expr, Compound):
+        return Compound(expr.name, tuple(_clause_text(arg, variables) for arg in expr.args))
+    return expr
+
+
+def _compiled_outcome(expr):
+    """The outcome of ``t(R, V1..Vn) :- R is expr`` called with expr's own variables: R, or the warning."""
+    variables = {}
+    body_expr = _clause_text(expr, variables)
+    result = fresh_var("R")
+    program = Program()
+    program.add(Compound("t", (result,) + tuple(v for v, _ in variables.values())), Compound("is", (result, body_expr)))
+    clause = program.clauses[("t", len(variables) + 1)][0]
+    kind = (clause.code or clause.compile())[2][0][0]
+    assert (kind is EVAL) == _compilable(deref(body_expr)), render_term(expr)
+    out = io.StringIO()
+    answer = fresh_var("A")
+    goal = Compound("t", (answer,) + tuple(original for _, original in variables.values()))
+    try:
+        for _ in Solver(program, SolverOptions(diagnostics=out)).solve(goal):
+            return type(deref(answer)).__name__, render_term(deref(answer))
+    except EvalError as error:
+        raise AssertionError("the goal let an EvalError out: %s" % error) from error
+    except Exception as error:  # noqa: BLE001 - any other exception must be the same as eval_is's
+        return type(error).__name__, str(error)
+    message = out.getvalue()
+    assert message.startswith("warning: is/2: ") and message.endswith("\n"), message
+    return "EvalError", message[len("warning: is/2: ") : -1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_functor(EXPRESSIONS) | EXPRESSIONS)
+def test_a_compiled_is_goal_gives_eval_is_value_or_warning(expr):
+    assert _compiled_outcome(expr) == _outcome(Solver(Program()).eval_is, expr), render_term(expr)
+
+
+def _answer(program, text):
+    query = parse_query(text, program.operators)
+    solver = Solver(program, SolverOptions(diagnostics=io.StringIO()))
+    for _ in solver.solve(query.goal):
+        return deref(query.variables["X"])
+    return None
+
+
+def test_a_20000_term_sum_answers_in_a_clause_body_and_in_a_query():
+    limit = sys.getrecursionlimit()
+    total = "+".join(["1"] * 20_000)
+    program = parse_program("sum(X) :- X is %s." % total)
+    assert program.clauses[("sum", 1)][0].compile()[2][0][0] is EVAL
+    assert _answer(program, "sum(X)") == 20_000
+    assert _answer(program, "X is %s" % total) == 20_000
+    assert sys.getrecursionlimit() == limit
 
 
 def _deep(depth, wrap, leaf):

@@ -7,7 +7,9 @@ arguments, each from an empty slot list, and the tests compare whether the
 head matched, the goal arguments, slots and built goals (rendered together,
 so that shared variables show, and with the order in which fresh variables
 were made), and how many bindings went on the trail.  A site's goal is
-rebuilt from what it holds (see ``site_goal``).  Every comparison runs with
+rebuilt from what it holds (see ``site_goal``); an ``is/2`` site, which
+builds no goal, is run on a solver that binds nothing, so that it fills its
+slots, and its goal is rebuilt over them.  Every comparison runs with
 ``occurs_check`` off and on.
 """
 
@@ -19,7 +21,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skeleton_oracle import _build, _match, skeletons
-from termxform.logic_engine import CALL, CUT, OR, Clause, ResourceLimitError, Solver, SolverOptions
+from termxform.logic_engine import (
+    CALL,
+    CUT,
+    EVAL,
+    OR,
+    Clause,
+    EvalError,
+    ResourceLimitError,
+    Solver,
+    SolverOptions,
+    _copy_in,
+)
 from termxform.rule_language import parse_program, parse_query
 from termxform.term_core import Atom, Compound, copy_term, deref, fresh_var, mk_list, term_variables
 from termxform.transform_prelude import load_prelude
@@ -35,7 +48,11 @@ def site_goal(site, env):
 
     A call site's goal is its name over its built arguments, a cut site's
     is ``!``, and a ``;`` site's is the ``;`` of its branches' goals, left
-    branch first, each branch one goal or a right-nested ``,`` chain.
+    branch first, each branch one goal or a right-nested ``,`` chain.  An
+    ``is/2`` site evaluates instead of building: it runs on a solver whose
+    ``unify`` binds nothing, which fills the goal's unfilled slots as
+    building the goal would, and its goal is the clause's ``is/2`` term
+    rebuilt over the slots.
     """
     kind = site[0]
     if kind is CALL:
@@ -47,7 +64,21 @@ def site_goal(site, env):
         return Atom("!")
     if kind is OR:
         return Compound(";", (_conjunction(site[1], env), _conjunction(site[2], env)))
+    if kind is EVAL:
+        try:
+            site[1](env, _Unbinding)
+        except EvalError:
+            pass
+        return _copy_in(site[2], env, site[1].__globals__["slots"])
     return site[1](env)
+
+
+class _Unbinding:
+    """A solver for an ``is/2`` site that unifies without binding anything."""
+
+    @staticmethod
+    def unify(a, b):
+        return True
 
 
 def _conjunction(sites, env):
@@ -186,7 +217,36 @@ def test_control_program_clauses_match_and_build_as_skeletons_do(text, goal_text
 
 
 # ---------------------------------------------------------------------------
-# Every prelude clause against random trees
+# is/2 sites: the slots they fill, in order, and what they build
+
+
+IS_CLAUSES = [
+    "p(X, Y) :- Z is W + V * X, q(Z, W, V).",
+    "p(X, Y) :- f(A, B) is plus(element(n, C, [text(D)|E]), Y), q(A, B, C, D, E).",
+    "p(X, Y) :- X is cat(A, Y, [], B), Y is string(mult(element(p, [], [text(C)]), X)).",
+    "p(X, Y) :- (Z is X - U ; Z is substring(U, Y, V)), q(Z, U, V).",
+    "p(X, Y) :- Z is 1 + a, W is cat(foo, 2.5, X), q(Z, W).",
+]
+
+
+@pytest.mark.parametrize("text", IS_CLAUSES)
+def test_is_sites_fill_and_build_as_skeletons_do(text):
+    program = parse_program(text)
+    (clause,) = program.clauses[("p", 2)]
+    solver = _solver(program)
+    for args in _goal_args(clause, [Atom("a"), 2, Compound("element", (Atom("n"), Atom("[]"), mk_list([])))]):
+        assert_same_as_skeletons(solver, clause, args)
+    assert list(_kinds(clause.code[2])).count(EVAL) == text.count(" is ")
+
+
+def _kinds(sites):
+    for site in sites:
+        yield site[0]
+        if site[0] is OR:
+            yield from _kinds(site[1] + site[2])
+
+
+
 
 
 PRELUDE = load_prelude()

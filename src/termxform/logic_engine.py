@@ -603,18 +603,20 @@ class _ClauseCode:
     def value(self, t: Term, lines: list[str]) -> str:
         """An expression for the value of evaluable clause term *t*, read as :func:`_evaluate` reads it.
 
-        Each compound is one statement ``r<i> = reader(function(operands))``,
-        in post-order, so the source does not nest with the term.  An operand
-        read that can raise goes to a local before a later sibling's
-        statements run, so errors come in the walk's order.  Locals are a
-        stack: a compound's statement reuses its operands' locals.
+        A ground operand is read as the clause compiles (see :meth:`read`).
+        Each other compound is one statement
+        ``r<i> = reader(function(operands))``, in post-order, so the source
+        does not nest with the term.  An operand read that can raise goes to
+        a local before a later sibling's statements run, so errors come in
+        the walk's order.  Locals are a stack: a compound's statement reuses
+        its operands' locals.
         """
         frames: list[list] = []  # [compound, the reader of its value, its readers, its function, its operands' reads]
         held = 0  # locals r0..r<held-1> hold reads still to be used
         reader = _value
         while True:
             t = deref(t)
-            if type(t) is Compound and reader is not _node_number:
+            if type(t) is Compound and reader is not _node_number and not self.is_constant(t):
                 readers, function = _EVALUABLE[(t.name, len(t.args))]
                 if frames:  # the reads before this operand run first
                     reads = frames[-1][4]
@@ -644,14 +646,15 @@ class _ClauseCode:
                 return read
 
     def read(self, reader: Callable, t: Term, lines: list[str]) -> str:
-        """An expression for operand *t* (a leaf, or a node form's operand) read by *reader* (see :func:`_read`).
+        """An expression for operand *t* (a leaf, a ground term, or a node form's operand) read by *reader* (see :func:`_read`).
 
-        An atom or a number that reads without an error is read now.
+        A ground operand is read now, as the clause compiles, unless reading it
+        raises: then it is read when the goal runs, and the error comes in its turn.
         """
-        if type(t) is not Var and type(t) is not Compound:
+        if self.is_constant(t):
             try:
                 return self.constant(_read(reader, t))
-            except EvalError:  # raised when the goal runs, in its turn
+            except Exception:  # EvalError, an overflow, str() of a huge int: the goal's error
                 pass
         return "%s(%s, %s)" % (self.constant(_read), self.constant(reader), self.build(t, lines))
 

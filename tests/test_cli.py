@@ -2,12 +2,10 @@
 
 import os
 import re
-import subprocess
-import sys
 
 import pytest
 
-import termxform
+from fresh_interpreter import termxform
 from termxform.cli import _divergence_path, main
 from termxform.xml_io import parse_document
 
@@ -215,16 +213,11 @@ def test_nth_past_the_end_or_at_no_number_fails_at_once(goal, capsys):
 
 
 @pytest.mark.parametrize("goal", ["nth(-1, [a, b], X)", "church(X, -1)", "church(X, 1.5)"])
-def test_church_of_a_negative_or_fractional_number_fails(goal):
+def test_church_of_a_negative_or_fractional_number_fails(tmp_path, goal):
     # Counting such a number down never reached 0, and the recursive solver
     # overflowed the C stack (exit 139) before the step limit stopped it;
     # a subprocess keeps such a crash out of the test run.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(termxform.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-m", "termxform.cli", "query", "--rules", "prelude-only", goal],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    done = termxform(tmp_path, "query", goal, timeout=120)
     assert (done.returncode, done.stdout, done.stderr) == (1, "NO\n", "")
 
 
@@ -238,33 +231,24 @@ def test_church_of_a_negative_or_fractional_number_fails(goal):
         ),
     ],
 )
-def test_last_of_an_open_list_enumerates_longer_lists(goal, answers):
+def test_last_of_an_open_list_enumerates_longer_lists(tmp_path, goal, answers):
     # last/2 tried its recursive clause first, so on an open list it
     # recursed until the C stack overflowed (exit 139); with the base clause
     # first it gives [a], [_,a], ... as other Prologs do.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(termxform.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-m", "termxform.cli", "query", "--rules", "prelude-only", "--max", "3", goal],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    done = termxform(tmp_path, "query", "--max", "3", goal, timeout=120)
     expected = "".join("YES.\n%s\n" % answer for answer in answers)
     assert (done.returncode, re.sub(r"_\d+", "_", done.stdout), done.stderr) == (0, expected, "")
 
 
 @pytest.mark.parametrize("goal", ["X = f(X)", "X = f(X), Y = 1"])
-def test_a_cyclic_answer_is_an_input_error_that_names_its_variable(goal):
+def test_a_cyclic_answer_is_an_input_error_that_names_its_variable(tmp_path, goal):
     # A cyclic answer has no finite text, so printing one would never end; it
     # is rejected before any of it is printed.  With the occurs check the
     # unification fails instead.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(termxform.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    command = [sys.executable, "-m", "termxform.cli", "query", "--rules", "prelude-only", goal]
-    done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=20)
+    done = termxform(tmp_path, "query", goal, timeout=20)
     assert (done.returncode, done.stdout) == (2, "")
     assert "binds X to a cyclic term" in done.stderr and "--occurs-check" in done.stderr
-    command.append("--occurs-check")
-    done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=20)
+    done = termxform(tmp_path, "query", goal, "--occurs-check", timeout=20)
     assert (done.returncode, done.stdout, done.stderr) == (1, "NO\n", "")
 
 
@@ -274,21 +258,19 @@ def test_a_cyclic_answer_is_an_input_error_that_names_its_variable(goal):
         ("check", "p :- %s." % ", ".join(["true"] * 20_000), None, ""),
         ("query", "p(%sa%s)." % ("f(" * 20_000, ")" * 20_000), "p(%sX%s)" % ("f(" * 20_000, ")" * 20_000), "YES.\nX/a\n"),
         ("query", None, "X = %sa%s, X = %sY%s" % ("f(" * 20_000, ")" * 20_000, "f(" * 20_000, ")" * 20_000), None),
+        ("query", "p :- %s." % ", ".join(["true"] * 20_000), "p", "YES.\n"),
+        ("query", "p(%s1)." % ("- " * 20_000), "p(_)", "YES.\n"),
     ],
-    ids=["a-body-of-20000-goals", "a-clause-20000-deep", "a-query-20000-deep"],
+    ids=["a-body-of-20000-goals", "a-clause-20000-deep", "a-query-20000-deep", "a-body-of-20000-goals-runs",
+         "20000-prefix-minus-signs"],
 )
 def test_a_rule_text_nested_20000_deep_reads(tmp_path, command, rules, goal, output):
     # The reader keeps its open terms on a stack of its own: at 1,000 goals
     # or 600 levels, the recursive reader it replaced ran past the Python
     # stack and answered "term nested too deeply" (exit 2).  A fresh
-    # interpreter has the default recursion limit.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(termxform.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    rules_arg = write(tmp_path, "rules.tx", rules) if rules is not None else "prelude-only"
-    args = [command, "--rules", rules_arg] + ([goal] if goal is not None else [])
-    done = subprocess.run(
-        [sys.executable, "-m", "termxform.cli", *args], capture_output=True, text=True, env=env, timeout=60
-    )
+    # interpreter has the default recursion limit.  A 20,000-goal body and
+    # 20,000 prefix `-` signs also run as queries.
+    done = termxform(tmp_path, command, *([goal] if goal is not None else []), rules=rules, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     if output is None:  # X is printed whole; Y is the atom a
         assert done.stdout.startswith("YES.\nX/" + "f(" * 20_000 + "a" + ")" * 20_000 + "\n")
@@ -297,13 +279,15 @@ def test_a_rule_text_nested_20000_deep_reads(tmp_path, command, rules, goal, out
         assert done.stdout == output
 
 
-def test_write_of_a_cyclic_term_warns_and_fails():
+def test_the_books_example_lints_clean(capsys):
+    # Its transform is run by tests/test_startup.py.
+    books = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "books.tx")
+    assert (main(["check", "--rules", books]), capsys.readouterr().out) == (0, "")
+
+
+def test_write_of_a_cyclic_term_warns_and_fails(tmp_path):
     # write/1 shares the answer printer's check, so it does not render for ever.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(termxform.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    goal = "X = f(X, a), (write(X) ; write(done))"
-    command = [sys.executable, "-m", "termxform.cli", "query", "--rules", "prelude-only", goal]
-    done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=20)
+    done = termxform(tmp_path, "query", "X = f(X, a), (write(X) ; write(done))", timeout=20)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith(
         "warning: write/1 cannot print a cyclic term (goal fails)\ndone"

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+from fresh_interpreter import run_script
 from termxform import rule_language, xml_io
 from termxform.logic_engine import ResourceLimitError, Solver
 from termxform.rule_language import parse_query
@@ -153,3 +154,13 @@ def test_the_clause_code_of_dropped_programs_is_freed_by_reference_counting():
     del user, program
     rule_program.cache_clear()  # and the other 8
     assert gc.collect() == 0
+
+
+def test_the_size_sweep_transforms_90_and_9000_rows_to_the_oracle():
+    """The sweep transforms one template-rows document of 90 and one of
+    9,000 rows, each in a child of its own, and exits 1 when an output
+    differs from the workload's oracle or a child fails.  No wall time is
+    checked, as host speed varies; the gc.callbacks test above is the
+    deterministic guard."""
+    done = run_script("size_sweep.py", "--rows", "90", "9000", timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr

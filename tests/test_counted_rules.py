@@ -43,6 +43,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fresh_interpreter import termxform
 from termxform.logic_engine import ResourceLimitError, Solver, SolverOptions
 from termxform.rule_language import parse_program, parse_query
 from termxform.term_core import (
@@ -644,3 +645,37 @@ def test_the_work_of_position_grows_linearly():
     # Through church numerals the exponent was about 2.
     slope, counts = call_exponent(position_findall)
     assert slope <= 1.1, counts
+
+
+COUNTED = """\
+levelSize(D, N) :- findall(P, transform(D level _, P), L), length(L, N).
+positionSize(D, N) :- findall(P-C, position(D, C, P), L), length(L, N).
+distinctSize(D, N) :- findall(X, transform(distinct D, X), L), length(L, N).
+"""
+ROWS_4000 = "<t>" + "".join('<r i="%d"/>' % i for i in range(4000)) + "</t>"
+
+
+@pytest.mark.parametrize(
+    "goal, document, expected",
+    [
+        ("levelSize(Doc, N)", ROWS_4000, "N/4000"),
+        ("positionSize(Doc, N)", ROWS_4000, "N/4000"),
+        ("distinctSize(Doc, N)", "<t>" + "<r/>" * 12 + "</t>", "N/1"),
+    ],
+    ids=["level", "position", "distinct"],
+)
+def test_counted_goals_answer_inside_10_s(tmp_path, goal, document, expected):
+    """level counts each child's position with an integer, so every node
+    of a flat 4,000-row document gets one path at a few steps; when
+    each row's position was searched again with nth/3 through church
+    numerals, 2,000 rows took about 10,000,000 steps.  position/3
+    reads positions through nth/3, which counts the same way; when
+    nth/3 enumerated them as church numerals, 4,000 rows took
+    about 40,000,000 steps.  distinct on 12 equal children answers
+    once; it gave 11! equal answers before.  Each goal printed
+    nothing but exit 3 at the default step limit."""
+    path = tmp_path / "doc.xml"
+    path.write_text(document, encoding="utf-8")
+    done = termxform(tmp_path, "query", goal, "--in", str(path), rules=COUNTED, timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert expected in done.stdout.splitlines()

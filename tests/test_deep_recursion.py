@@ -15,14 +15,11 @@ the run.
 """
 
 import os
-import subprocess
-import sys
 
 import pytest
 
-import termxform
+from fresh_interpreter import SRC, in_process, query, termxform
 
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(termxform.__file__)))
 RULES = """\
 cnt(0).
 cnt(N) :- N > 0, M is N-1, cnt(M).
@@ -39,93 +36,45 @@ template(text(T), [text(T)]).
 """
 
 
-def termxform(tmp_path, command, *args, depth=None, rules=RULES):
-    path = tmp_path / "rules.tx"
-    path.write_text(rules, encoding="utf-8")
-    args = ["--rules", str(path), *args]
-    if depth is not None:
-        document = tmp_path / "deep.xml"
-        document.write_text("<a>" * depth + "x" + "</a>" * depth, encoding="utf-8")
-        args += ["--in", str(document)]
-    return subprocess.run(
-        [sys.executable, "-m", "termxform.cli", command, *args],
-        capture_output=True, text=True, timeout=300,
-        env=dict(os.environ, PYTHONPATH=SRC),
-    )
-
-
-def query(tmp_path, goal, *options, depth=None, rules=RULES):
-    return termxform(tmp_path, "query", *options, goal, depth=depth, rules=rules)
-
-
-# The child's own peak RSS in MB.  On Linux, ru_maxrss keeps the high-water
-# mark across execve, so a child's reading includes the size of the pytest
-# process it was forked from (a trivial child of a 150 MB parent reads 163 MB,
-# against a VmHWM of 13.5 MB); VmHWM is the child's own.  Where /proc is
-# absent, ru_maxrss is the fallback.
-PEAK_MB = """
-def peak_mb():
-    try:
-        with open("/proc/self/status") as status:
-            for line in status:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) // 1024
-    except OSError:
-        pass
-    import resource
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024
-"""
-
-
-def in_process(child):
-    """The lines *child*, a Python program that may call ``peak_mb()``, prints to standard output."""
-    done = subprocess.run(
-        [sys.executable, "-c", PEAK_MB + child], capture_output=True, text=True, timeout=300,
-        env=dict(os.environ, PYTHONPATH=SRC),
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()
-
-
 def test_a_countdown_of_100000_levels_answers(tmp_path):
-    done = query(tmp_path, "cnt(100000)", "--depth-limit", "600000")
+    done = query(tmp_path, "cnt(100000)", "--depth-limit", "600000", rules=RULES)
     assert (done.returncode, done.stdout, done.stderr) == (0, "YES.\n", "")
 
 
 def test_a_countdown_past_the_step_limit_exits_3(tmp_path):
-    done = query(tmp_path, "cnt(1000000)", "--depth-limit", "300000")
+    done = query(tmp_path, "cnt(1000000)", "--depth-limit", "300000", rules=RULES)
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == "error: step limit of 300000 resolution steps exceeded\n"
 
 
 def test_a_non_tail_recursion_over_100000_cells_answers(tmp_path):
-    done = query(tmp_path, "length(L,100000), len(L,N)", "--depth-limit", "400000")
+    done = query(tmp_path, "length(L,100000), len(L,N)", "--depth-limit", "400000", rules=RULES)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "N/100000"
 
 
 def test_equals_on_a_20000_deep_document_answers(tmp_path):
-    done = query(tmp_path, "equals(Doc, Doc)", depth=20_000)
+    done = query(tmp_path, "equals(Doc, Doc)", depth=20_000, rules=RULES)
     assert (done.returncode, done.stdout, done.stderr) == (0, "YES.\n", "")
 
 
 def test_recursion_through_not_over_a_2000_deep_document_answers(tmp_path):
-    done = query(tmp_path, "ok(Doc)", depth=2_000)
+    done = query(tmp_path, "ok(Doc)", depth=2_000, rules=RULES)
     assert (done.returncode, done.stdout, done.stderr) == (0, "YES.\n", "")
 
 
 def test_recursion_through_not_over_a_100000_deep_document_answers(tmp_path):
-    done = query(tmp_path, "ok(Doc)", depth=100_000)
+    done = query(tmp_path, "ok(Doc)", depth=100_000, rules=RULES, timeout=120)
     assert (done.returncode, done.stdout, done.stderr) == (0, "YES.\n", "")
 
 
 def test_nested_findall_over_a_100000_deep_document_answers(tmp_path):
-    done = query(tmp_path, "f(Doc, L)", depth=100_000)
+    done = query(tmp_path, "f(Doc, L)", depth=100_000, rules=RULES, timeout=120)
     assert (done.returncode, done.stdout, done.stderr) == (0, "YES.\nL/x\n", "")
 
 
 def test_templates_nested_100000_deep_through_traverse_answer(tmp_path):
-    done = termxform(tmp_path, "transform", depth=100_000, rules=NEST)
+    done = termxform(tmp_path, "transform", depth=100_000, rules=NEST, timeout=30)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "<b>" * 100_000 + "x" + "</b>" * 100_000 + "\n"
 
@@ -144,6 +93,38 @@ print(peak_mb())
     answer, peak_mb = in_process(child)
     assert answer == "True 600001"
     assert int(peak_mb) < 100
+
+
+def test_a_guard_style_countdown_of_200000_levels_peaks_under_100_mb(tmp_path):
+    """A guard-style countdown (a first clause that fails for N > 0) answers
+    at 200,000 levels under 100 MB: the call's choicepoint goes once its last
+    candidate clause runs, so choicepoints do not pile up with depth."""
+    rules = "down(N) :- N =< 0.\ndown(N) :- N > 0, M is N-1, down(M).\n"
+    done = query(tmp_path, "down(200000)", "--depth-limit", "5000000", rules=rules, peak=True)
+    assert done.returncode == 0, done.stderr
+    assert done.peak_mb < 100
+
+
+def test_a_countdown_of_a_million_levels_stops_at_the_default_step_limit_under_1_gb(tmp_path):
+    """A million-level countdown stops at the default step limit (exit 3),
+    not by overflowing the C stack (exit 139), and the child peaks under
+    1 GB of RSS on the way."""
+    done = query(tmp_path, "cnt(1000000)", rules=RULES, peak=True)
+    assert done.returncode == 3, done.stderr
+    assert done.peak_mb <= 1024
+
+
+def test_no_recursion_limit_in_the_package():
+    """Every walk whose depth follows the input runs on a stack of its own,
+    so nothing in src/ catches a RecursionError or sets the limit."""
+    named = []
+    for folder, _, files in os.walk(SRC):
+        for name in sorted(files):
+            path = os.path.join(folder, name)
+            with open(path, encoding="utf-8", errors="replace") as source:
+                named += ["%s:%d" % (path, number) for number, line in enumerate(source, 1)
+                          if "RecursionError" in line or "setrecursionlimit" in line]
+    assert named == []
 
 
 def test_200000_levels_each_running_not_findall_and_traverse_peak_under_100_mb():
@@ -173,35 +154,48 @@ template(text(_), []).
 # 500 cells failed, and with it 20,000 cells crashed on Python 3.10 (exit 139).
 @pytest.mark.parametrize("cells", [5_000, 20_000])
 def test_a_5000_element_list_in_a_clause_head_answers(tmp_path, cells):
-    done = query(tmp_path, "p(L), length(L, N)", rules="p([%s])." % ", ".join(["1"] * cells))
+    done = query(tmp_path, "p(L), length(L, N)", rules="p([%s])." % ", ".join(["1"] * cells), timeout=60)
     assert (done.returncode, done.stdout.splitlines()[-1], done.stderr) == (0, "N/%d" % cells, "")
 
 
 @pytest.mark.parametrize("cells", [5_000, 20_000])
 def test_a_5000_element_list_in_a_clause_body_answers(tmp_path, cells):
-    done = query(tmp_path, "q(N)", rules="q(N) :- length([%s], N)." % ", ".join(["1"] * cells))
+    done = query(tmp_path, "q(N)", rules="q(N) :- length([%s], N)." % ", ".join(["1"] * cells), timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "YES.\nN/%d\n" % cells, "")
 
 
-CELLS = 5_000
-ONES = ", ".join(["1"] * CELLS)
+def ones(cells):
+    return ", ".join(["1"] * cells)
 
 
-@pytest.mark.parametrize("goal, answer", [("r(L, [])", CELLS), ("r([1|L], [])", CELLS - 1)])
+@pytest.mark.parametrize("goal, answer", [("r(L, [])", 5_000), ("r([1|L], [])", 4_999)])
 def test_a_5000_cell_list_ending_in_a_variable_in_a_clause_head_answers(tmp_path, goal, answer):
     # r(L, []) binds L through the argument's builder, r([1|L], []) through
     # the copy of the head list below its first cell.
-    done = query(tmp_path, goal, rules="r([%s|T], T)." % ONES)
+    done = query(tmp_path, goal, rules="r([%s|T], T)." % ones(5_000))
     assert (done.returncode, done.stdout, done.stderr) == (0, "YES.\nL/[%s]\n" % ",".join(["1"] * answer), "")
 
 
 def test_a_5000_cell_list_ending_in_a_variable_in_a_clause_body_answers(tmp_path):
-    done = query(tmp_path, "q(L)", rules="q(L) :- L = [%s|T], T = []." % ONES)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "YES.\nL/[%s]\n" % ",".join(["1"] * CELLS), "")
+    done = query(tmp_path, "q(L)", rules="q(L) :- L = [%s|T], T = []." % ones(5_000))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "YES.\nL/[%s]\n" % ",".join(["1"] * 5_000), "")
+
+
+# On a 2-vCPU host, r(L, []) and r([1|L], []) take about 4 s and 0.9 GB each,
+# mostly the exec of the clause's generated source.
+@pytest.mark.parametrize(
+    "goal, rules, answer",
+    [("r(L, [])", "r([%s|T], T).", 20_000), ("r([1|L], [])", "r([%s|T], T).", 19_999),
+     ("s(L)", "s(L) :- L = [%s|T], T = [].", 20_000)],
+    ids=["head", "head-below-first-cell", "body"],
+)
+def test_a_20000_cell_list_ending_in_a_variable_answers(tmp_path, goal, rules, answer):
+    done = query(tmp_path, goal, rules=rules % ones(20_000), timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "YES.\nL/[%s]\n" % ",".join(["1"] * answer), "")
 
 
 def test_a_sum_of_20000_terms_answers(tmp_path):
-    done = query(tmp_path, "X is " + "+".join(["1"] * 20_000))
+    done = query(tmp_path, "X is " + "+".join(["1"] * 20_000), rules=RULES, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "YES.\nX/20000\n", "")
 
 
@@ -263,4 +257,4 @@ program.add(Atom("q"), goal)
 solver = Solver(program)
 print(solver.solve_once(Atom("q")), solver.steps)
 """
-    assert in_process(child) == ["True 40002", "True 40002"]
+    assert in_process(child, timeout=60) == ["True 40002", "True 40002"]

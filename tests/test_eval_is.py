@@ -216,6 +216,39 @@ def test_a_20000_term_sum_answers_in_a_clause_body_and_in_a_query():
     assert sys.getrecursionlimit() == limit
 
 
+def _is_site(text):
+    return parse_program(text).clauses[("sum", 1)][0].compile()[2][0]
+
+
+def test_a_ground_sum_in_a_clause_body_is_read_when_the_clause_compiles():
+    # The 20,000-term sum compiles to the code of `X is 20000`, where each
+    # term was one statement (1,359,970 bytes of bytecode on Python 3.11).
+    folded = _is_site("sum(X) :- X is %s." % "+".join(["1"] * 20_000))
+    literal = _is_site("sum(X) :- X is 20000.")
+    assert folded[0] is literal[0] is EVAL
+    assert folded[1].__code__.co_code == literal[1].__code__.co_code
+
+
+@pytest.mark.parametrize(
+    "body, warning",
+    [
+        ("fail, X is 1 / 0", ""),
+        ("fail, X is 1%s / 3" % ("0" * 400), ""),  # the division overflows a float
+        ("fail, X is string(1%s * 1%s)" % ("0" * 3000, "0" * 3000), ""),  # str() of 6,001 digits raises ValueError
+        ("X is 2 * (1 / 0)", "warning: is/2: division by zero\n"),
+        ("X is (1 / 0) + foo", "warning: is/2: division by zero\n"),
+        ("X is foo + (1 / 0)", "warning: is/2: expected a number, got foo\n"),
+    ],
+    ids=["never-run", "overflow-never-run", "too-long-string-never-run", "inner", "left", "right"],
+)
+def test_a_ground_subterm_that_cannot_be_read_is_read_when_the_goal_runs(body, warning):
+    # Its error is a warning of the goal, in its turn, and none if the goal never runs.
+    out = io.StringIO()
+    solver = Solver(parse_program("sum(X) :- %s." % body), SolverOptions(diagnostics=out))
+    assert list(solver.solve(parse_query("sum(X)").goal)) == []
+    assert out.getvalue() == warning
+
+
 def _deep(depth, wrap, leaf):
     expr = leaf
     for _ in range(depth):

@@ -28,6 +28,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fresh_interpreter import termxform
 from termxform.logic_engine import ResourceLimitError, Solver, SolverOptions
 from termxform.rule_language import parse_program, parse_query
 from termxform.term_core import (
@@ -455,3 +456,24 @@ def test_the_work_grows_linearly(goal):
     sizes = (100, 400, 1_600)
     counts = [calls(*GOALS[goal](n)) for n in sizes]
     assert exponent(sizes, counts) <= 1.1, counts
+
+
+BUILDERS = """\
+nodesSize(D, N) :- nodes(D, L), length(L, N).
+flattenSize(D, N) :- flatten(D, L), length(L, N).
+concatSize(K, N) :- length(Ls, K), singletons(Ls), concat(Ls, L), length(L, N).
+singletons([]).
+singletons([[x]|T]) :- singletons(T).
+"""
+
+
+@pytest.mark.parametrize("goal", ["nodesSize(Doc, N)", "flattenSize(Doc, N)", "concatSize(4000, N)"])
+def test_the_builders_answer_on_a_4000_deep_nest_inside_10_s(tmp_path, goal):
+    """nodes/2 and flatten/2 walk the tree once with a difference list,
+    and concat/2 appends each item in front of the rest's result, so
+    each builds every cell once.  When each level joined its lists
+    with append/3 on the way back up, each of these goals took about
+    20 s at this size.  Only N is printed: the rendered nodes list of
+    a nest grows with the square of its depth whatever the rules do."""
+    done = termxform(tmp_path, "query", goal, rules=BUILDERS, depth=4000, timeout=10)
+    assert done.returncode == 0, done.stderr

@@ -2,15 +2,13 @@
 
 import inspect
 import io
-import os
 import re
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eval_oracle import xml_number
+from fresh_interpreter import termxform
 from termxform import logic_engine
 from termxform.logic_engine import (
     _BUILTINS,
@@ -974,13 +972,8 @@ def test_length_of_a_list_as_its_own_length_does_constant_work_per_step(monkeypa
 
 
 @pytest.mark.parametrize("limit", [8000, 16000])
-def test_length_of_a_list_as_its_own_length_exits_3_at_the_limit(limit):
-    done = subprocess.run(
-        [sys.executable, "-m", "termxform.cli", "query", "--rules", "prelude-only", "--depth-limit", str(limit),
-         "length(Y, Y)"],
-        capture_output=True, text=True, timeout=10,
-        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(logic_engine.__file__)))),
-    )
+def test_length_of_a_list_as_its_own_length_exits_3_at_the_limit(tmp_path, limit):
+    done = termxform(tmp_path, "query", "--depth-limit", str(limit), "length(Y, Y)", timeout=10)
     assert done.returncode == 3
     assert done.stderr == "error: step limit of %d resolution steps exceeded\n" % limit
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fresh_interpreter import run_script
 from termxform.cli import main
 from termxform.metrics import (
     ClassifierConfig,
@@ -290,3 +291,8 @@ def test_a_20000_element_list_is_counted(tmp_path, capsys):
     assert (counts.eta1, counts.eta2, counts.n1, counts.n2) == (6, 3, cells + 4, cells + 2)
     assert main(["metrics", "--src", str(path)]) == 0
     assert "total operands     (N2)   = %d" % (cells + 2) in capsys.readouterr().out
+
+
+def test_the_metrics_table_script_runs():
+    done = run_script("metrics_table.py")
+    assert done.returncode == 0, done.stdout + done.stderr

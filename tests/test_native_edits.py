@@ -20,6 +20,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fresh_interpreter import termxform
 from termxform.logic_engine import _BUILTINS, ResourceLimitError, Solver, SolverOptions
 from termxform.rule_language import parse_program, parse_query
 from termxform.term_core import (
@@ -502,3 +503,18 @@ def test_positions_on_open_lists_extend_them_to_that_cell(known, position, offse
     assert cells[position - 1 + offset] == Atom("n")
     assert [cell for cell in cells if cell in items] == items
     assert solver.steps == 1 + max(0, position - known)
+
+
+def test_an_insert_after_the_last_of_100000_children_answers(tmp_path):
+    """insertAfter/4 is a native: a position walks the child list once,
+    in Python, and adds no step per cell it reads.  The rules it
+    replaced built a church numeral for nth/3 and scanned with
+    append/3, so inserting after the last of 100,000 children ran out
+    of 200,000 steps (exit 3).  It must answer inside the timeout,
+    with the new element last."""
+    document = tmp_path / "edit.xml"
+    document.write_text("<a>" + "<b/>" * 100_000 + "</a>", encoding="utf-8")
+    rules = "go(D, [R]) :- insertAfter(D, element(n,[],[]), 100000, R).\n"
+    done = termxform(tmp_path, "transform", "--depth-limit", "200000", "--in", str(document), rules=rules, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.rstrip("\n").endswith("<n/></a>")

@@ -17,6 +17,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fresh_interpreter import termxform
 from termxform.logic_engine import _BUILTINS, ResourceLimitError, Solver, SolverOptions
 from termxform.rule_language import parse_program, parse_query
 from termxform.term_core import (
@@ -357,3 +358,17 @@ def test_the_first_answers_over_trees_with_holes_agree_with_the_old_clauses(tree
         goal = Compound("transform", (Compound("@", (holed, Atom(att))), fresh_var("X")))
         new, old = both(goal, first=3, depth_limit=3_000)
         assert new == old, render_term(goal)
+
+
+def test_a_hat_walk_100000_deep_answers_under_100_mb(tmp_path):
+    """E ^ Name is the native descendantOrSelf/3, a pre-order walk over a
+    stack of its own, so a 100,000-deep <a> nest that ends in <b/>
+    answers in one call.  The rules it replaced made two transform/2
+    calls per level: 500,005 steps and 150 MB.  It must print <b/>
+    inside the timeout and peak under 100 MB of RSS."""
+    document = tmp_path / "hat.xml"
+    document.write_text("<a>" * 100_000 + "<b/>" + "</a>" * 100_000, encoding="utf-8")
+    done = termxform(tmp_path, "transform", "--in", str(document), rules="go(D, [X]) :- transform(D ^ b, X).\n",
+                     timeout=30, peak=True)
+    assert (done.returncode, done.stdout) == (0, "<b/>\n"), done.stderr
+    assert done.peak_mb < 100

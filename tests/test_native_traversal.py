@@ -294,8 +294,8 @@ def test_traverse_and_transform_file_run_the_same_walk(tmp_path, monkeypatch):
 
 
 def test_the_walk_asks_only_about_nodes_that_have_a_template_candidate(tmp_path, monkeypatch):
-    # The 20,000-deep nest of the CI step "Template nesting stays linear",
-    # under --default-text copy with the prelude alone: no template/2 clause
+    # A 20,000-deep nest under --default-text copy with the prelude alone
+    # (tests/test_deep_documents.py runs it at 100,000): no template/2 clause
     # is indexed for an element, so the walk asks only about the text.  The
     # traverse/2 goal and the text rule are the two steps.
     monkeypatch.setattr(template_engine, "Solver", _Recorded)

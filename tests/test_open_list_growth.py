@@ -19,6 +19,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fresh_interpreter import termxform
 from termxform.logic_engine import _BUILTINS, ResourceLimitError, Solver, SolverOptions, _grow
 from termxform.rule_language import parse_query
 from termxform.term_core import (
@@ -334,3 +335,15 @@ def test_growth_stops_at_the_step_limit_in_little_memory(goal):
         tracemalloc.stop()
     assert solver.steps == 1001
     assert peak < 2 * 1024 * 1024, peak
+
+
+def test_length_of_100000000_cells_stops_at_the_step_limit_under_100_mb(tmp_path):
+    """length(L, N) with an integer N adds the cells L lacks through
+    the one growth helper, one cell per step, so the step limit
+    bounds the list it builds: 100,000,000 cells at a limit of
+    100,000 must exit 3 inside the timeout, the child under 100 MB
+    of RSS.  When all N cells were built in one step, this goal
+    would have asked for about 20 GB."""
+    done = termxform(tmp_path, "query", "--depth-limit", "100000", "length(L, 100000000)", timeout=10, peak=True)
+    assert done.returncode == 3, done.stderr
+    assert done.peak_mb < 100

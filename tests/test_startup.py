@@ -12,36 +12,26 @@ dataclasses they replaced.
 """
 
 import os
-import subprocess
-import sys
 
 import pytest
 
+import fresh_interpreter
 import termxform
 from termxform.logic_engine import DEFAULT_STEP_LIMIT, SolverOptions
 from termxform.rule_language import OperatorDef, Token, tokenize
 from termxform.template_engine import TransformOptions, TransformReport
 
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(termxform.__file__)))
-CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "corpus")
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+NESTED = os.path.join(DATA, "corpus", "02_nested.xml")
+BOOKS = os.path.join(DATA, "books.tx")
 HEAVY = ("dataclasses", "inspect", "csv", "termxform.metrics")
-BOOKS = (
-    "template(element(book, _, C), [element(item, [], T)]) :- titles(C, T).\n"
-    "titles(C, T) :- findall(X, member(element(title, _, X), C), L), concat(L, T).\n"
-)
 
 
 def run_python(*args):
-    env = dict(os.environ, PYTHONPATH=SRC)
-    env.pop("PYTHONPROFILEIMPORTTIME", None)
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
-    )
+    return fresh_interpreter.run_python(*args, timeout=120)
 
 
-def test_import_prelude_and_a_transform_load_no_dataclasses_or_metrics(tmp_path):
-    rules = tmp_path / "books.tx"
-    rules.write_text(BOOKS, encoding="utf-8")
+def test_import_prelude_and_a_transform_load_no_dataclasses_or_metrics():
     code = (
         "import sys, termxform\n"
         "termxform.load_prelude()\n"
@@ -49,18 +39,13 @@ def test_import_prelude_and_a_transform_load_no_dataclasses_or_metrics(tmp_path)
         "print(report.documents)\n"
         "print(sorted(m for m in %r if m in sys.modules))\n" % (HEAVY,)
     )
-    done = run_python("-c", code, os.path.join(CORPUS, "02_nested.xml"), str(rules))
+    done = run_python("-c", code, NESTED, BOOKS)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "['<item>Logic</item>']\n[]\n"
 
 
-def test_the_transform_command_loads_no_dataclasses_or_metrics(tmp_path):
-    rules = tmp_path / "books.tx"
-    rules.write_text(BOOKS, encoding="utf-8")
-    done = run_python(
-        "-X", "importtime", "-m", "termxform.cli", "transform",
-        "--rules", str(rules), "--in", os.path.join(CORPUS, "02_nested.xml"),
-    )
+def test_the_transform_command_loads_no_dataclasses_or_metrics():
+    done = run_python("-X", "importtime", "-m", "termxform.cli", "transform", "--rules", BOOKS, "--in", NESTED)
     assert (done.returncode, done.stdout) == (0, "<item>Logic</item>\n")
     # Every import is one "import time: self | cumulative | name" line.
     imported = {
@@ -72,23 +57,20 @@ def test_the_transform_command_loads_no_dataclasses_or_metrics(tmp_path):
     assert sorted(imported.intersection(HEAVY)) == []
 
 
-def test_a_transformation_loads_no_pathlib_without_site(tmp_path):
+def test_a_transformation_loads_no_pathlib_without_site():
     # Python's `site` may import pathlib itself (a .pth file can), which would
     # hide an import by the package; -S leaves `site` out.
-    rules = tmp_path / "books.tx"
-    rules.write_text(BOOKS, encoding="utf-8")
-    source = os.path.join(CORPUS, "02_nested.xml")
     code = (
         "import sys, termxform\n"
         "termxform.load_prelude()\n"
         "print(termxform.transform_file(sys.argv[1], sys.argv[2]).documents)\n"
         "print('pathlib' in sys.modules)\n"
     )
-    done = run_python("-S", "-c", code, source, str(rules))
+    done = run_python("-S", "-c", code, NESTED, BOOKS)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "['<item>Logic</item>']\nFalse\n"
     done = run_python(
-        "-S", "-X", "importtime", "-m", "termxform.cli", "transform", "--rules", str(rules), "--in", source
+        "-S", "-X", "importtime", "-m", "termxform.cli", "transform", "--rules", BOOKS, "--in", NESTED
     )
     assert (done.returncode, done.stdout) == (0, "<item>Logic</item>\n")
     imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines() if "|" in line}

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from fresh_interpreter import run_script
 from termxform.logic_engine import ResourceLimitError, Solver
 from termxform.rule_language import parse_program
 from termxform.template_engine import (
@@ -349,3 +350,8 @@ def test_template_mode_all_numbers_its_one_output_and_go_may_give_none(tmp_path)
     # An empty walk is no solution, but go/2 may answer the empty list.
     rules = write(tmp_path, "go.tx", "go(_, []).")
     assert transform_file(source, rules).documents == ["<result/>"]
+
+
+def test_the_demo_script_runs():
+    done = run_script("demo_transform.py")
+    assert done.returncode == 0, done.stdout + done.stderr

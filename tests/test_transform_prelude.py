@@ -5,6 +5,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fresh_interpreter import run_python
 from termxform.logic_engine import _BUILTINS, Solver, SolverOptions
 from termxform.rule_language import OperatorTable, parse_program, parse_query
 from termxform.term_core import (
@@ -605,3 +606,16 @@ def test_equals_is_reflexive(tree):
     assert solver.unify(query.variables["A"], tree)
     assert solver.unify(query.variables["B"], tree)
     assert solver.solve_once(query.goal)
+
+
+def test_the_prelude_lints_clean(tmp_path):
+    """``termxform check`` has nothing to say of the prelude's rule text.
+    The test prints the prelude's Halstead report (``termxform metrics
+    --src``), which CI's "Prelude size" step shows by running it with -s."""
+    path = tmp_path / "prelude.tx"
+    path.write_text(PRELUDE_SRC, encoding="utf-8")
+    done = run_python("-m", "termxform.cli", "check", "--rules", str(path))
+    assert (done.returncode, done.stdout) == (0, ""), done.stderr
+    done = run_python("-m", "termxform.cli", "metrics", "--src", str(path))
+    assert done.returncode == 0, done.stderr
+    print(done.stdout, end="")

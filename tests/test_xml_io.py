@@ -1,8 +1,11 @@
 """Tests for XML parsing, validation, and serialization."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
+from fresh_interpreter import run_python
 from termxform.term_core import (
     Atom,
     Compound,
@@ -274,3 +277,40 @@ def test_roundtrip_random_trees(tree):
 @given(elements())
 def test_pretty_roundtrip_random_trees(tree):
     assert term_equal(parse_document(serialize_document(tree, pretty=True)), tree)
+
+
+def _rows_document():
+    rnd, out, i = random.Random(7), ["<rows>\n"], 0
+    while sum(map(len, out)) < 1_000_000:
+        q = rnd.choice("\"'")
+        out.append("  <row id=%sr%d%s name=%sa &amp; b%s><qty>%d</qty><note>x &lt; y</note></row>\n" % (q, i, q, q, q, rnd.randint(1, 50)))
+        i += 1
+    return "".join(out) + "</rows>\n"
+
+
+LINEAR_CASES = {
+    "rows": (_rows_document, 0),
+    "name": (lambda: "<" + "a" * 200_000 + "=", 2),
+    "attrs": (lambda: "<a" + "".join(' x%d="1"' % i for i in range(50_000)), 2),
+    "comment": (lambda: "<a>" + "x" * 200_000 + "<!-- open", 2),
+    "distinct": (lambda: "<a" + "".join(' x%d="1"' % i for i in range(50_000)) + "/>", 0),
+    "repeated": (lambda: "<a" + ' x="1"' * 50_000 + "/>", 2),
+}
+
+
+@pytest.mark.parametrize("case", list(LINEAR_CASES))
+def test_parse_stays_linear(tmp_path, case):
+    """The parser is one regular expression.  A backtracking slip in it
+    (a name that can end early, say) makes these inputs quadratic.
+    Each must end inside the timeout: a ~1 MB document with entities
+    and both quote styles with exit 0, and three malformed ones with
+    exit 2 (a 200,000-letter name followed by "=", a tag with 50,000
+    distinct attributes and no ">", a comment left open after 200 KB).
+    A tag may not repeat an attribute name, and the check for it is
+    one set per tag: a closed tag with 50,000 distinct attributes has
+    exit 0, the same attribute 50,000 times in a closed tag exit 2."""
+    document, expected = LINEAR_CASES[case]
+    path = tmp_path / ("%s.xml" % case)
+    path.write_text(document(), encoding="utf-8")
+    done = run_python("-m", "termxform.cli", "roundtrip", "--in", str(path), timeout=60)
+    assert done.returncode == expected, done.stderr

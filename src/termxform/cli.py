@@ -7,7 +7,8 @@ a parsed document), ``roundtrip`` (parse/serialize/parse fidelity check),
 (static lint of a rule file).
 
 Exit codes: 0 success, 1 no solution (including roundtrip divergence),
-2 input error (parse/validation/degenerate counts, a cyclic query answer),
+2 input error (parse/validation/degenerate counts, a query answer with no
+text: a cyclic term or an integer too long to write),
 3 internal error or resource limit.  The solver step limit defaults to the
 ``TERMXFORM_DEPTH`` environment variable when set; the ``--depth-limit``
 flag wins over both.
@@ -22,7 +23,7 @@ import sys
 from typing import Optional, Sequence
 
 from .logic_engine import AND, CALL, CALL_N, DEFAULT_STEP_LIMIT, OR, ResourceLimitError, Solver, SolverOptions
-from .logic_engine import call_goal, goal_kind
+from .logic_engine import _no_text_error, call_goal, goal_kind
 from .rule_language import parse_query
 from .template_engine import TransformOptions, rule_program, transform_file
 from .term_core import (
@@ -197,12 +198,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
         name: var for name, var in query.variables.items() if not (doc_bound and name == "Doc")
     }
     for _ in solver.solve(query.goal):
-        for name, var in printed.items():
-            _check_acyclic(name, var)
+        lines = ["%s/%s" % (name, _answer_text(name, var)) for name, var in printed.items()]
         solutions += 1
         print("YES.")
-        for name, var in printed.items():
-            print("%s/%s" % (name, render_term(var, quoted=True)))
+        for line in lines:
+            print(line)
         if solutions >= args.max:
             break
     if solutions == 0:
@@ -211,13 +211,21 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_acyclic(name: str, term: Term) -> None:
-    """Raise ValueError if *term* contains itself, which no text can print."""
+def _answer_text(name: str, term: Term) -> str:
+    """The text of *term*, the answer for *name*; ValueError if it has none.
+
+    A cyclic term has no finite text, and Python writes no integer longer
+    than ``sys.get_int_max_str_digits()`` digits.
+    """
     if is_cyclic(term):
         raise ValueError(
             "the answer binds %s to a cyclic term; --occurs-check makes such "
             "a unification fail" % name
         )
+    try:
+        return render_term(term, quoted=True)
+    except ValueError:
+        raise ValueError("cannot print the answer for %s: %s" % (name, _no_text_error())) from None
 
 
 def _cmd_roundtrip(args: argparse.Namespace) -> int:

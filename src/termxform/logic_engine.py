@@ -104,7 +104,17 @@ class EvalError(Exception):
 
 
 def _num_text(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
+    if isinstance(value, float):
+        return repr(value)
+    try:
+        return str(value)
+    except ValueError:  # Python writes no int longer than sys.get_int_max_str_digits()
+        raise _no_text_error() from None
+
+
+def _no_text_error() -> EvalError:
+    """The error for an integer too long for Python to write as text."""
+    return EvalError("an integer of more than %d digits has no text" % sys.get_int_max_str_digits())
 
 
 def _value(value: Term) -> Term:
@@ -514,7 +524,16 @@ class _ClauseCode:
         return "e[%d]" % slot
 
     def match(self, arg: Term, x: str, lines: list[str]) -> None:
-        """Lines that match the goal argument in local *x* against head argument *arg*, in pre-order."""
+        """Lines that match the goal argument in local *x* against head argument *arg*, in pre-order.
+
+        One test per head subterm, as the WAM's get instructions are
+        specialised per clause: an atom is compared by name in place, a
+        variable's first occurrence stores the goal's subterm in its slot and
+        a repeated one unifies with it, and an unbound goal variable facing a
+        compound is bound to the compound built from the slots.  So a clause
+        that clashes with the goal in its first arguments fails there
+        without allocating anything.
+        """
         work = [(arg, x, "    ")]
         while work:
             t, x, pad = work.pop()
@@ -739,8 +758,9 @@ class Program:
     Clause order is semantic: earlier clauses have priority. ``operators``
     carries the operator table the source was read with (opaque here).
 
-    Each predicate also keeps a first-argument index: one bucket per
-    first-argument key, holding the clauses with that key and the clauses
+    Each predicate also keeps a first-argument index, as the WAM's
+    ``switch_on_term`` does: one bucket per first-argument key (see
+    :func:`_index_key`), holding the clauses with that key and the clauses
     whose first argument is a variable, in text order.  ``add``, ``extend``
     and ``copy`` keep it up to date, so it never needs rebuilding.
     """
@@ -1281,7 +1301,12 @@ def _bi_atom_codes(solver: Solver, args) -> bool:
     if isinstance(a, Atom):
         return solver.unify(args[1], mk_list([ord(c) for c in a.name]))
     if isinstance(a, (int, float)):
-        return solver.unify(args[1], mk_list([ord(c) for c in _num_text(a)]))
+        try:
+            text = _num_text(a)
+        except EvalError as exc:
+            solver.warn("atom_codes/2: %s" % exc)
+            return False
+        return solver.unify(args[1], mk_list([ord(c) for c in text]))
     items = list_items(args[1])
     if items is None:
         solver.warn("atom_codes/2 needs a bound atom or a proper code list")
@@ -1429,7 +1454,12 @@ def _bi_write(solver: Solver, args) -> bool:
     if is_cyclic(args[0]):  # no finite text: rendering it would never end
         solver.warn("write/1 cannot print a cyclic term (goal fails)")
         return False
-    solver.write_out(render_term(deref(args[0]), quoted=False))
+    try:
+        text = render_term(deref(args[0]), quoted=False)
+    except ValueError:  # an integer too long for text
+        solver.warn("write/1: %s (goal fails)" % _no_text_error())
+        return False
+    solver.write_out(text)
     return True
 
 

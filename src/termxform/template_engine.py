@@ -144,6 +144,7 @@ def _with_text_rule(program: Program) -> Program:
 
 @_builtin("traverse", 2)
 def _bi_traverse(solver: Solver, args):
+    """traverse(Node, Result): the walk's one answer; a bound Result is unified with it once the walk ends."""
     return solver.unify(args[1], mk_list((yield from _walk(args[0], solver))))
 
 

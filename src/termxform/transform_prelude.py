@@ -42,7 +42,7 @@ import re
 from functools import lru_cache
 from typing import Optional
 
-from .logic_engine import Clause, Program, Solver, _append, _builtin, _grow, _num_text
+from .logic_engine import Clause, EvalError, Program, Solver, _append, _builtin, _grow, _num_text
 from .rule_language import parse_program
 from .term_core import (
     CONS,
@@ -91,7 +91,7 @@ transform(element(_,AttList,_) @ Att,X):-
   attributeValue(AttList,Att,V), !,
   textValue(X,V).
 transform(X @ Att, Y):-
-  transform(X,X2),
+  nonvar(X), transform(X,X2),
   transform(X2 @ Att, Y).
 
 transform(atts element(_,L,_),Y):-
@@ -108,7 +108,7 @@ transform(X ? Att1):-
 transform(element(_,L,_) id S,Attrib):-
   attribute(L,Attrib,V), textValue(S,V).
 transform(X id S,Id):-
-  transform(X,X2),
+  nonvar(X), transform(X,X2),
   transform(X2 id S,Id).
 
 transform(element(_,_,L) # N,Y):-
@@ -505,7 +505,14 @@ def _bi_text_value(solver: Solver, args) -> bool:
         return True
     solver.undo_to(mark)
     number = deref(args[0])
-    return isinstance(number, (int, float)) and solver.unify(args[1], Atom(_num_text(number)))
+    if not isinstance(number, (int, float)):
+        return False
+    try:
+        text = _num_text(number)
+    except EvalError as exc:
+        solver.warn("textValue/2: %s" % exc)
+        return False
+    return solver.unify(args[1], Atom(text))
 
 
 @_builtin("removeAttribute", 3)
@@ -611,8 +618,9 @@ def _bi_sort_children(solver: Solver, args) -> bool:
     Children must be a proper list of ``element/3`` nodes whose attribute
     lists are ground (an unbound list is bound to ``[]``); only what the sort
     reads is checked, so a variable in a child's name or content does not
-    stop it.  A non-empty list with a non-ground Att only checks a ground
-    Sorted against the input order, as the rules this replaces did.
+    stop it.  A ground Att that is no atom finds no values, so the input
+    order is kept.  A non-empty list with a non-ground Att only checks a
+    ground Sorted against the input order, as the rules this replaces did.
     """
     children, att, sorted_out = args
     if isinstance(deref(children), Var):

@@ -97,9 +97,13 @@ def parse_document(text: str, keep_ws: bool = False) -> Term:
 
     Raises ParseError on malformed input (including DOCTYPE and CDATA,
     which this dialect does not support).  One loop takes the matches of
-    one token pattern in turn; open elements wait on an explicit stack, so
-    nesting depth is bounded by memory alone.  A token the loop cannot take
-    goes to ``_error``, which re-reads it for the message.
+    one token pattern in turn, after Cameron's REX shallow parser: its
+    alternatives are the tokens (text, a start or empty tag with its
+    attributes, an end tag, a comment, a PI, and a one-character catch-all
+    where the input stops being well formed).  Open elements wait on an
+    explicit stack, so nesting depth is bounded by memory alone.  A token
+    the loop cannot take goes to ``_error``, which re-reads it for the
+    message.
     """
     return _parse(text.lstrip("\ufeff"), 0, keep_ws, True)
 

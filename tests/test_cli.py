@@ -252,6 +252,21 @@ def test_a_cyclic_answer_is_an_input_error_that_names_its_variable(tmp_path, goa
     assert (done.returncode, done.stdout, done.stderr) == (1, "NO\n", "")
 
 
+@pytest.mark.parametrize("goal", ["X is B * B", "X is B * B, Y = 1"])
+def test_an_answer_with_an_integer_too_long_for_text_is_an_input_error_that_names_its_variable(tmp_path, goal):
+    # B * B has 6,001 digits, more than Python writes as text (4,300 by
+    # default): as with a cyclic answer, nothing of the answer is printed.
+    done = termxform(tmp_path, "query", goal.replace("B", "1" + "0" * 3000), timeout=20)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: cannot print the answer for X: an integer of more than "), done.stderr
+
+
+def test_a_text_of_an_integer_too_long_for_text_fails_only_its_goal(tmp_path):
+    done = termxform(tmp_path, "query", "(X is string(B * B) ; X = fallback)".replace("B", "1" + "0" * 3000), timeout=20)
+    assert (done.returncode, done.stdout) == (0, "YES.\nX/fallback\n")
+    assert re.fullmatch(r"warning: is/2: an integer of more than \d+ digits has no text\n", done.stderr), done.stderr
+
+
 @pytest.mark.parametrize(
     "command, rules, goal, output",
     [

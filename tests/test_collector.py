@@ -132,9 +132,9 @@ def test_a_transformation_leaves_no_cyclic_garbage(tree):
         for name, text in (("template.tx", TEMPLATE_RULES), ("goal.tx", GOAL_RULES)):
             rule_files.append(Path(directory, name))
             rule_files[-1].write_text(text, encoding="utf-8")
-        # A program that rule_program's cache evicts leaves a few reference
-        # cycles in its compiled clauses; an empty cache keeps those out of
-        # the count, while both programs are still parsed and compiled here.
+        # The cache keeps both programs from one example to the next; emptied,
+        # it makes them parse and compile inside the count.  The programs it
+        # drops are freed by reference counting (the next test).
         rule_program.cache_clear()
         gc.collect()
         template = transform_file(str(source), str(rule_files[0]))

@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from eval_oracle import RecursiveEvaluator
 from termxform.logic_engine import EVAL, EvalError, Program, Solver, SolverOptions
 from termxform.rule_language import parse_program, parse_query
+from termxform.transform_prelude import load_prelude
 from termxform.term_core import Atom, Compound, Var, deref, fresh_var, mk_list, render_term
 
 NUMBERS = st.one_of(
@@ -234,7 +235,7 @@ def test_a_ground_sum_in_a_clause_body_is_read_when_the_clause_compiles():
     [
         ("fail, X is 1 / 0", ""),
         ("fail, X is 1%s / 3" % ("0" * 400), ""),  # the division overflows a float
-        ("fail, X is string(1%s * 1%s)" % ("0" * 3000, "0" * 3000), ""),  # str() of 6,001 digits raises ValueError
+        ("fail, X is string(1%s * 1%s)" % ("0" * 3000, "0" * 3000), ""),  # 6,001 digits have no text
         ("X is 2 * (1 / 0)", "warning: is/2: division by zero\n"),
         ("X is (1 / 0) + foo", "warning: is/2: division by zero\n"),
         ("X is foo + (1 / 0)", "warning: is/2: expected a number, got foo\n"),
@@ -247,6 +248,43 @@ def test_a_ground_subterm_that_cannot_be_read_is_read_when_the_goal_runs(body, w
     solver = Solver(parse_program("sum(X) :- %s." % body), SolverOptions(diagnostics=out))
     assert list(solver.solve(parse_query("sum(X)").goal)) == []
     assert out.getvalue() == warning
+
+
+# B * B has 6,001 digits, more than Python writes as text (4,300 by default).
+BIG = "1" + "0" * 3000
+NO_TEXT = "an integer of more than %d digits has no text" % sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize(
+    "goal, answers, warning",
+    [
+        ("X is string(B * B)", [], "is/2: " + NO_TEXT),
+        ("(X is string(B * B) ; X = fallback)", [Atom("fallback")], "is/2: " + NO_TEXT),
+        ("X is cat(B * B, a)", [], "is/2: " + NO_TEXT),
+        ("C is B * B, atom_codes(C, X)", [], "atom_codes/2: " + NO_TEXT),
+        ("C is B * B, transform(element(a,['k=\"1\"'],[]) @ k, C), X = 1", [], "textValue/2: " + NO_TEXT),
+        ("C is B * B, (write(C) ; X = fallback)", [Atom("fallback")], "write/1: %s (goal fails)" % NO_TEXT),
+    ],
+    ids=["string", "string-or-fallback", "cat", "atom_codes", "textValue", "write"],
+)
+def test_the_text_of_an_integer_too_long_for_text_warns_and_fails(goal, answers, warning):
+    # Python raises ValueError for str() of such an integer, which ended the
+    # whole query; it is an evaluation error, so only the goal fails.  The
+    # goal runs as a query, through the runtime is/2, and as a clause body,
+    # whose is/2 goals are compiled.
+    goal = goal.replace("B", BIG)
+    program = load_prelude()
+    program.extend(parse_program("p(X) :- %s." % goal))
+    for text in (goal, "p(X)"):
+        out = io.StringIO()
+        assert _answers(program, text, out) == answers, text
+        assert out.getvalue() == "warning: %s\n" % warning, text
+
+
+def _answers(program, text, out):
+    query = parse_query(text, program.operators)
+    solver = Solver(program, SolverOptions(diagnostics=out))
+    return [deref(query.variables["X"]) for _ in solver.solve(query.goal)]
 
 
 def _deep(depth, wrap, leaf):

@@ -139,6 +139,14 @@ def test_id_names_the_attribute_holding_a_value():
     assert found == ["id"]  # only the shelf book carries the value 3
 
 
+@pytest.mark.parametrize("goal, steps", [("transform(E @ price, '3')", 3), ("transform(E id S, X)", 3)])
+def test_at_and_id_on_an_unbound_element_answer_no(goal, steps):
+    # The path clause's nonvar/1 guard fails on an unbound operand, where
+    # transform(X, X2) re-entered transform/2 until the step limit.
+    solver = Solver(load_prelude(None), SolverOptions(diagnostics=io.StringIO(), depth_limit=100))
+    assert (run(solver, goal), solver.steps) == ([], steps)
+
+
 def test_question_mark_tests_attribute_presence():
     solver = make_solver()
     # Goal form: succeeds once per element carrying the attribute.

@@ -74,6 +74,7 @@ from .term_core import (
     list_items,
     list_parts,
     mk_list,
+    message_text,
     render_term,
     split_attr,
     term_equal,
@@ -124,13 +125,13 @@ def _value(value: Term) -> Term:
 def _number(value: Term):
     if isinstance(value, (int, float)):
         return value
-    raise EvalError("expected a number, got %s" % render_term(value))
+    raise EvalError("expected a number, got %s" % message_text(value))
 
 
 def _integer(value: Term) -> int:
     if isinstance(value, int):
         return value
-    raise EvalError("expected an integer, got %s" % render_term(value))
+    raise EvalError("expected an integer, got %s" % message_text(value))
 
 
 def _text(value: Term) -> str:
@@ -138,7 +139,7 @@ def _text(value: Term) -> str:
         return value.name
     if isinstance(value, (int, float)):
         return _num_text(value)
-    raise EvalError("expected an atom, got %s" % render_term(value))
+    raise EvalError("expected an atom, got %s" % message_text(value))
 
 
 def _item(value: Term) -> str:
@@ -176,7 +177,7 @@ def _node_number(t: Term):
                         except ValueError:
                             pass
                     raise EvalError("text content is not a number: %r" % text)
-    raise EvalError("expected a number or an element with a single numeric text child, got %s" % render_term(t))
+    raise EvalError("expected a number or an element with a single numeric text child, got %s" % message_text(t))
 
 
 def _divide(left, right):
@@ -948,12 +949,13 @@ class Solver:
             trail.pop().ref = None
 
     def _occurs(self, var: Var, t: Term) -> bool:
+        """Whether *var* occurs in *t*; a marked compound holds no variable, so the walk skips it."""
         stack = [t]
         while stack:
             node = deref(stack.pop())
             if node is var:
                 return True
-            if isinstance(node, Compound):
+            if isinstance(node, Compound) and not node.ground:
                 stack.extend(node.args)
         return False
 
@@ -1103,11 +1105,11 @@ class Solver:
                         if target is not None:
                             frame = (_GOAL, target, len(choicepoints), frame)
                             continue
-                        self.warn("call/N target is not callable: %s" % render_term(args[0]))
+                        self.warn("call/N target is not callable: %s" % message_text(args[0]))
                     elif type(goal) is Var:
                         self.warn("unbound variable called as a goal")
                     else:
-                        self.warn("number called as a goal: %s" % render_term(goal))
+                        self.warn("number called as a goal: %s" % message_text(goal))
                 # Fail: resume the newest choicepoint that has an alternative left.
                 while choicepoints:
                     point = choicepoints[-1]
@@ -1315,7 +1317,7 @@ def _bi_atom_codes(solver: Solver, args) -> bool:
     for item in items:
         item = deref(item)
         if not isinstance(item, int) or not (0 <= item <= 0x10FFFF):
-            solver.warn("atom_codes/2: invalid character code %s" % render_term(item))
+            solver.warn("atom_codes/2: invalid character code %s" % message_text(item))
             return False
         chars.append(chr(item))
     return solver.unify(args[0], Atom("".join(chars)))
@@ -1473,7 +1475,7 @@ def _bi_canon(solver: Solver, args) -> bool:
     for item in items:
         attr = split_attr(item)
         if attr is None:
-            solver.warn("canon/2: malformed attribute entry %s" % render_term(item))
+            solver.warn("canon/2: malformed attribute entry %s" % message_text(item))
             return False
         keyed.append((attr[0], item))
     keyed.sort(key=lambda pair: pair[0])  # stable: equal ids keep order

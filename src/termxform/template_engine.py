@@ -47,7 +47,7 @@ from .term_core import (
     fresh_var,
     list_items,
     mk_list,
-    render_term,
+    message_text,
 )
 from .transform_prelude import load_prelude
 from .xml_io import parse_document, serialize_document, serialize_fragment
@@ -165,7 +165,7 @@ def _walk(node: Term, solver: Solver):
             if items is None:
                 raise TemplateError(
                     "the template for %s produced %s, which is not a result list"
-                    % (render_term(node), render_term(out))
+                    % (message_text(node), message_text(out))
                 )
             results.extend(items)
         elif node.name == "element" and len(node.args) == 3:  # no template matched

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "TRUE",
     "CONS",
     "fresh_var",
+    "ground_compound",
     "mk_list",
     "list_parts",
     "list_items",
@@ -61,6 +63,7 @@ __all__ = [
     "term_equal",
     "copy_term",
     "render_term",
+    "message_text",
     "term_variables",
     "is_cyclic",
     "is_ground",
@@ -133,15 +136,24 @@ class Compound:
 
     Equality is structural (via :func:`term_equal`), so compounds are not
     hashable; use identity-keyed containers where needed.
+
+    ``ground`` true is a promise that the compound holds no ``Var``, bound
+    or not, at any depth.  Only :func:`ground_compound` sets it, where that
+    is known without a walk: the XML parser marks every node and list cell
+    it builds, and natives mark what they rebuild from a marked term's
+    parts.  False says nothing.  Readers that look for variables
+    (:func:`copy_term`, :func:`is_ground`, :func:`is_cyclic`, the occurs
+    check) stop at a marked compound.
     """
 
-    __slots__ = ("name", "args")
+    __slots__ = ("name", "args", "ground")
 
     def __init__(self, name: str, args: Sequence["Term"]) -> None:
         if not args:
             raise TermError("zero-arity compounds are atoms; use Atom(%r)" % name)
         self.name = name
-        self.args = tuple(args)
+        self.args = args if type(args) is tuple else tuple(args)
+        self.ground = False
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Compound) and term_equal(self, other)
@@ -153,6 +165,23 @@ class Compound:
 
 
 Term = Union[Atom, int, float, Var, Compound]
+
+_new = object.__new__
+
+
+def ground_compound(name: str, args: tuple) -> Compound:
+    """A compound marked ground (see :class:`Compound`).
+
+    For a builder that knows *args* is a non-empty tuple of terms that hold
+    no ``Var``: the constructor's checks are skipped, which makes this the
+    cheaper way to build, as the XML parser builds every node.
+    """
+    node = _new(Compound)
+    node.name = name
+    node.args = args
+    node.ground = True
+    return node
+
 
 #: Cons functor used for list cells.
 CONS = "."
@@ -189,11 +218,16 @@ def deref(t: Term) -> Term:
 # Lists
 
 
-def mk_list(items: Iterable[Term], tail: Term = EMPTY_LIST) -> Term:
-    """Build a cons-list of *items* ending in *tail* (default: proper list)."""
+def mk_list(items: Iterable[Term], tail: Term = EMPTY_LIST, ground: bool = False) -> Term:
+    """Build a cons-list of *items* ending in *tail* (default: proper list).
+
+    *ground* marks every cell (see :func:`ground_compound`): pass it only
+    when the items and the tail are known to hold no ``Var``.
+    """
+    build = ground_compound if ground else Compound
     result = tail
     for item in reversed(list(items)):
-        result = Compound(CONS, (item, result))
+        result = build(CONS, (item, result))
     return result
 
 
@@ -346,7 +380,9 @@ def copy_term(t: Term, mapping: Optional[dict[int, Var]] = None) -> Term:
     as it is.  A ``Var`` argument, bound or not, always rebuilds its parent,
     because backtracking may unbind it after the copy is taken.  A first
     walk over a plain stack stops at the first ``Var`` below *t*'s value; a
-    value with none (a document node, say) is returned without a second walk.
+    value with none is returned without a second walk.  Neither walk enters
+    a marked compound (``Compound.ground``), so a document node costs one
+    look, however large it is.
     """
     while type(t) is Var and t.ref is not None:
         t = t.ref
@@ -354,7 +390,8 @@ def copy_term(t: Term, mapping: Optional[dict[int, Var]] = None) -> Term:
     while stack:
         node = stack.pop()
         if type(node) is Compound:
-            stack.extend(node.args)
+            if not node.ground:
+                stack.extend(node.args)
         elif type(node) is Var:
             break
     else:
@@ -368,7 +405,7 @@ def copy_term(t: Term, mapping: Optional[dict[int, Var]] = None) -> Term:
     while True:
         while type(node) is Var and node.ref is not None:
             node = node.ref
-        if type(node) is Compound:
+        if type(node) is Compound and not node.ground:
             frames.append([node, [], False])
             node = node.args[0]
             continue
@@ -416,6 +453,8 @@ def is_cyclic(t: Term) -> bool:
 
     A cyclic term has no finite text.  A walk over an explicit stack keeps
     the compounds on the current path; meeting one of them again is a cycle.
+    A cycle passes through a bound ``Var``, so the walk does not enter a
+    marked compound.
     """
     on_path: set[int] = set()
     stack: list[tuple[Term, bool]] = [(t, False)]
@@ -425,7 +464,7 @@ def is_cyclic(t: Term) -> bool:
             on_path.discard(id(node))
             continue
         node = deref(node)
-        if isinstance(node, Compound):
+        if isinstance(node, Compound) and not node.ground:
             if id(node) in on_path:
                 return True
             on_path.add(id(node))
@@ -435,13 +474,13 @@ def is_cyclic(t: Term) -> bool:
 
 
 def is_ground(t: Term) -> bool:
-    """True iff *t* holds no unbound variable; stops at the first one."""
+    """True iff *t* holds no unbound variable; stops at the first one and skips marked compounds."""
     stack = [t]
     while stack:
         node = deref(stack.pop())
         if isinstance(node, Var):
             return False
-        if isinstance(node, Compound):
+        if isinstance(node, Compound) and not node.ground:
             stack.extend(node.args)
     return True
 
@@ -529,3 +568,16 @@ def render_term(t: Term, quoted: bool = True) -> str:
         else:  # pragma: no cover - defensive
             raise TermError("not a term: %r" % (node,))
     return "".join(parts)
+
+
+def message_text(t: Term) -> str:
+    """:func:`render_term`'s quoted text of *t*, for a message that names it.
+
+    Python writes no integer of more than ``sys.get_int_max_str_digits()``
+    digits, so a term that holds one is named by a note instead, and the
+    message is still made.
+    """
+    try:
+        return render_term(t, quoted=True)
+    except ValueError:
+        return "<a term with an integer of more than %d digits>" % sys.get_int_max_str_digits()

@@ -53,6 +53,7 @@ from .term_core import (
     Var,
     deref,
     fresh_var,
+    ground_compound,
     is_ground,
     is_list,
     list_items,
@@ -522,17 +523,20 @@ def _bi_remove_attribute(solver: Solver, args) -> bool:
     Of the Att entries, the first whose removal leaves an element that
     unifies with R is removed, as the rule ``attribute(As, Att, _, As2), !``
     chose it.  An unbound E, an attribute list that is not proper, or no
-    such entry fails.
+    such entry fails.  The element and cells built from a marked E are
+    marked too (``term_core.ground_compound``).
     """
     element, att = deref(args[0]), deref(args[1])
     if not (type(element) is Compound and element.name == "element" and len(element.args) == 3 and type(att) is Atom):
         return False
     items = list_items(element.args[1])
+    ground = element.ground
     for index, item in enumerate(items or ()):
         if split_attr(item, att.name) is not None:
             mark = len(solver.trail)
-            rest = mk_list(items[:index] + items[index + 1 :])
-            if solver.unify(args[2], Compound("element", (element.args[0], rest, element.args[2]))):
+            rest = mk_list(items[:index] + items[index + 1 :], ground=ground)
+            built = (ground_compound if ground else Compound)("element", (element.args[0], rest, element.args[2]))
+            if solver.unify(args[2], built):
                 return True
             solver.undo_to(mark)
     return False
@@ -621,9 +625,12 @@ def _bi_sort_children(solver: Solver, args) -> bool:
     stop it.  A ground Att that is no atom finds no values, so the input
     order is kept.  A non-empty list with a non-ground Att only checks a
     ground Sorted against the input order, as the rules this replaces did.
+    The cells of a sort of a marked child list are marked too
+    (``term_core.ground_compound``).
     """
     children, att, sorted_out = args
-    if isinstance(deref(children), Var):
+    children = deref(children)
+    if type(children) is Var:
         return solver.unify(children, EMPTY_LIST) and solver.unify(sorted_out, EMPTY_LIST)
     items = list_items(children)
     if items is None:
@@ -656,7 +663,7 @@ def _bi_sort_children(solver: Solver, args) -> bool:
             while emitted < len(pending) and pending[emitted][0] <= key:
                 result.append(pending[emitted][1])
                 emitted += 1
-    return solver.unify(sorted_out, mk_list(result))
+    return solver.unify(sorted_out, mk_list(result, ground=type(children) is Compound and children.ground))
 
 
 @_builtin("leStrings", 2)

@@ -4,7 +4,9 @@ Documents map to terms as ``element(Name, Attributes, Children)`` with
 attributes as single atoms of the shape ``name="value"`` and children drawn
 from nested elements, ``text(Atom)``, ``comment(Atom)``, and ``pi(Atom)``.
 The parser builds each attribute atom with ``term_core.attr_atom``'s
-builder, so it arrives with its ``="`` separator decoded.  The dialect is
+builder, so it arrives with its ``="`` separator decoded, and it marks
+every node and list cell it builds as ground (``term_core.ground_compound``),
+so readers that look for variables stop at a parsed node.  The dialect is
 deliberately small: the five predefined entities only, no DOCTYPE, no
 CDATA, names restricted to ASCII letters, digits, ``_``, ``.``, and ``-``
 (starting with a letter), and no attribute name twice in one tag (XML
@@ -35,8 +37,9 @@ from .term_core import (
     _NAME_RE,
     _attr_entry,
     deref,
+    ground_compound,
     is_valid_name,
-    render_term,
+    message_text,
     split_attr,
 )
 
@@ -115,9 +118,10 @@ def _parse(text: str, start: int, keep_ws: bool, decl: bool) -> Term:
     stack: list[tuple[Atom, Term, list[Term]]] = []
     kids: Optional[list[Term]] = None
     root: Optional[Term] = None
-    # One atom per element name: a document has few distinct names, and
+    # One atom per distinct element name or text: a document has few, and
     # fewer objects also mean fewer passes of the cyclic garbage collector.
-    names: dict[str, Atom] = {}
+    # Every compound is built marked ground.
+    atoms: dict[str, Atom] = {}
     for m in _TOKEN_RE.finditer(text, start):
         kind = m.lastgroup
         if kind == "text":
@@ -131,14 +135,17 @@ def _parse(text: str, start: int, keep_ws: bool, decl: bool) -> Term:
                     raw = _decode(raw)
                     if raw is None:
                         raise _error(text, m.start(), stack, root, decl)
-                kids.append(Compound("text", (Atom(raw),)))
+                atom = atoms.get(raw)
+                if atom is None:
+                    atom = atoms[raw] = Atom(raw)
+                kids.append(ground_compound("text", (atom,)))
         elif kind == "tag":
             if kids is None and root is not None:
                 raise _error(text, m.start(), stack, root, decl)
             name, attrs, tag = m.group("name", "attrs", "tag")
-            atom = names.get(name)
+            atom = atoms.get(name)
             if atom is None:
-                atom = names[name] = Atom(name)
+                atom = atoms[name] = Atom(name)
             attr_list = EMPTY_LIST
             if attrs:
                 seen = set()
@@ -151,12 +158,12 @@ def _parse(text: str, start: int, keep_ws: bool, decl: bool) -> Term:
                         value = _decode(value)
                         if value is None:
                             raise _error(text, m.start(), stack, root, decl)
-                    attr_list = Compound(CONS, (_attr_entry(attr_name, value), attr_list))
+                    attr_list = ground_compound(CONS, (_attr_entry(attr_name, value), attr_list))
             if len(tag) == 1:
                 kids = []
                 stack.append((atom, attr_list, kids))
                 continue
-            node = Compound("element", (atom, attr_list, EMPTY_LIST))
+            node = ground_compound("element", (atom, attr_list, EMPTY_LIST))
             if kids is None:
                 root = node
             else:
@@ -167,8 +174,8 @@ def _parse(text: str, start: int, keep_ws: bool, decl: bool) -> Term:
             atom, attr_list, children = stack.pop()
             cell = EMPTY_LIST
             for child in reversed(children):
-                cell = Compound(CONS, (child, cell))
-            node = Compound("element", (atom, attr_list, cell))
+                cell = ground_compound(CONS, (child, cell))
+            node = ground_compound("element", (atom, attr_list, cell))
             if stack:
                 kids = stack[-1][2]
                 kids.append(node)
@@ -177,7 +184,7 @@ def _parse(text: str, start: int, keep_ws: bool, decl: bool) -> Term:
                 root = node
         elif kind == "comment":
             if kids is not None:
-                kids.append(Compound("comment", (Atom(m.group("comment").strip()),)))
+                kids.append(ground_compound("comment", (Atom(m.group("comment").strip()),)))
         elif kind == "pi":
             content = m.group("pi")
             if kids is None and root is None and decl and content.startswith("xml"):
@@ -191,7 +198,7 @@ def _parse(text: str, start: int, keep_ws: bool, decl: bool) -> Term:
             if kids is not None:
                 if content.endswith("?"):
                     content = content[:-1]
-                kids.append(Compound("pi", (Atom(content.strip()),)))
+                kids.append(ground_compound("pi", (Atom(content.strip()),)))
         else:
             raise _error(text, m.start(), stack, root, decl)
     if stack or root is None:
@@ -421,7 +428,7 @@ def _reject(path: _Path, term: Term, message: str = _UNEXPECTED) -> ValidationEr
     while path is not None:
         index, path = path
         indexes.append(index)
-    return ValidationError(indexes[::-1], message % render_term(term, quoted=True))
+    return ValidationError(indexes[::-1], message % message_text(term))
 
 
 def _escape_text(value: str) -> str:

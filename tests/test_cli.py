@@ -2,6 +2,7 @@
 
 import os
 import re
+import sys
 
 import pytest
 
@@ -259,6 +260,20 @@ def test_an_answer_with_an_integer_too_long_for_text_is_an_input_error_that_name
     done = termxform(tmp_path, "query", goal.replace("B", "1" + "0" * 3000), timeout=20)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("error: cannot print the answer for X: an integer of more than "), done.stderr
+
+
+def test_a_serializer_message_names_an_integer_too_long_for_text_by_a_note(tmp_path):
+    # The message used to be Python's own ValueError for str() of the integer.
+    big = "1" + "0" * 3000
+    rules = "go(_, [element(r,[],[text(X)])]) :- X is %s * %s.\n" % (big, big)
+    done = termxform(tmp_path, "transform", "--in", write(tmp_path, "in.xml", "<a/>"), rules=rules, timeout=20)
+    note = "<a term with an integer of more than %d digits>" % sys.get_int_max_str_digits()
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: Error: %s was not expected here! (at path [0])\n" % note, done.stderr
+    rules = "p(Y) :- X is %s * %s, (checkSerializable(element(a,[],[text(X)])) ; Y = 1).\n" % (big, big)
+    done = termxform(tmp_path, "query", "p(Y)", rules=rules, timeout=20)
+    assert (done.returncode, done.stdout) == (0, "YES.\nY/1\n")
+    assert done.stderr == "Error: %s was not expected here! (at path [0])\n" % note, done.stderr
 
 
 def test_a_text_of_an_integer_too_long_for_text_fails_only_its_goal(tmp_path):

@@ -253,6 +253,7 @@ def test_a_ground_subterm_that_cannot_be_read_is_read_when_the_goal_runs(body, w
 # B * B has 6,001 digits, more than Python writes as text (4,300 by default).
 BIG = "1" + "0" * 3000
 NO_TEXT = "an integer of more than %d digits has no text" % sys.get_int_max_str_digits()
+NO_TEXT_NOTE = "<a term with an integer of more than %d digits>" % sys.get_int_max_str_digits()
 
 
 @pytest.mark.parametrize(
@@ -279,6 +280,33 @@ def test_the_text_of_an_integer_too_long_for_text_warns_and_fails(goal, answers,
         out = io.StringIO()
         assert _answers(program, text, out) == answers, text
         assert out.getvalue() == "warning: %s\n" % warning, text
+
+
+@pytest.mark.parametrize(
+    "goal, output",
+    [
+        (
+            "X is B * B, (checkSerializable(element(a,[],[text(X)])) ; Y = 1)",
+            "Error: %s was not expected here! (at path [0])\n" % NO_TEXT_NOTE,
+        ),
+        ("X is B * B, (canon([X], Y) ; Y = 1)", "warning: canon/2: malformed attribute entry %s\n" % NO_TEXT_NOTE),
+        ("X is B * B, (X ; Y = 1)", "warning: number called as a goal: %s\n" % NO_TEXT_NOTE),
+    ],
+    ids=["checkSerializable", "canon", "called"],
+)
+def test_a_message_that_names_an_integer_too_long_for_text_names_it_by_a_note(goal, output):
+    # render_term raises Python's ValueError for such an integer, which
+    # ended the whole query; the message names it by a note instead, and
+    # only the goal fails, so the `;` branch answers.
+    goal = goal.replace("B", BIG)
+    program = load_prelude()
+    program.extend(parse_program("p(Y) :- %s." % goal))
+    for text in (goal, "p(Y)"):
+        out = io.StringIO()
+        query = parse_query(text, program.operators)
+        solver = Solver(program, SolverOptions(diagnostics=out))
+        assert [deref(query.variables["Y"]) for _ in solver.solve(query.goal)] == [1], text
+        assert out.getvalue() == output, text
 
 
 def _answers(program, text, out):

@@ -31,7 +31,8 @@ tool's own spread.
 With ``--goals`` it times, instead of documents, the prelude goals whose
 work once grew faster than their steps (``GOALS``), each at one fixed size:
 each side parses the document with its own parser, and only the solve of
-the goal's first answer is timed.  Rounds alternate the sides as above
+the goal's first answer is timed, with the cyclic garbage collector paused
+as ``transform_file`` pauses it.  Rounds alternate the sides as above
 (5 rounds unless ``--rounds`` says otherwise).  For each goal it prints
 each side's median time and steps, and the median ratio head/base with its
 quartiles and the rounds head won; the exit code is 1 when a side finds no
@@ -41,6 +42,7 @@ answer.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import importlib.util
 import io
@@ -128,9 +130,15 @@ class Side:
         query = package.parse_query(goal, program.operators)
         solver = package.Solver(program, package.SolverOptions(depth_limit=10_000_000))
         solver.unify(query.variables["D"], package.parse_document(document))
-        start = time.perf_counter()
-        found = solver.solve_once(query.goal)
-        return time.perf_counter() - start, solver.steps, found
+        collecting = gc.isenabled()
+        gc.disable()  # as transform_file pauses the cyclic collector around a document
+        try:
+            start = time.perf_counter()
+            found = solver.solve_once(query.goal)
+            return time.perf_counter() - start, solver.steps, found
+        finally:
+            if collecting:
+                gc.enable()
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:

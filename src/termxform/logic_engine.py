@@ -58,13 +58,13 @@ from operator import add, itemgetter, mul, neg, sub
 from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 from .term_core import (
-    CONS,
     EMPTY_LIST,
     TRUE,
     Atom,
     Compound,
     Term,
     Var,
+    cell,
     copy_term,
     deref,
     fresh_var,
@@ -154,11 +154,10 @@ def _node_number(t: Term):
     if type(t) is int or type(t) is float:
         return t
     if type(t) is Compound and t.name == "element" and len(t.args) == 3:
-        cell = deref(t.args[2])  # the child is read in place: a first cell whose tail is no cell
-        if type(cell) is Compound and cell.name == CONS and len(cell.args) == 2:
-            rest, child = deref(cell.args[1]), deref(cell.args[0])
-            single = not (type(rest) is Compound and rest.name == CONS and len(rest.args) == 2)
-            if single and type(child) is Compound and child.name == "text" and len(child.args) == 1:
+        first = cell(t.args[2])  # the child is read in place: a first cell whose tail is no cell
+        if first is not None and cell(first[1]) is None:
+            child = deref(first[0])
+            if type(child) is Compound and child.name == "text" and len(child.args) == 1:
                 content = deref(child.args[0])
                 if type(content) is Atom:
                     # Only XML's whitespace is stripped, and none of the forms
@@ -262,7 +261,7 @@ def _evaluate(function: Callable, reader: Callable, expr: Term):
         t = deref(t)
         if type(t) is not Compound or reader is _node_number:
             values.append(_read(reader, t))
-        elif t.name != CONS or len(t.args) != 2:
+        elif cell(t) is None:
             entry = _EVALUABLE.get((t.name, len(t.args)))
             if entry is None:
                 raise EvalError("unknown evaluable functor %s/%d" % (t.name, len(t.args)))
@@ -1342,10 +1341,8 @@ def _append(solver: Solver, a: Term, b: Term, c: Term) -> Iterator[None]:
                 # Enumerate the |c|+1 splits, sharing the suffix spine; a
                 # prefix is built only for a split whose suffix unified.
                 spine: list[Term] = [deref(c)]
-                node = deref(c)
-                while isinstance(node, Compound) and node.name == CONS:
-                    node = deref(node.args[1])
-                    spine.append(node)
+                while (parts := cell(spine[-1])) is not None:
+                    spine.append(deref(parts[1]))
                 for i in range(len(c_items) + 1):
                     mark = len(solver.trail)
                     if solver.unify(b, spine[i]) and solver.unify(a, mk_list(c_items[:i])):
@@ -1362,8 +1359,8 @@ def _append(solver: Solver, a: Term, b: Term, c: Term) -> Iterator[None]:
         solver.undo_to(mark)
         head, tail_a, tail_c = fresh_var("H"), fresh_var("T"), fresh_var("T")
         if not (
-            solver.unify(a, Compound(CONS, (head, tail_a)))
-            and solver.unify(c, Compound(CONS, (head, tail_c)))
+            solver.unify(a, mk_list((head,), tail_a))
+            and solver.unify(c, mk_list((head,), tail_c))
         ):
             break
         a, c = tail_a, tail_c
@@ -1373,7 +1370,7 @@ def _grow(solver: Solver, tail: Var) -> Var:
     """Bind the unbound list tail *tail* to a fresh cell ``[_|T]``, at one step; returns T."""
     solver._step()
     head, rest = fresh_var("_"), fresh_var("_")
-    solver.bind(tail, Compound(CONS, (head, rest)))
+    solver.bind(tail, mk_list((head,), rest))
     return rest
 
 
@@ -1381,14 +1378,13 @@ def _grow(solver: Solver, tail: Var) -> Var:
 def _bi_member(solver: Solver, args) -> Iterator[None]:
     x, lst = args[0], args[1]
     while True:
-        lst = deref(lst)
-        if isinstance(lst, Compound) and lst.name == CONS and len(lst.args) == 2:
+        if (parts := cell(lst)) is not None:
             mark = len(solver.trail)
-            if solver.unify(x, lst.args[0]):
+            if solver.unify(x, parts[0]):
                 yield
             solver.undo_to(mark)
-            lst = lst.args[1]
-        elif isinstance(lst, Var):  # a partial list: add a cell and read it
+            lst = parts[1]
+        elif type(lst := deref(lst)) is Var:  # a partial list: add a cell and read it
             _grow(solver, lst)
         else:
             return

@@ -42,6 +42,7 @@ from .term_core import (
     Atom,
     Compound,
     Term,
+    cell,
     copy_term,
     deref,
     fresh_var,
@@ -171,7 +172,7 @@ def _walk(node: Term, solver: Solver):
         elif node.name == "element" and len(node.args) == 3:  # no template matched
             for child in reversed(list_items(deref(node.args[2])) or []):
                 child = deref(child)
-                if isinstance(child, Compound) and child.name != ".":
+                if isinstance(child, Compound) and cell(child) is None:
                     stack.append(child)
     return results
 

@@ -10,7 +10,14 @@ A term is one of:
 * ``Compound`` -- a functor name applied to one or more argument terms.
 
 Lists are sugar: a proper list is a right-nested chain of ``Compound(".", (head,
-tail))`` cells terminated by the empty-list atom ``[]``.
+tail))`` cells terminated by the empty-list atom ``[]``.  This module alone
+reads and builds a cell: :func:`cell` reads one, :func:`list_parts` walks a
+list's items, and :func:`mk_list` and :func:`ground_cell` build cells.  The
+generic walkers (``unify``, :func:`copy_term`, :func:`term_equal`,
+:func:`is_ground`, :func:`is_cyclic`, :func:`term_variables`, the occurs
+check) and the generated clause-head matchers still meet a cell as any
+compound named ``.`` with two arguments, so a cell of another shape would
+have to give them ``name`` and ``args`` as well.
 
 XML documents are represented with four node conventions::
 
@@ -48,7 +55,9 @@ __all__ = [
     "CONS",
     "fresh_var",
     "ground_compound",
+    "ground_cell",
     "mk_list",
+    "cell",
     "list_parts",
     "list_items",
     "is_list",
@@ -138,10 +147,10 @@ class Compound:
     hashable; use identity-keyed containers where needed.
 
     ``ground`` true is a promise that the compound holds no ``Var``, bound
-    or not, at any depth.  Only :func:`ground_compound` sets it, where that
-    is known without a walk: the XML parser marks every node and list cell
-    it builds, and natives mark what they rebuild from a marked term's
-    parts.  False says nothing.  Readers that look for variables
+    or not, at any depth.  Only :func:`ground_compound` and :func:`ground_cell`
+    set it, where that is known without a walk: the XML parser marks every
+    node and list cell it builds, and natives mark what they rebuild from a
+    marked term's parts.  False says nothing.  Readers that look for variables
     (:func:`copy_term`, :func:`is_ground`, :func:`is_cyclic`, the occurs
     check) stop at a marked compound.
     """
@@ -226,25 +235,45 @@ def mk_list(items: Iterable[Term], tail: Term = EMPTY_LIST, ground: bool = False
     """
     build = ground_compound if ground else Compound
     result = tail
-    for item in reversed(list(items)):
+    for item in reversed(items if type(items) is list or type(items) is tuple else list(items)):
         result = build(CONS, (item, result))
     return result
 
 
+def ground_cell(head: Term, tail: Term) -> Compound:
+    """The list cell ``[head|tail]`` marked ground: :func:`ground_compound` for a cell."""
+    node = _new(Compound)
+    node.name = CONS
+    node.args = (head, tail)
+    node.ground = True
+    return node
+
+
+def cell(t: Term) -> Optional[tuple[Term, Term]]:
+    """The (head, tail) of the list cell *t* dereferences to, its own ``args`` (nothing is built); None for no cell."""
+    while type(t) is Var and t.ref is not None:
+        t = t.ref
+    if type(t) is Compound and t.name == CONS and len(t.args) == 2:
+        return t.args
+    return None
+
+
 def list_parts(t: Term) -> tuple[list[Term], Term]:
-    """Split a cons chain into (items, tail); tail is [] for proper lists."""
+    """Split a cons chain into (items, tail), the tail dereferenced; tail is [] for proper lists."""
     items: list[Term] = []
-    t = deref(t)
-    while isinstance(t, Compound) and t.name == CONS and len(t.args) == 2:
-        items.append(t.args[0])
-        t = deref(t.args[1])
+    while type(t) is Var and t.ref is not None:
+        t = t.ref
+    while type(t) is Compound and t.name == CONS and len(t.args) == 2:
+        head, t = t.args
+        items.append(head)
+        while type(t) is Var and t.ref is not None:
+            t = t.ref
     return items, t
 
 
 def is_list(t: Term) -> bool:
     """True iff *t* is a proper list (spine of cons cells ending in [])."""
-    _, tail = list_parts(t)
-    return isinstance(tail, Atom) and tail.name == "[]"
+    return list_items(t) is not None
 
 
 def list_items(t: Term) -> Optional[list[Term]]:
@@ -541,8 +570,8 @@ def render_term(t: Term, quoted: bool = True) -> str:
         elif isinstance(node, Var):
             parts.append("_%d" % node.id if node.name == "_" else "_%s%d" % (node.name, node.id))
         elif isinstance(node, Compound):
-            if node.name == CONS and len(node.args) == 2:
-                items, tail = list_parts(node)
+            items, tail = list_parts(node)
+            if items:
                 parts.append("[")
                 if isinstance(tail, Atom) and tail.name == "[]":
                     stack.append("]")

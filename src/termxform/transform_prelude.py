@@ -45,12 +45,12 @@ from typing import Optional
 from .logic_engine import Clause, EvalError, Program, Solver, _append, _builtin, _grow, _num_text
 from .rule_language import parse_program
 from .term_core import (
-    CONS,
     EMPTY_LIST,
     Atom,
     Compound,
     Term,
     Var,
+    cell,
     deref,
     fresh_var,
     ground_compound,
@@ -396,51 +396,31 @@ def load_prelude(user: Optional[Program] = None) -> Program:
     return combined
 
 
-def _attribute_value(atts: Term, att: str) -> Optional[str]:
-    """The value of the first well-formed *att* entry of *atts*, the one ``@`` reads.
+def _read_attributes(atts: Term, att: Optional[str]) -> tuple[Optional[str], tuple]:
+    """The value of the first well-formed *att* entry of *atts*, and what of *atts* is no atom.
 
-    None when no entry has it or when *atts* is not a proper list.  The
-    cells are read where they are.
+    The value, the one ``@`` and ``sort`` read, is None when no entry has
+    it, when *att* is None, or when *atts* is not a proper list.  The rest
+    is the entries that are not atoms and the tail of an improper list, for
+    ``sort`` to check that they are ground.  One walk over the cells reads both.
     """
     value = None
-    cell = deref(atts)
-    while type(cell) is Compound and cell.name == CONS and len(cell.args) == 2:
-        if value is None:
-            attr = split_attr(cell.args[0], att)
-            if attr is not None:
-                value = attr[1]
-        cell = cell.args[1]
-        if type(cell) is Var:
-            cell = deref(cell)
-    return value if type(cell) is Atom and cell.name == "[]" else None
-
-
-def _sort_key(atts: Term, att: Optional[str]) -> tuple[bool, Optional[str]]:
-    """Whether *atts* is ground, and the key ``sort`` reads from it.
-
-    The key is :func:`_attribute_value`'s answer, or None when *att* is
-    None.  One walk over the cells where they are reads both.
-    """
-    ground = True
-    value = None
-    cell = deref(atts)
-    while type(cell) is Compound and cell.name == CONS and len(cell.args) == 2:
-        entry = cell.args[0]
+    others: tuple = ()
+    rest = atts
+    while (parts := cell(rest)) is not None:
+        entry, rest = parts
         if type(entry) is Var:
             entry = deref(entry)
-        if type(entry) is Atom:
-            if value is None and att is not None:
-                attr = split_attr(entry, att)
-                if attr is not None:
-                    value = attr[1]
-        elif type(entry) is Var or (type(entry) is Compound and not is_ground(entry)):
-            ground = False
-        cell = cell.args[1]
-        if type(cell) is Var:
-            cell = deref(cell)
-    if type(cell) is Atom and cell.name == "[]":
-        return ground, value
-    return ground and is_ground(cell), None
+        if type(entry) is not Atom:
+            others += (entry,)
+        elif value is None and att is not None:
+            attr = split_attr(entry, att)
+            if attr is not None:
+                value = attr[1]
+    rest = deref(rest)
+    if type(rest) is Atom and rest.name == "[]":
+        return value, others
+    return None, others + (rest,)
 
 
 @_builtin("descendantOrSelf", 3)
@@ -478,11 +458,10 @@ def _bi_descendant_or_self(solver: Solver, args):
             solver.undo_to(mark)
             lists.append(node.args[2])
         while lists:
-            rest = deref(lists[-1])
-            if type(rest) is Compound and rest.name == CONS and len(rest.args) == 2:
-                node, lists[-1] = rest.args
+            if (parts := cell(lists[-1])) is not None:
+                node, lists[-1] = parts
                 break
-            if type(rest) is Var:
+            if type(rest := deref(lists[-1])) is Var:
                 _grow(solver, rest)
                 continue
             lists.pop()
@@ -494,7 +473,7 @@ def _bi_descendant_or_self(solver: Solver, args):
 def _bi_attribute_value(solver: Solver, args) -> bool:
     """attributeValue(Atts, Att, V): V is the value of the first well-formed Att entry of Atts, an atom Att."""
     att = deref(args[1])
-    value = _attribute_value(args[0], att.name) if type(att) is Atom else None
+    value = _read_attributes(args[0], att.name)[0] if type(att) is Atom else None
     return value is not None and solver.unify(args[2], Atom(value))
 
 
@@ -582,11 +561,10 @@ def _insert_at(solver: Solver, children: Term, cells: int, at: int, new: Term, e
     items: list[Term] = []
     rest = children
     while len(items) < cells:
-        rest = deref(rest)
-        if type(rest) is Compound and rest.name == CONS and len(rest.args) == 2:
-            items.append(rest.args[0])
-            rest = rest.args[1]
-        elif type(rest) is Var:
+        if (parts := cell(rest)) is not None:
+            items.append(parts[0])
+            rest = parts[1]
+        elif type(rest := deref(rest)) is Var:
             _grow(solver, rest)
         else:
             return False
@@ -598,7 +576,7 @@ def _insert_by_anchor(solver: Solver, children: Term, anchor: Term, pair: tuple,
     """``append(Pre, [Anchor|Post], Children), append(Pre, Pair ++ Post, Edited)``, one solution per split."""
     pre, post = fresh_var("Pre"), fresh_var("Post")
     spliced = mk_list(pair, post)
-    for _ in _append(solver, pre, Compound(CONS, (anchor, post)), children):
+    for _ in _append(solver, pre, mk_list((anchor,), post), children):
         yield from _append(solver, pre, spliced, edited)
 
 
@@ -643,8 +621,8 @@ def _bi_sort_children(solver: Solver, args) -> bool:
         node = deref(node)
         if not (type(node) is Compound and node.name == "element" and len(node.args) == 3):
             return False
-        ground, key = _sort_key(node.args[1], name)
-        if not ground:
+        key, others = _read_attributes(node.args[1], name)
+        if others and not all(map(is_ground, others)):
             return False
         nodes.append(node)
         keys.append(key)

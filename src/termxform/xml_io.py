@@ -5,7 +5,8 @@ attributes as single atoms of the shape ``name="value"`` and children drawn
 from nested elements, ``text(Atom)``, ``comment(Atom)``, and ``pi(Atom)``.
 The parser builds each attribute atom with ``term_core.attr_atom``'s
 builder, so it arrives with its ``="`` separator decoded, and it marks
-every node and list cell it builds as ground (``term_core.ground_compound``),
+every node and list cell it builds as ground (``term_core.ground_compound``
+and ``term_core.ground_cell``),
 so readers that look for variables stop at a parsed node.  The dialect is
 deliberately small: the five predefined entities only, no DOCTYPE, no
 CDATA, names restricted to ASCII letters, digits, ``_``, ``.``, and ``-``
@@ -27,7 +28,6 @@ import re
 from typing import Optional
 
 from .term_core import (
-    CONS,
     EMPTY_LIST,
     Atom,
     Compound,
@@ -37,8 +37,10 @@ from .term_core import (
     _NAME_RE,
     _attr_entry,
     deref,
+    ground_cell,
     ground_compound,
     is_valid_name,
+    list_parts,
     message_text,
     split_attr,
 )
@@ -158,7 +160,7 @@ def _parse(text: str, start: int, keep_ws: bool, decl: bool) -> Term:
                         value = _decode(value)
                         if value is None:
                             raise _error(text, m.start(), stack, root, decl)
-                    attr_list = ground_compound(CONS, (_attr_entry(attr_name, value), attr_list))
+                    attr_list = ground_cell(_attr_entry(attr_name, value), attr_list)
             if len(tag) == 1:
                 kids = []
                 stack.append((atom, attr_list, kids))
@@ -172,10 +174,10 @@ def _parse(text: str, start: int, keep_ws: bool, decl: bool) -> Term:
             if kids is None or m.group("end") != stack[-1][0].name:
                 raise _error(text, m.start(), stack, root, decl)
             atom, attr_list, children = stack.pop()
-            cell = EMPTY_LIST
+            child_list = EMPTY_LIST
             for child in reversed(children):
-                cell = ground_compound(CONS, (child, cell))
-            node = ground_compound("element", (atom, attr_list, cell))
+                child_list = ground_cell(child, child_list)
+            node = ground_compound("element", (atom, attr_list, child_list))
             if stack:
                 kids = stack[-1][2]
                 kids.append(node)
@@ -351,43 +353,33 @@ def _write(
             out.append(item)
             continue
         node, path, indent = item
-        node = deref(node)
-        if _is_element(node):
-            name, attrs, children = deref(node.args[0]), deref(node.args[1]), deref(node.args[2])
-            if not isinstance(name, Atom) or not is_valid_name(name.name):
+        while type(node) is Var and node.ref is not None:
+            node = node.ref
+        # _is_element and its dereferencing, inline: this is the per-node path.
+        if type(node) is Compound and node.name == "element" and len(node.args) == 3:
+            name, attrs, children = node.args
+            while type(name) is Var and name.ref is not None:
+                name = name.ref
+            if type(name) is not Atom or not is_valid_name(name.name):
                 raise _reject(path, name)
-            # Both lists are read cell by cell where they are.  An improper
-            # attribute list is reported before a bad entry in it; a bad
-            # entry is a malformed one or one whose id an earlier entry has.
+            # An improper attribute list is reported before a bad entry in
+            # it; a bad entry is a malformed one or one whose id an earlier
+            # entry has.
+            entries, rest = list_parts(attrs)
+            if not (type(rest) is Atom and rest.name == "[]"):
+                raise _reject(path, attrs, _BAD_ATTRS)
             pieces = [name.name]
             ids.clear()
-            bad = None
-            cell = attrs
-            while type(cell) is Compound and cell.name == CONS and len(cell.args) == 2:
-                if bad is None:
-                    pair = split_attr(cell.args[0])
-                    if pair is None:
-                        bad = cell.args[0], _BAD_ATTRS
-                    elif pair[0] in ids:
-                        bad = Atom(pair[0]), _REPEATED_ATTR
-                    else:
-                        ids.add(pair[0])
-                        pieces.append('%s="%s"' % (pair[0], _escape_attr(pair[1])))
-                cell = cell.args[1]
-                if type(cell) is Var:
-                    cell = deref(cell)
-            if not (type(cell) is Atom and cell.name == "[]"):
-                raise _reject(path, attrs, _BAD_ATTRS)
-            if bad is not None:
-                raise _reject(path, *bad)
-            child_items = []
-            cell = children
-            while type(cell) is Compound and cell.name == CONS and len(cell.args) == 2:
-                child_items.append(cell.args[0])
-                cell = cell.args[1]
-                if type(cell) is Var:
-                    cell = deref(cell)
-            if not (type(cell) is Atom and cell.name == "[]"):
+            for entry in entries:
+                pair = split_attr(entry)
+                if pair is None:
+                    raise _reject(path, entry, _BAD_ATTRS)
+                if pair[0] in ids:
+                    raise _reject(path, Atom(pair[0]), _REPEATED_ATTR)
+                ids.add(pair[0])
+                pieces.append('%s="%s"' % (pair[0], _escape_attr(pair[1])))
+            child_items, rest = list_parts(children)
+            if not (type(rest) is Atom and rest.name == "[]"):
                 raise _reject(path, children)
             if not child_items:
                 out.append("<%s/>" % " ".join(pieces))

@@ -1,8 +1,8 @@
 """Compounds that know they hold no variable (``Compound.ground``).
 
-``ground_compound`` is the one builder that marks.  The XML parser marks
-every node and list cell it builds, and ``removeAttribute/3`` and
-``sortChildren/3`` mark what they rebuild from a marked element's parts.
+``ground_compound`` and ``ground_cell`` are the builders that mark.  The XML
+parser marks every node and list cell it builds, and ``removeAttribute/3``
+and ``sortChildren/3`` mark what they rebuild from a marked element's parts.
 ``copy_term``, ``is_ground``, ``is_cyclic`` and the occurs check stop at a
 marked compound.  The first part checks the promise: every compound
 ``parse_document`` returns is marked, and no compound that holds a ``Var``,
@@ -33,6 +33,7 @@ from termxform.term_core import (
     copy_term,
     deref,
     fresh_var,
+    ground_cell,
     ground_compound,
     is_cyclic,
     is_ground,
@@ -76,27 +77,36 @@ def parsed(tree, keep_ws=False):
 
 @contextlib.contextmanager
 def recorded():
-    """Every compound built inside the block, by the constructor or by ``ground_compound``, in a list."""
-    built, init, mark = [], Compound.__init__, ground_compound
-    users = [module for module in list(sys.modules.values()) if getattr(module, "ground_compound", None) is mark]
+    """Every compound built inside the block, by the constructor or by a marking builder, in a list."""
+    built, init = [], Compound.__init__
+    marks = {"ground_compound": ground_compound, "ground_cell": ground_cell}
+    users = [
+        (module, name)
+        for module in list(sys.modules.values())
+        for name, mark in marks.items()
+        if getattr(module, name, None) is mark
+    ]
+
+    def recording(mark):
+        def build(*args):
+            built.append(mark(*args))
+            return built[-1]
+
+        return build
 
     def recording_init(self, name, args):
         init(self, name, args)
         built.append(self)
 
-    def recording_ground_compound(name, args):
-        built.append(mark(name, args))
-        return built[-1]
-
     Compound.__init__ = recording_init
-    for module in users:
-        module.ground_compound = recording_ground_compound
+    for module, name in users:
+        setattr(module, name, recording(marks[name]))
     try:
         yield built
     finally:
         Compound.__init__ = init
-        for module in users:
-            module.ground_compound = mark
+        for module, name in users:
+            setattr(module, name, marks[name])
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,7 @@ def test_user_transform_clauses_apply_only_at_the_top_of_the_walk():
         "transform(element(a,[],[C,element(b,[],[])]) / b, X)",
         "transform(E / b, X)",
         "transform(element(a,['k=\"1\"'|T],[]) @ k, X)",
+        "transform(element(a,['m=\"2\"',f(Y)|T],[]) @ k, X)",
         "transform(element(a,T,[]) @ k, X)",
     ],
 )

@@ -107,7 +107,14 @@ def test_a_child_that_is_not_an_element_fails():
 
 
 def test_a_non_ground_child_list_fails():
-    for children in ("[element(a,['k=\"1\"'],[])|T]", "[element(a,['k=\"1\"'],[]),element(b,A,[])]"):
+    for children in (
+        "[element(a,['k=\"1\"'],[])|T]",
+        "[element(a,['k=\"1\"'],[]),element(b,A,[])]",
+        # an attribute list with an unbound entry, a non-ground entry, an open tail
+        "[element(a,['k=\"1\"'],[]),element(b,[X],[])]",
+        "[element(a,['k=\"1\"'],[]),element(b,[f(X)],[])]",
+        "[element(a,['k=\"1\"'],[]),element(b,['k=\"2\"'|T],[])]",
+    ):
         native, old = native_and_old(E=tree(children), K=Atom("k"))
         assert native == old == ([], ""), children
 

@@ -200,6 +200,17 @@ def test_traverse_gives_one_solution_when_a_child_is_the_empty_list():
     assert len(run(program, "old_traverse(%s, R)" % tree)[0]) == 2
 
 
+def test_traverse_offers_a_dot_compound_that_is_no_list_cell_and_skips_a_list_child():
+    program = program_with(
+        "template('.'(_),[text(one)]).\ntemplate('.'(_,_,_),[text(three)]).\ntemplate([_|_],[text(cell)])."
+    )
+    tree = "element(a,[],['.'(x),[a],'.'(a,b,c)])"
+    result = "[text(one),text(three)]"
+    assert run(program, "traverse(%s, R)" % tree)[0] == ["traverse(%s,%s)" % (tree, result)]
+    # The rule version offers a child that is a compound and no list, as the walk does.
+    assert run(program, "old_traverse(%s, R)" % tree)[0] == ["old_traverse(%s,%s)" % (tree, result)]
+
+
 def test_traverse_raises_template_error_on_a_non_list_result():
     program = program_with("template(element(b,_,_),oops).")
     with pytest.raises(TemplateError, match="not a result list"):

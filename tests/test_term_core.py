@@ -1,5 +1,8 @@
 """Tests for the term model: construction, equality, copying, rendering."""
 
+import os
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +10,9 @@ from termxform.logic_engine import Solver
 from termxform import RuleParseError, XmlParseError, parse_document
 from termxform.rule_language import parse_program, parse_query
 
+from fresh_interpreter import SRC
 from termxform.term_core import (
+    EMPTY_LIST,
     Atom,
     Compound,
     PositionError,
@@ -15,6 +20,7 @@ from termxform.term_core import (
     Var,
     atom_needs_quotes,
     attr_atom,
+    cell,
     copy_term,
     deref,
     fresh_var,
@@ -22,6 +28,7 @@ from termxform.term_core import (
     is_list,
     is_valid_name,
     list_items,
+    list_parts,
     mk_element,
     mk_list,
     mk_text,
@@ -79,6 +86,36 @@ def test_partial_list_is_not_proper():
     t = mk_list([Atom("a")], tail)
     assert not is_list(t)
     assert list_items(t) is None
+
+
+def test_the_cell_readers_follow_bound_variables():
+    tail = fresh_var("T")
+    t = mk_list([Atom("a"), Atom("b")], tail)
+    bound = fresh_var("L")
+    bound.ref = t
+    assert cell(bound) is t.args and cell(tail) is None
+    assert cell(Compound(".", (Atom("a"),))) is None and cell(EMPTY_LIST) is None
+    tail.ref = mk_list([Atom("c")])
+    assert list_parts(bound) == ([Atom("a"), Atom("b"), Atom("c")], EMPTY_LIST)
+    assert list_parts(Compound(".", (1, 2, 3))) == ([], Compound(".", (1, 2, 3)))
+
+
+# A list cell tested or built by hand: a use of CONS, or a name compared with ".".
+_HAND_MADE_CELL = re.compile(r"\bCONS\b|\.name\s*[!=]=\s*[\"']\.[\"']|[\"']\.[\"']\s*[!=]=\s*[\w.]*\.name\b")
+
+
+def test_only_term_core_reads_or_builds_a_list_cell():
+    """Every other module reads a cell through ``cell`` or ``list_parts`` and builds one through
+    ``mk_list`` or ``ground_cell``, so the cell's format is term_core's alone."""
+    named = []
+    for folder, _, files in os.walk(SRC):
+        for name in sorted(files):
+            if name.endswith(".py") and name != "term_core.py":
+                path = os.path.join(folder, name)
+                with open(path, encoding="utf-8") as source:
+                    named += ["%s:%d" % (path, number) for number, line in enumerate(source, 1)
+                              if _HAND_MADE_CELL.search(line)]
+    assert named == []
 
 
 def test_attr_atom_shape():

@@ -222,10 +222,16 @@ def test_validation_rejects_a_repeated_attribute_name():
         with pytest.raises(ValidationError) as caught:
             call(bad)
         assert str(caught.value) == message
-    # An improper attribute list is still reported before any entry in it.
-    partial = Compound("element", (Atom("a"), mk_list(entries[:3], fresh_var("T")), Atom("[]")))
-    with pytest.raises(ValidationError, match="Error in remaining attributes list: "):
-        check_serializable(partial)
+    # An improper attribute list is still reported before any entry in it,
+    # whether it is open or ends in an atom; else the first bad entry is.
+    for attrs, shown in (
+        (mk_list(entries[:3], fresh_var("T")), "['x=\"1\"','y=\"2\"','x=\"2\"'|_T"),
+        (mk_list(entries[3:] + entries[:3], Atom("end")), "[plain,'x=\"1\"','y=\"2\"','x=\"2\"'|end]"),
+        (mk_list(entries[3:] + entries[:3]), "plain"),
+    ):
+        with pytest.raises(ValidationError) as caught:
+            check_serializable(Compound("element", (Atom("a"), attrs, Atom("[]"))))
+        assert str(caught.value).startswith("Error in remaining attributes list: " + shown)
 
 
 def test_validation_rejects_empty_text():
